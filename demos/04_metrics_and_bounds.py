@@ -1,4 +1,4 @@
-"""Metrics and bounds: makespan, energy, speedups, and analytic ceilings.
+"""Metrics: makespan, energy, speedups, and the paper's analytic estimates.
 
 Run:  python demos/04_metrics_and_bounds.py
 """
@@ -36,10 +36,12 @@ print(f"speedups:          {report.speedup_makespan_only:.2f}x makespan-only, "
       f"{report.speedup_total:.2f}x including scheduling wall time")
 
 # ---------------------------------------------------------------------------
-# Two analytic makespan ceilings, exposed side by side. The closed form
-# divides conflict-discounted work across cores; the chromatic bound counts
-# scheduling layers from a random-graph coloring approximation. They scale
-# differently and neither is adjusted toward the other.
+# The paper's two analytic makespan estimates, exposed side by side. They
+# are named upper bounds but are not guaranteed ones: real schedules can
+# land above them. The closed form divides conflict-discounted work across
+# cores; the chromatic estimate counts scheduling layers from a
+# random-graph coloring approximation. They scale differently and neither
+# is adjusted toward the other.
 
 print(f"\n{'cr':>5} {'UB-closed':>12} {'UB-chromatic':>13}   (n=100, mean 8 ms, m=4)")
 for cr in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):

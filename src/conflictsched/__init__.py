@@ -5,7 +5,7 @@ greedy iterative heuristic, minimizing makespan while guaranteeing
 conflict-free parallel execution; attestor mode additionally preserves the
 original order of conflicting pairs. Includes workload generation and I/O,
 schedule validation, an exact small-instance solver, objective metrics with
-analytic upper bounds, and a benchmark harness.
+the paper's analytic makespan estimates, and a benchmark harness.
 """
 
 from .bench import (

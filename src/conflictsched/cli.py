@@ -169,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("bound", help="print both analytic makespan upper bounds")
+    p = sub.add_parser("bound", help="print the paper's two analytic makespan estimates")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mean-t", type=float, required=True, help="mean process time, ms")
     p.add_argument("--m", type=int, required=True, help="core count")

@@ -27,9 +27,9 @@ class ConflictIndex:
 def build_conflict_index(w: Workload) -> ConflictIndex:
     """Build the symmetric adjacency index; membership tests are O(1) after."""
     neighbors: list[set[int]] = [set() for _ in range(w.n)]
-    for pair in w.conflicts:
-        neighbors[pair.a].add(pair.b)
-        neighbors[pair.b].add(pair.a)
+    for a, b in w.conflicts:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
     times = w.exec_times()
     return ConflictIndex(
         adjacency=tuple(frozenset(s) for s in neighbors),

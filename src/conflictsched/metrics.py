@@ -1,11 +1,12 @@
-"""Objective evaluation: makespan, idle/energy accounting, speedups, bounds.
+"""Objective evaluation: makespan, idle/energy accounting, speedups, estimates.
 
 These are post-hoc reports over a finished schedule; nothing here feeds
 back into placement decisions (the greedy scheduler optimizes time only).
-Two analytic makespan upper bounds are exposed side by side because they
-scale differently: a closed-form expression in the conflict rate, and a
-layering bound driven by a chromatic-number approximation of the random
-conflict graph. Neither is "corrected" toward the other.
+The paper's two analytic makespan estimates (a closed form in the conflict
+rate, and layers from a chromatic-number approximation of a random conflict
+graph) are exposed side by side, neither "corrected" toward the other.
+Neither is a guaranteed upper bound: both fall below the greedy makespan
+on every default bench grid row.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class MetricsReport:
 
 @dataclass(frozen=True, slots=True)
 class BoundParams:
-    """Inputs to the analytic bounds: size, mean time, cores, conflict rate."""
+    """Inputs to the analytic estimates: size, mean time, cores, conflict rate."""
 
     n: int
     mean_time_ms: float
@@ -119,7 +120,7 @@ def metrics_report(sch: Schedule, w: Workload, weights: Weights = Weights(1.0)) 
 
 
 def upper_bound_closed_form(p: BoundParams) -> float:
-    """Closed-form makespan upper bound in milliseconds.
+    """The paper's closed-form makespan estimate in ms; not a guaranteed bound.
 
     UB = (n * cr / (2 * ln(1 / (1 - cr)))) * (mean_time / m). The cr = 0
     case takes the removable limit (n / 2) * (mean_time / m); cr = 1
@@ -133,7 +134,7 @@ def upper_bound_closed_form(p: BoundParams) -> float:
 
 
 def upper_bound_chromatic(p: BoundParams) -> float:
-    """Layering makespan upper bound in milliseconds.
+    """The paper's layering makespan estimate in ms; not a guaranteed bound.
 
     Approximates the chromatic number of a random conflict graph as
     chi = n / (2 * log_{1/(1-cr)} n), giving UB = mean_time * ceil(chi / m).

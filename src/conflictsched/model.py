@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
     "OPS_PER_MS",
@@ -87,18 +88,15 @@ class Process:
             )
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class ConflictPair:
-    """An unordered conflict between two processes, stored as a < b."""
+class ConflictPair(NamedTuple):
+    """An unordered conflict between two processes, stored as a < b.
+
+    A plain int tuple, so sorting and deduplicating pairs runs in C;
+    `Workload` rejects pairs that are not canonical.
+    """
 
     a: int
     b: int
-
-    def __post_init__(self) -> None:
-        if self.a >= self.b:
-            raise WorkloadValidationError(
-                f"conflict pair ({self.a}, {self.b}) is not canonical (need a < b)"
-            )
 
     @classmethod
     def of(cls, i: int, j: int) -> ConflictPair:
@@ -188,8 +186,8 @@ class Workload:
 
     The process list order is canonical: ``processes[i].id == i``, and that
     index is the original block position used by attestor-mode ordering.
-    Conflict pairs are normalized to canonical form (a < b), deduplicated,
-    and sorted at construction.
+    Conflict pairs must be canonical (a < b, both known ids); they are
+    deduplicated and sorted at construction.
     """
 
     processes: tuple[Process, ...]
@@ -205,12 +203,15 @@ class Workload:
                     f"processes[{position}].id is {proc.id}; ids must be 0..n-1 in order"
                 )
         n = len(self.processes)
-        for pair in self.conflicts:
-            for pid in (pair.a, pair.b):
-                if pid >= n:
-                    raise WorkloadValidationError(
-                        f"conflict pair ({pair.a}, {pair.b}) references unknown process id {pid}"
-                    )
+        for a, b in self.conflicts:
+            if a >= b:
+                raise WorkloadValidationError(
+                    f"conflict pair ({a}, {b}) is not canonical (need a < b)"
+                )
+            if a < 0 or b >= n:
+                raise WorkloadValidationError(
+                    f"conflict pair ({a}, {b}) references unknown process id {a if a < 0 else b}"
+                )
         object.__setattr__(self, "conflicts", tuple(sorted(set(self.conflicts))))
 
     @property
@@ -281,7 +282,7 @@ def _participation_conflicts(
         for j_pos in range(i_pos + 1, len(ordered)):
             if rng.random() < extra_edge_rate:
                 edges.add(ConflictPair(ordered[i_pos], ordered[j_pos]))
-    return sorted(edges)
+    return list(edges)
 
 
 def generate_workload(
@@ -344,7 +345,7 @@ def _workload_to_dict(w: Workload) -> dict:
             {"id": p.id, "execTimeMs": p.exec_time_ms, "opCount": p.op_count}
             for p in w.processes
         ],
-        "conflicts": [[c.a, c.b] for c in w.conflicts],
+        "conflicts": [[a, b] for a, b in w.conflicts],
         "cores": {
             "count": w.cores.core_count,
             "costPerOp": w.cores.cost_per_op,

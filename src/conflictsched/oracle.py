@@ -4,7 +4,7 @@ The validator checks arbitrary candidate schedules against every constraint
 and reports all violations, not just the first. The exact solver is a
 branch-and-bound search over (placement order, core choice) used to measure
 the greedy scheduler's optimality gap on small instances; it is not meant
-for production-sized workloads.
+for production-sized workloads and refuses more than `MAX_EXACT_PROCESSES`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .conflict import build_conflict_index
+from .conflict import ConflictIndex, build_conflict_index
 from .model import Workload
 from .scheduler import (
     Assignment,
@@ -25,12 +25,18 @@ from .scheduler import (
 )
 
 __all__ = [
+    "MAX_EXACT_PROCESSES",
     "OracleResult",
     "ValidationReport",
     "Violation",
     "exact_optimal",
     "validate_schedule",
 ]
+
+
+# the search recurses once per placed process: stay well below CPython's
+# default recursion limit of 1000, leaving room for the caller's frames
+MAX_EXACT_PROCESSES = 500
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,25 +115,25 @@ def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
                     )
                 )
 
-    for pair in w.conflicts:
-        ai, aj = by_pid.get(pair.a), by_pid.get(pair.b)
+    for a, b in w.conflicts:
+        ai, aj = by_pid.get(a), by_pid.get(b)
         if ai is None or aj is None:
             continue
         if ai.start_ms < aj.finish_ms and aj.start_ms < ai.finish_ms:
             violations.append(
                 Violation(
                     "C2",
-                    (pair.a, pair.b),
-                    f"conflicting processes {pair.a} and {pair.b} overlap in time",
+                    (a, b),
+                    f"conflicting processes {a} and {b} overlap in time",
                 )
             )
         if w.attestor and ai.finish_ms > aj.start_ms:
             violations.append(
                 Violation(
                     "C3",
-                    (pair.a, pair.b),
-                    f"conflicting process {pair.b} starts at {aj.start_ms} "
-                    f"before predecessor {pair.a} finishes at {ai.finish_ms}",
+                    (a, b),
+                    f"conflicting process {b} starts at {aj.start_ms} "
+                    f"before predecessor {a} finishes at {ai.finish_ms}",
                 )
             )
 
@@ -159,16 +165,15 @@ def _clique_weight_table(times: tuple[int, ...], adj_mask: list[int]) -> list[in
     return table
 
 
-def _static_lower_bound(w: Workload, clique_w: list[int] | None) -> int:
+def _static_lower_bound(w: Workload, idx: ConflictIndex, clique_w: list[int] | None) -> int:
     times = w.exec_times()
     m = w.cores.core_count
     lb = math.ceil(sum(times) / m)
-    idx = build_conflict_index(w)
     if clique_w is not None:
         lb = max(lb, clique_w[-1])
     else:
-        for pair in w.conflicts:
-            lb = max(lb, times[pair.a] + times[pair.b])
+        for a, b in w.conflicts:
+            lb = max(lb, times[a] + times[b])
     for i in range(w.n):
         hood = idx.conflict_duration_ms[i]
         if hood:
@@ -201,22 +206,25 @@ def exact_optimal(
     breaking, and dominance memoization; disabling it gives pure
     enumeration (only practical for very small n). If the node budget is
     exhausted the best schedule found so far is returned with
-    ``optimal=False``.
+    ``optimal=False``. Raises ``ValueError`` for more than
+    `MAX_EXACT_PROCESSES` processes.
     """
     t0 = time.perf_counter()
     n = w.n
+    if n > MAX_EXACT_PROCESSES:
+        raise ValueError(f"exact search handles at most {MAX_EXACT_PROCESSES} processes, got {n}")
     m = w.cores.core_count
     times = w.exec_times()
     idx = build_conflict_index(w)
     attestor = w.attestor
 
     adj_mask = [0] * n
-    for pair in w.conflicts:
-        adj_mask[pair.a] |= 1 << pair.b
-        adj_mask[pair.b] |= 1 << pair.a
+    for a, b in w.conflicts:
+        adj_mask[a] |= 1 << b
+        adj_mask[b] |= 1 << a
     clique_w = _clique_weight_table(times, adj_mask) if (prune and n <= 16) else None
 
-    static_lb = _static_lower_bound(w, clique_w) if prune else 0
+    static_lb = _static_lower_bound(w, idx, clique_w) if prune else 0
     if prune:
         best_ms, best_assign = _incumbent(w)
     else:

@@ -1,14 +1,16 @@
 """Greedy iterative conflict-aware scheduler.
 
 Processes are sorted by a pluggable priority key, then placed one at a time
-on the least occupied core. Two placement methods exist:
+on the least occupied core along one path: loose rounds, then strict
+placement of whatever they refused.
 
-* STRICT always places the process, inserting the minimal idle time needed
-  to clear conflicts with already-placed partners.
-* LOOSE refuses any placement that would need idle time. Refused processes
-  are retried over multiple review rounds (core ends advance between
-  rounds, so earlier refusals often become placeable); whatever survives
-  all rounds is handed to the strict method.
+* Loose placement refuses any placement that would need idle time; refused
+  processes are retried in the next round (core ends advance between
+  rounds, so earlier refusals often become placeable).
+* Strict placement always places the process, inserting the minimal idle
+  time needed to clear conflicts with already-placed partners.
+
+LOOSE-R strategies run R + 1 loose rounds; STRICT strategies run zero.
 
 In attestor mode, conflicting pairs must additionally finish in their
 original block order; both placement methods respect that, and the sort
@@ -29,7 +31,8 @@ from enum import Enum
 from pathlib import Path
 
 from .conflict import ConflictIndex, build_conflict_index
-from .model import Process, Workload
+from .model import Process, Workload, WorkloadValidationError
+from .model import _require_int, _require_keys, _require_number
 
 __all__ = [
     "Assignment",
@@ -100,10 +103,9 @@ class Assignment:
 
 @dataclass
 class CoreState:
-    """Occupancy of one core; intervals are half-open [start, finish)."""
+    """Occupancy of one core: the finish of its last placed process."""
 
     core_id: int
-    intervals: list[tuple[int, int, int]] = field(default_factory=list)  # (pid, start, finish)
     occupied_until_ms: int = 0
 
 
@@ -111,13 +113,12 @@ class CoreState:
 class Plan:
     """Mutable working state shared by the placement methods."""
 
-    workload: Workload
     cores: list[CoreState]
     assigned: dict[int, Assignment] = field(default_factory=dict)
 
     @classmethod
     def empty(cls, w: Workload) -> Plan:
-        return cls(workload=w, cores=[CoreState(k) for k in range(w.cores.core_count)])
+        return cls(cores=[CoreState(k) for k in range(w.cores.core_count)])
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,6 @@ def _unassigned_predecessor(plan: Plan, idx: ConflictIndex, pid: int) -> int | N
 
 def _commit(plan: Plan, core: CoreState, proc: Process, start: int) -> Assignment:
     finish = start + proc.exec_time_ms
-    core.intervals.append((proc.id, start, finish))
     core.occupied_until_ms = finish
     a = Assignment(proc.id, core.core_id, start, finish)
     plan.assigned[proc.id] = a
@@ -237,45 +237,31 @@ def assign_loosely(
 def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
     """Run the full greedy scheduler on a workload.
 
-    STRICT strategies make a single strict pass in sorted order. LOOSE
-    strategies run rounds 0..loose_review_round of loose placement over
-    the still-unassigned processes (stopping early once none remain) and
-    then place any survivors strictly.
+    LOOSE strategies run rounds 0..loose_review_round of loose placement
+    over the still-pending processes in sorted order; STRICT strategies run
+    none. Whatever is still pending is then placed strictly, in order.
     """
     t0 = time.perf_counter()
     idx = build_conflict_index(w)
-    order = sort_processes(w, idx, strategy.sort_type, w.attestor)
+    pending = sort_processes(w, idx, strategy.sort_type, w.attestor)
     plan = Plan.empty(w)
-    horizon = 0
+    procs = w.processes
 
-    if strategy.assign_type is AssignType.STRICT:
-        for pid in order:
-            proc = w.processes[pid]
-            horizon += proc.exec_time_ms
-            assign_strictly(proc, plan, idx, w.attestor)
-    else:
-        for round_no in range(strategy.loose_review_round + 1):
-            unassigned = 0
-            for pid in order:
-                proc = w.processes[pid]
-                if round_no == 0:
-                    horizon += proc.exec_time_ms
-                if pid in plan.assigned:
-                    continue
-                if assign_loosely(proc, plan, idx, w.attestor) is None:
-                    unassigned += 1
-            if unassigned == 0:
-                break
-        for pid in order:
-            if pid not in plan.assigned:
-                assign_strictly(w.processes[pid], plan, idx, w.attestor)
+    loose = strategy.assign_type is AssignType.LOOSE
+    for _ in range(strategy.loose_review_round + 1 if loose else 0):
+        pending = [
+            pid for pid in pending
+            if assign_loosely(procs[pid], plan, idx, w.attestor) is None
+        ]
+    for pid in pending:
+        assign_strictly(procs[pid], plan, idx, w.attestor)
 
     assignments = tuple(plan.assigned[pid] for pid in range(w.n))
     makespan = max((a.finish_ms for a in assignments), default=0)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return Schedule(
         assignments=assignments,
-        horizon_ms=horizon,
+        horizon_ms=sum(w.exec_times()),
         schedule_makespan_ms=makespan,
         wall_time_ms=wall_ms,
     )
@@ -298,21 +284,34 @@ def schedule_to_dict(sch: Schedule) -> dict:
     }
 
 
+_ASSIGNMENT_KEYS = ("processId", "coreId", "startMs", "finishMs")
+
+
 def schedule_from_dict(raw: dict) -> Schedule:
-    assignments = tuple(
-        Assignment(
-            process_id=entry["processId"],
-            core_id=entry["coreId"],
-            start_ms=entry["startMs"],
-            finish_ms=entry["finishMs"],
+    """Build a schedule from its JSON form, checking keys and field types.
+
+    Raises a field-named `WorkloadValidationError`; `validate_schedule`
+    checks whether the schedule is legal for a workload.
+    """
+    if not isinstance(raw, dict):
+        raise WorkloadValidationError("top-level value must be an object")
+    _require_keys(raw, {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}, "schedule")
+    if not isinstance(raw["assignments"], list):
+        raise WorkloadValidationError("assignments must be an array")
+    assignments = []
+    for pos, entry in enumerate(raw["assignments"]):
+        where = f"assignments[{pos}]"
+        if not isinstance(entry, dict):
+            raise WorkloadValidationError(f"{where} must be an object")
+        _require_keys(entry, set(_ASSIGNMENT_KEYS), where)
+        assignments.append(
+            Assignment(*(_require_int(entry[key], f"{where}.{key}") for key in _ASSIGNMENT_KEYS))
         )
-        for entry in raw["assignments"]
-    )
     return Schedule(
-        assignments=assignments,
-        horizon_ms=raw["horizonMs"],
-        schedule_makespan_ms=raw["scheduleMakespanMs"],
-        wall_time_ms=raw["wallTimeMs"],
+        assignments=tuple(assignments),
+        horizon_ms=_require_int(raw["horizonMs"], "horizonMs"),
+        schedule_makespan_ms=_require_int(raw["scheduleMakespanMs"], "scheduleMakespanMs"),
+        wall_time_ms=_require_number(raw["wallTimeMs"], "wallTimeMs"),
     )
 
 
@@ -321,4 +320,5 @@ def save_schedule(sch: Schedule, path: str | Path) -> None:
 
 
 def load_schedule(path: str | Path) -> Schedule:
+    """Read a schedule file; see `schedule_from_dict` for the checks."""
     return schedule_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -53,6 +53,27 @@ def test_validate_exits_one_on_violation(tmp_path, capsys):
     assert "COMPLETENESS" in out or "C1" in out or "C2" in out
 
 
+@pytest.mark.parametrize(
+    "corrupt,field",
+    [
+        (lambda payload: payload.pop("assignments"), "assignments"),
+        (lambda payload: payload["assignments"][0].update(startMs="0"), "assignments[0].startMs"),
+    ],
+    ids=["missing-assignments", "string-startMs"],
+)
+def test_validate_malformed_schedule_exits_two(tmp_path, capsys, corrupt, field):
+    wpath = tmp_path / "w.json"
+    spath = tmp_path / "s.json"
+    run(["generate", "--n", "10", "--rate", "0.5", "--seed", "2", "--out", str(wpath)], capsys)
+    run(["schedule", "--workload", str(wpath), "--out", str(spath)], capsys)
+    payload = json.loads(spath.read_text())
+    corrupt(payload)
+    spath.write_text(json.dumps(payload))
+    status, _, err = run(["validate", "--workload", str(wpath), "--schedule", str(spath)], capsys)
+    assert status == 2
+    assert field in err
+
+
 def test_bound_full_conflict_boundary(capsys):
     status, out, _ = run(["bound", "--n", "50", "--mean-t", "8", "--m", "4", "--cr", "1"], capsys)
     assert status == 0
@@ -94,6 +115,15 @@ def test_oracle_subcommand(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["optimal"] is True
     assert payload["optimalMakespanMs"] >= 1
+
+
+def test_oracle_refuses_large_workload(tmp_path, capsys):
+    wpath = tmp_path / "w.json"
+    # conflict-free, so the search dives one frame per process without pruning
+    run(["generate", "--n", "1500", "--rate", "0", "--seed", "1", "--out", str(wpath)], capsys)
+    status, _, err = run(["oracle", "--workload", str(wpath), "--budget", "5000"], capsys)
+    assert status == 2
+    assert "at most" in err
 
 
 def test_usage_error_exits_two(capsys):

@@ -254,6 +254,19 @@ class TestWorkloadInvariants:
         )
         assert w.conflicts == (ConflictPair(0, 2), ConflictPair(1, 2))
 
+    @pytest.mark.parametrize("pair", [(2, 1), (1, 1)])
+    def test_non_canonical_pair_rejected(self, pair):
+        with pytest.raises(WorkloadValidationError, match="not canonical"):
+            Workload(
+                processes=(Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)),
+                conflicts=(ConflictPair(*pair),),
+                cores=CoreProfile(2),
+            )
+
+    def test_self_pair_rejected_by_of(self):
+        with pytest.raises(WorkloadValidationError, match="self-referential"):
+            ConflictPair.of(1, 1)
+
     def test_core_profile_validation(self):
         with pytest.raises(WorkloadValidationError, match="cores.count"):
             CoreProfile(0)

@@ -12,7 +12,7 @@ from conflictsched.model import (
     Workload,
     generate_workload,
 )
-from conflictsched.oracle import exact_optimal, validate_schedule
+from conflictsched.oracle import MAX_EXACT_PROCESSES, exact_optimal, validate_schedule
 from conflictsched.scheduler import Assignment, Schedule, schedule
 
 
@@ -166,6 +166,11 @@ class TestExactOptimal:
         res = exact_optimal(w, node_budget=20)
         assert not res.optimal
         assert validate_schedule(res.schedule, w).ok
+
+    def test_refuses_more_processes_than_its_limit(self):
+        w = generate_workload(MAX_EXACT_PROCESSES + 1, 0.45, seed=1, cores=CoreProfile(3))
+        with pytest.raises(ValueError, match=str(MAX_EXACT_PROCESSES)):
+            exact_optimal(w, node_budget=5000)
 
     def test_attestor_optimum_at_least_proposer_optimum(self):
         rng = random.Random(77)

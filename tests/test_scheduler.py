@@ -1,5 +1,6 @@
 """Greedy scheduler: sorting, strict/loose placement, and full runs."""
 
+import hashlib
 import statistics
 
 import pytest
@@ -114,9 +115,9 @@ class TestAssignLoosely:
         idx = build_conflict_index(THREE)
         plan = Plan.empty(THREE)
         assert assign_loosely(THREE.processes[0], plan, idx, False) is not None
-        before = (list(plan.cores[1].intervals), dict(plan.assigned))
+        before = ([c.occupied_until_ms for c in plan.cores], dict(plan.assigned))
         assert assign_loosely(THREE.processes[1], plan, idx, False) is None
-        assert (list(plan.cores[1].intervals), dict(plan.assigned)) == before
+        assert ([c.occupied_until_ms for c in plan.cores], dict(plan.assigned)) == before
         got = assign_loosely(THREE.processes[2], plan, idx, False)
         assert got == Assignment(2, 1, 0, 2)
 
@@ -139,10 +140,11 @@ class TestAssignLoosely:
         w = make_workload([4, 4], [(0, 1)], m=2, attestor=True)
         idx = build_conflict_index(w)
         plan = Plan.empty(w)
-        plan.cores[1].intervals.append((0, 100, 104))
         plan.cores[1].occupied_until_ms = 104
         plan.assigned[0] = Assignment(0, 1, 100, 104)
         assert assign_loosely(w.processes[1], plan, idx, True) is None
+        assert [c.occupied_until_ms for c in plan.cores] == [0, 104]
+        assert list(plan.assigned) == [0]
 
 
 class TestSchedule:
@@ -221,6 +223,26 @@ class TestSchedule:
             prop.append(schedule(base.with_attestor(False)).schedule_makespan_ms)
             att.append(schedule(base.with_attestor(True)).schedule_makespan_ms)
         assert statistics.mean(prop) <= statistics.mean(att)
+
+    def test_assignments_match_reference_digest(self):
+        # pins every strategy's assignments in both conflict models and both
+        # modes; a placement change must update this digest deliberately
+        h = hashlib.sha256()
+        for model in ConflictModel:
+            for seed, (n, rate, m) in enumerate([(40, 0.3, 3), (60, 0.45, 4), (25, 0.15, 2)]):
+                base = generate_workload(n, rate, model=model, seed=seed, cores=CoreProfile(m))
+                for attestor in (False, True):
+                    w = base.with_attestor(attestor)
+                    for sort_type in SortType:
+                        for assign in AssignType:
+                            for rounds in (0, 3):
+                                sch = schedule(w, Strategy(sort_type, assign, rounds))
+                                rows = tuple(
+                                    (a.process_id, a.core_id, a.start_ms, a.finish_ms)
+                                    for a in sch.assignments
+                                )
+                                h.update(repr(rows).encode())
+        assert h.hexdigest() == "a5ffaeb7545620185fff0d82384fd978e439b1c17fb34b8f84fb68872f6140d6"
 
     def test_constant_times_loose_equals_horizon_over_m(self):
         w = generate_workload(
