@@ -26,15 +26,18 @@ class ConflictIndex:
 
 def build_conflict_index(w: Workload) -> ConflictIndex:
     """Build the symmetric adjacency index; membership tests are O(1) after."""
+    times = w.exec_times()
     neighbors: list[set[int]] = [set() for _ in range(w.n)]
-    for a, b in w.conflicts:
+    durations = [0] * w.n
+    for a, b in w.conflicts:  # pairs are deduplicated by the Workload
         neighbors[a].add(b)
         neighbors[b].add(a)
-    times = w.exec_times()
+        durations[a] += times[b]
+        durations[b] += times[a]
     return ConflictIndex(
         adjacency=tuple(frozenset(s) for s in neighbors),
         conflict_count=tuple(len(s) for s in neighbors),
-        conflict_duration_ms=tuple(sum(times[j] for j in s) for s in neighbors),
+        conflict_duration_ms=tuple(durations),
     )
 
 

@@ -13,10 +13,11 @@ rejected; see `load_workload` for the exact shape.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -222,10 +223,17 @@ class Workload:
         return tuple(p.exec_time_ms for p in self.processes)
 
     def with_cores(self, cores: CoreProfile) -> Workload:
-        return replace(self, cores=cores)
+        return self._derive("cores", cores)
 
     def with_attestor(self, attestor: bool) -> Workload:
-        return replace(self, attestor=attestor)
+        return self._derive("attestor", attestor)
+
+    def _derive(self, name: str, value: object) -> Workload:
+        # a shallow copy keeps the checked, sorted pairs: `replace` would
+        # run __post_init__ again and re-check and re-sort every pair
+        derived = copy.copy(self)
+        object.__setattr__(derived, name, value)
+        return derived
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,7 +21,7 @@ from .scheduler import (
     Schedule,
     SortType,
     Strategy,
-    schedule as greedy_schedule,
+    _schedule_indexed,
 )
 
 __all__ = [
@@ -181,12 +181,14 @@ def _static_lower_bound(w: Workload, idx: ConflictIndex, clique_w: list[int] | N
     return lb
 
 
-def _incumbent(w: Workload) -> tuple[int, dict[int, tuple[int, int, int]]]:
+def _incumbent(
+    w: Workload, idx: ConflictIndex
+) -> tuple[int, dict[int, tuple[int, int, int]]]:
     best_ms = None
     best = None
     strategies = [Strategy(sort, assign, 3) for sort in SortType for assign in AssignType]
     for strat in strategies:
-        sch = greedy_schedule(w, strat)
+        sch = _schedule_indexed(w, idx, strat, time.perf_counter())
         if best_ms is None or sch.schedule_makespan_ms < best_ms:
             best_ms = sch.schedule_makespan_ms
             best = {a.process_id: (a.core_id, a.start_ms, a.finish_ms) for a in sch.assignments}
@@ -226,7 +228,7 @@ def exact_optimal(
 
     static_lb = _static_lower_bound(w, idx, clique_w) if prune else 0
     if prune:
-        best_ms, best_assign = _incumbent(w)
+        best_ms, best_assign = _incumbent(w, idx)
     else:
         best_ms, best_assign = sum(times) * 2 + 1, None
 
@@ -308,7 +310,7 @@ def exact_optimal(
 
     if best_assign is None:
         # pure enumeration ran out of budget before any leaf
-        best_ms, best_assign = _incumbent(w)
+        best_ms, best_assign = _incumbent(w, idx)
         exhausted = True
     assignments = tuple(
         Assignment(pid, best_assign[pid][0], best_assign[pid][1], best_assign[pid][2])

@@ -2,7 +2,9 @@
 
 Processes are sorted by a pluggable priority key, then placed one at a time
 on the least occupied core along one path: loose rounds, then strict
-placement of whatever they refused.
+placement of whatever they refused. The core ends are a heap owned by the
+`Plan` and advance only through placement, so picking the least occupied
+core is O(1) and committing a placement is O(log m).
 
 * Loose placement refuses any placement that would need idle time; refused
   processes are retried in the next round (core ends advance between
@@ -24,11 +26,13 @@ measured wall time varies between runs.
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .conflict import ConflictIndex, build_conflict_index
 from .model import Process, Workload, WorkloadValidationError
@@ -93,8 +97,7 @@ class Strategy:
 DEFAULT_STRATEGY = Strategy(SortType.MCDF, AssignType.LOOSE, 3)
 
 
-@dataclass(frozen=True, slots=True)
-class Assignment:
+class Assignment(NamedTuple):
     process_id: int
     core_id: int
     start_ms: int
@@ -111,10 +114,22 @@ class CoreState:
 
 @dataclass
 class Plan:
-    """Mutable working state shared by the placement methods."""
+    """Mutable working state shared by the placement methods.
+
+    The plan owns a heap of ``(occupied_until_ms, core_id, position in
+    cores)``, built from ``cores`` at construction, so the least occupied
+    core (ties to the lowest id) is read in O(1) and a placement updates it
+    in O(log m). Core ends advance only through placement: a core end
+    written directly after construction is not seen by the heap.
+    """
 
     cores: list[CoreState]
     assigned: dict[int, Assignment] = field(default_factory=dict)
+    _ends: list[tuple[int, int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._ends = [(c.occupied_until_ms, c.core_id, k) for k, c in enumerate(self.cores)]
+        heapq.heapify(self._ends)
 
     @classmethod
     def empty(cls, w: Workload) -> Plan:
@@ -163,7 +178,7 @@ def sort_processes(
 
 
 def _least_occupied(plan: Plan) -> CoreState:
-    return min(plan.cores, key=lambda c: (c.occupied_until_ms, c.core_id))
+    return plan.cores[plan._ends[0][2]]
 
 
 def _unassigned_predecessor(plan: Plan, idx: ConflictIndex, pid: int) -> int | None:
@@ -174,8 +189,10 @@ def _unassigned_predecessor(plan: Plan, idx: ConflictIndex, pid: int) -> int | N
 
 
 def _commit(plan: Plan, core: CoreState, proc: Process, start: int) -> Assignment:
+    # both placement methods commit to the least occupied core: the heap top
     finish = start + proc.exec_time_ms
     core.occupied_until_ms = finish
+    heapq.heapreplace(plan._ends, (finish, core.core_id, plan._ends[0][2]))
     a = Assignment(proc.id, core.core_id, start, finish)
     plan.assigned[proc.id] = a
     return a
@@ -242,7 +259,11 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
     none. Whatever is still pending is then placed strictly, in order.
     """
     t0 = time.perf_counter()
-    idx = build_conflict_index(w)
+    return _schedule_indexed(w, build_conflict_index(w), strategy, t0)
+
+
+def _schedule_indexed(w: Workload, idx: ConflictIndex, strategy: Strategy, t0: float) -> Schedule:
+    """`schedule` on a prebuilt index; wall time is measured from ``t0``."""
     pending = sort_processes(w, idx, strategy.sort_type, w.attestor)
     plan = Plan.empty(w)
     procs = w.processes

@@ -1,5 +1,6 @@
 """Workload types, file I/O, generator, and the gas-to-time estimator."""
 
+import dataclasses
 import json
 import math
 
@@ -270,3 +271,20 @@ class TestWorkloadInvariants:
     def test_core_profile_validation(self):
         with pytest.raises(WorkloadValidationError, match="cores.count"):
             CoreProfile(0)
+
+    @pytest.mark.parametrize(
+        "derive,changes",
+        [
+            (lambda w: w.with_cores(CoreProfile(7)), {"cores": CoreProfile(7)}),
+            (lambda w: w.with_attestor(True), {"attestor": True}),
+        ],
+    )
+    def test_derived_workload_shares_checked_pairs(self, derive, changes):
+        base = generate_workload(60, 0.4, model=ConflictModel.PAIRWISE, seed=5)
+        derived = derive(base)
+        assert derived.conflicts is base.conflicts
+        rebuilt = dataclasses.replace(base, **changes)
+        for f in dataclasses.fields(Workload):
+            assert getattr(derived, f.name) == getattr(rebuilt, f.name), f.name
+        assert derived == rebuilt
+        assert base.cores == CoreProfile(2) and base.attestor is False

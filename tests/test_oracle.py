@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+import conflictsched.oracle
+import conflictsched.scheduler
+from conflictsched.conflict import build_conflict_index
 from conflictsched.model import (
     ConflictModel,
     ConflictPair,
@@ -171,6 +174,23 @@ class TestExactOptimal:
         w = generate_workload(MAX_EXACT_PROCESSES + 1, 0.45, seed=1, cores=CoreProfile(3))
         with pytest.raises(ValueError, match=str(MAX_EXACT_PROCESSES)):
             exact_optimal(w, node_budget=5000)
+
+    @pytest.mark.parametrize("prune,budget", [(True, 2_000_000), (False, 2)])
+    def test_builds_one_conflict_index_per_call(self, monkeypatch, prune, budget):
+        # the greedy incumbents reuse the oracle's index, also when pure
+        # enumeration runs out of budget and falls back to them
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return build_conflict_index(w)
+
+        monkeypatch.setattr(conflictsched.oracle, "build_conflict_index", counted)
+        monkeypatch.setattr(conflictsched.scheduler, "build_conflict_index", counted)
+        w = generate_workload(10, 0.4, model=ConflictModel.PAIRWISE, seed=3, cores=CoreProfile(2))
+        res = exact_optimal(w, prune=prune, node_budget=budget)
+        assert validate_schedule(res.schedule, w).ok
+        assert len(calls) == 1
 
     def test_attestor_optimum_at_least_proposer_optimum(self):
         rng = random.Random(77)

@@ -2,11 +2,13 @@
 
 import hashlib
 import statistics
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conflictsched.scheduler as scheduler
 from conflictsched.conflict import build_conflict_index
 from conflictsched.model import (
     ConflictModel,
@@ -22,6 +24,7 @@ from conflictsched.scheduler import (
     Assignment,
     AssignType,
     AttestorOrderError,
+    CoreState,
     Plan,
     SortType,
     Strategy,
@@ -147,6 +150,54 @@ class TestAssignLoosely:
         assert list(plan.assigned) == [0]
 
 
+def least_occupied_by_scan(plan):
+    return min(plan.cores, key=lambda c: (c.occupied_until_ms, c.core_id))
+
+
+class TestCorePick:
+    def test_plan_from_busy_cores_picks_least_occupied(self):
+        # cores 1 and 3 tie at 4: the lower id goes first, then core 3
+        w = make_workload([2, 2, 2], [], m=4)
+        idx = build_conflict_index(w)
+        plan = Plan([CoreState(0, 9), CoreState(1, 4), CoreState(2, 7), CoreState(3, 4)])
+        got = [assign_strictly(p, plan, idx, False) for p in w.processes]
+        assert got == [Assignment(0, 1, 4, 6), Assignment(1, 3, 4, 6), Assignment(2, 1, 6, 8)]
+        assert [c.occupied_until_ms for c in plan.cores] == [9, 8, 7, 6]
+
+    @given(
+        n=st.integers(1, 30),
+        rate=st.floats(0, 0.6),
+        m=st.integers(1, 8),
+        seed=st.integers(0, 2_000),
+        assign=st.sampled_from(list(AssignType)),
+        rounds=st.integers(0, 3),
+        attestor=st.booleans(),
+        model=st.sampled_from(list(ConflictModel)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_heap_top_is_least_occupied_after_every_commit(
+        self, n, rate, m, seed, assign, rounds, attestor, model
+    ):
+        w = generate_workload(
+            n, rate, model=model, seed=seed, cores=CoreProfile(m), attestor=attestor
+        )
+        real_commit = scheduler._commit
+        commits = []
+
+        def checked_commit(plan, core, proc, start):
+            assert core is least_occupied_by_scan(plan)
+            a = real_commit(plan, core, proc, start)
+            expected = least_occupied_by_scan(plan)
+            assert plan._ends[0][:2] == (expected.occupied_until_ms, expected.core_id)
+            assert scheduler._least_occupied(plan) is expected
+            commits.append(a)
+            return a
+
+        with mock.patch.object(scheduler, "_commit", checked_commit):
+            schedule(w, Strategy(SortType.MCDF, assign, rounds))
+        assert len(commits) == n
+
+
 class TestSchedule:
     def test_loose_with_fallback_matches_hand_trace(self):
         sch = schedule(THREE, Strategy(SortType.FIFO, AssignType.LOOSE, 2))
@@ -250,6 +301,14 @@ class TestSchedule:
         )
         sch = schedule(w)
         assert sch.schedule_makespan_ms == sch.horizon_ms // 8
+
+
+class TestAssignment:
+    def test_is_a_named_tuple_with_the_old_repr(self):
+        a = Assignment(3, 1, 4, 9)
+        assert a == (3, 1, 4, 9)
+        assert (a.process_id, a.core_id, a.start_ms, a.finish_ms) == (3, 1, 4, 9)
+        assert repr(a) == "Assignment(process_id=3, core_id=1, start_ms=4, finish_ms=9)"
 
 
 class TestStrategy:
