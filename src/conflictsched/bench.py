@@ -183,7 +183,9 @@ def aggregate_cells(cells: list[CellResult], grid: ExperimentGrid) -> list[Resul
         group, n, rate, m, mode, strategy = key
         group_cells = buckets[key]
         speedups = [c.speedup_makespan_only for c in group_cells]
-        horizon_mean = statistics.mean(c.horizon_ms for c in group_cells)
+        # int sum / len is correctly rounded, as statistics.mean is, without
+        # its Fraction arithmetic
+        horizon_mean = sum(c.horizon_ms for c in group_cells) / len(group_cells)
         params = BoundParams(n=n, mean_time_ms=horizon_mean / n, m=m, cr=rate)
         rows.append(
             ResultRow(
@@ -196,7 +198,7 @@ def aggregate_cells(cells: list[CellResult], grid: ExperimentGrid) -> list[Resul
                 speedup_mean=statistics.mean(speedups),
                 speedup_min=min(speedups),
                 speedup_max=max(speedups),
-                makespan_ms_mean=statistics.mean(c.makespan_ms for c in group_cells),
+                makespan_ms_mean=sum(c.makespan_ms for c in group_cells) / len(group_cells),
                 wall_ms_mean=statistics.mean(c.wall_ms for c in group_cells),
                 wall_ms_median=statistics.median(c.wall_ms for c in group_cells),
                 horizon_ms_mean=horizon_mean,

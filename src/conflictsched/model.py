@@ -19,6 +19,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, compress, count, repeat
+from operator import attrgetter, eq, ge, gt, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -118,10 +120,17 @@ class CoreProfile:
     def __post_init__(self) -> None:
         if self.core_count < 1:
             raise WorkloadValidationError(f"cores.count must be >= 1, got {self.core_count}")
+        # NaN passes a "< 0" test, so finiteness is checked on its own
         if self.cost_per_op < 0:
             raise WorkloadValidationError("cores.costPerOp must be >= 0")
+        if not math.isfinite(self.cost_per_op):
+            raise WorkloadValidationError(f"cores.costPerOp must be finite, got {self.cost_per_op}")
         if self.cost_per_idle_ms < 0:
             raise WorkloadValidationError("cores.costPerIdleMs must be >= 0")
+        if not math.isfinite(self.cost_per_idle_ms):
+            raise WorkloadValidationError(
+                f"cores.costPerIdleMs must be finite, got {self.cost_per_idle_ms}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +197,8 @@ class Workload:
     The process list order is canonical: ``processes[i].id == i``, and that
     index is the original block position used by attestor-mode ordering.
     Conflict pairs must be canonical (a < b, both known ids); they are
-    deduplicated and sorted at construction.
+    deduplicated and sorted at construction. The checks run as whole-list
+    passes; the per-entry loops run only to name the first bad entry.
     """
 
     processes: tuple[Process, ...]
@@ -198,22 +208,31 @@ class Workload:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for position, proc in enumerate(self.processes):
-            if proc.id != position:
-                raise WorkloadValidationError(
-                    f"processes[{position}].id is {proc.id}; ids must be 0..n-1 in order"
-                )
         n = len(self.processes)
-        for a, b in self.conflicts:
-            if a >= b:
-                raise WorkloadValidationError(
-                    f"conflict pair ({a}, {b}) is not canonical (need a < b)"
-                )
-            if a < 0 or b >= n:
-                raise WorkloadValidationError(
-                    f"conflict pair ({a}, {b}) references unknown process id {a if a < 0 else b}"
-                )
-        object.__setattr__(self, "conflicts", tuple(sorted(set(self.conflicts))))
+        if list(map(attrgetter("id"), self.processes)) != list(range(n)):
+            for position, proc in enumerate(self.processes):
+                if proc.id != position:
+                    raise WorkloadValidationError(
+                        f"processes[{position}].id is {proc.id}; ids must be 0..n-1 in order"
+                    )
+            raise AssertionError("process id check rejected valid ids")
+        # a saved file lists its pairs in order, so this sort is nearly free;
+        # once sorted, the smallest `a` comes first and dedup keeps the order
+        pairs = sorted(self.conflicts)
+        firsts = list(map(itemgetter(0), pairs))
+        seconds = list(map(itemgetter(1), pairs))
+        if pairs and (any(map(ge, firsts, seconds)) or firsts[0] < 0 or max(seconds) >= n):
+            for a, b in self.conflicts:
+                if a >= b:
+                    raise WorkloadValidationError(
+                        f"conflict pair ({a}, {b}) is not canonical (need a < b)"
+                    )
+                if a < 0 or b >= n:
+                    raise WorkloadValidationError(
+                        f"conflict pair ({a}, {b}) references unknown process id {a if a < 0 else b}"
+                    )
+            raise AssertionError("conflict pair check rejected valid pairs")
+        object.__setattr__(self, "conflicts", tuple(dict.fromkeys(pairs)))
 
     @property
     def n(self) -> int:
@@ -370,7 +389,7 @@ def save_workload(w: Workload, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _require_keys(obj: dict, allowed: set[str] | frozenset[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise WorkloadValidationError(
@@ -393,38 +412,67 @@ def _require_number(value, where: str) -> float:
     return float(value)
 
 
-def load_workload(path: str | Path) -> Workload:
-    """Read and validate a workload file.
+# Whole-list forms of the checks above: each is one pass in C over a list,
+# so a file with tens of thousands of entries is not checked by a Python
+# call per entry. Each accepts exactly what its per-entry form accepts.
 
-    Raises ``json.JSONDecodeError`` on malformed JSON and
-    `WorkloadValidationError` (naming the offending field) on schema or
-    invariant violations. Conflict pairs are canonicalized on load, so the
-    file may list them in either order.
-    """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise WorkloadValidationError("top-level value must be an object")
-    _require_keys(raw, {"processes", "conflicts", "cores", "attestor", "meta"}, "workload")
 
-    if not isinstance(raw["processes"], list):
-        raise WorkloadValidationError("processes must be an array")
-    processes = []
-    for pos, entry in enumerate(raw["processes"]):
+def _all_instances(values, cls: type) -> bool:
+    """Whether every value passes ``isinstance(value, cls)``."""
+    return all(issubclass(t, cls) for t in set(map(type, values)))
+
+
+def _all_ints(values) -> bool:
+    """Whether every value passes `_require_int` (a bool is not an integer)."""
+    types = set(map(type, values))
+    return bool not in types and all(issubclass(t, int) for t in types)
+
+
+def _all_keys(entries: list[dict], keys: frozenset[str]) -> bool:
+    """Whether every entry passes `_require_keys` with ``keys``."""
+    # operator.eq, not frozenset.__eq__: called directly, the latter returns
+    # NotImplemented (which is truthy) for a key view
+    return all(map(eq, map(dict.keys, entries), repeat(keys)))
+
+
+def _read_json(path: str | Path, what: str):
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise WorkloadValidationError(f"{what} file nests arrays or objects too deeply") from None
+
+
+_PROCESS_KEYS = ("id", "execTimeMs", "opCount")
+_PROCESS_KEY_SET = frozenset(_PROCESS_KEYS)
+
+
+def _load_processes(entries: list) -> list[Process]:
+    if _all_instances(entries, dict) and _all_keys(entries, _PROCESS_KEY_SET):
+        columns = [list(map(itemgetter(key), entries)) for key in _PROCESS_KEYS]
+        if _all_ints(chain.from_iterable(columns)):
+            # Process checks its own values and fails on the first bad entry
+            return list(map(Process, *columns))
+    for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise WorkloadValidationError(f"processes[{pos}] must be an object")
-        _require_keys(entry, {"id", "execTimeMs", "opCount"}, f"processes[{pos}]")
-        processes.append(
-            Process(
-                id=_require_int(entry["id"], f"processes[{pos}].id"),
-                exec_time_ms=_require_int(entry["execTimeMs"], f"processes[{pos}].execTimeMs"),
-                op_count=_require_int(entry["opCount"], f"processes[{pos}].opCount"),
-            )
-        )
+        _require_keys(entry, _PROCESS_KEY_SET, f"processes[{pos}]")
+        Process(*(_require_int(entry[key], f"processes[{pos}].{key}") for key in _PROCESS_KEYS))
+    raise AssertionError("whole-list process check rejected a valid list")
 
-    if not isinstance(raw["conflicts"], list):
-        raise WorkloadValidationError("conflicts must be an array")
-    pairs = []
-    for pos, entry in enumerate(raw["conflicts"]):
+
+def _load_conflicts(entries: list) -> list[ConflictPair]:
+    if _all_instances(entries, list) and set(map(len, entries)) <= {2}:
+        firsts = list(map(itemgetter(0), entries))
+        seconds = list(map(itemgetter(1), entries))
+        if _all_ints(chain(firsts, seconds)) and not any(map(eq, firsts, seconds)):
+            # canonicalize: only reversed pairs cost a Python step
+            for pos in list(compress(count(), map(gt, firsts, seconds))):
+                firsts[pos], seconds[pos] = seconds[pos], firsts[pos]
+            # every a < b now, so the smallest a is the smallest id
+            if min(firsts, default=0) >= 0:
+                return list(map(ConflictPair, firsts, seconds))
+    for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 2:
             raise WorkloadValidationError(f"conflicts[{pos}] must be a pair [a, b]")
         a = _require_int(entry[0], f"conflicts[{pos}][0]")
@@ -433,7 +481,30 @@ def load_workload(path: str | Path) -> Workload:
             raise WorkloadValidationError(f"conflicts[{pos}] pairs process {a} with itself")
         if a < 0 or b < 0:
             raise WorkloadValidationError(f"conflicts[{pos}] has a negative process id")
-        pairs.append(ConflictPair.of(a, b))
+    raise AssertionError("whole-list conflict check rejected a valid list")
+
+
+def load_workload(path: str | Path) -> Workload:
+    """Read and validate a workload file.
+
+    Raises ``json.JSONDecodeError`` on malformed JSON and
+    `WorkloadValidationError` (naming the offending field) on JSON nested
+    too deeply to parse and on schema or invariant violations. Conflict
+    pairs are canonicalized on load, so the file may list them in either
+    order.
+    """
+    raw = _read_json(path, "workload")
+    if not isinstance(raw, dict):
+        raise WorkloadValidationError("top-level value must be an object")
+    _require_keys(raw, {"processes", "conflicts", "cores", "attestor", "meta"}, "workload")
+
+    if not isinstance(raw["processes"], list):
+        raise WorkloadValidationError("processes must be an array")
+    processes = _load_processes(raw["processes"])
+
+    if not isinstance(raw["conflicts"], list):
+        raise WorkloadValidationError("conflicts must be an array")
+    pairs = _load_conflicts(raw["conflicts"])
 
     if not isinstance(raw["cores"], dict):
         raise WorkloadValidationError("cores must be an object")

@@ -63,63 +63,67 @@ def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
     Intervals are half-open, so back-to-back placement is legal.
     """
     violations: list[Violation] = []
+    n = w.n
     m = w.cores.core_count
-    by_pid: dict[int, Assignment] = {}
+    times = w.exec_times()
+    # process id -> (start, finish); per core, (start, process id, finish)
+    # tuples, which sort by start with ties to the lower id
+    spans: dict[int, tuple[int, int]] = {}
+    per_core: dict[int, list[tuple[int, int, int]]] = {}
 
-    for a in sch.assignments:
-        if a.process_id < 0 or a.process_id >= w.n:
-            violations.append(
-                Violation("COMPLETENESS", (a.process_id,), f"unknown process id {a.process_id}")
-            )
+    for pid, core_id, start, finish in sch.assignments:
+        if pid < 0 or pid >= n:
+            violations.append(Violation("COMPLETENESS", (pid,), f"unknown process id {pid}"))
             continue
-        if a.process_id in by_pid:
-            violations.append(
-                Violation("COMPLETENESS", (a.process_id,), f"process {a.process_id} assigned twice")
-            )
+        if pid in spans:
+            violations.append(Violation("COMPLETENESS", (pid,), f"process {pid} assigned twice"))
             continue
-        by_pid[a.process_id] = a
-        t = w.processes[a.process_id].exec_time_ms
-        if a.start_ms < 0:
+        spans[pid] = (start, finish)
+        per_core.setdefault(core_id, []).append((start, pid, finish))
+        t = times[pid]
+        if start < 0:
             violations.append(
-                Violation("COMPLETENESS", (a.process_id,), f"process {a.process_id} starts at {a.start_ms} < 0")
+                Violation("COMPLETENESS", (pid,), f"process {pid} starts at {start} < 0")
             )
-        if a.finish_ms != a.start_ms + t:
+        if finish != start + t:
             violations.append(
                 Violation(
                     "COMPLETENESS",
-                    (a.process_id,),
-                    f"process {a.process_id} finish {a.finish_ms} != start {a.start_ms} + time {t}",
+                    (pid,),
+                    f"process {pid} finish {finish} != start {start} + time {t}",
                 )
             )
-        if a.core_id < 0 or a.core_id >= m:
+        if core_id < 0 or core_id >= m:
             violations.append(
-                Violation("COMPLETENESS", (a.process_id,), f"core id {a.core_id} out of range 0..{m - 1}")
+                Violation("COMPLETENESS", (pid,), f"core id {core_id} out of range 0..{m - 1}")
             )
 
-    for pid in range(w.n):
-        if pid not in by_pid:
-            violations.append(Violation("COMPLETENESS", (pid,), f"process {pid} is unassigned"))
+    # spans holds only distinct in-range ids, so n of them means all of them
+    if len(spans) < n:
+        for pid in range(n):
+            if pid not in spans:
+                violations.append(Violation("COMPLETENESS", (pid,), f"process {pid} is unassigned"))
 
-    per_core: dict[int, list[Assignment]] = {}
-    for a in by_pid.values():
-        per_core.setdefault(a.core_id, []).append(a)
     for core_id, items in sorted(per_core.items()):
-        items.sort(key=lambda a: (a.start_ms, a.process_id))
-        for prev, cur in zip(items, items[1:]):
-            if cur.start_ms < prev.finish_ms:
+        items.sort()
+        for (_, prev_pid, prev_finish), (start, pid, _) in zip(items, items[1:]):
+            if start < prev_finish:
                 violations.append(
                     Violation(
                         "C1",
-                        (prev.process_id, cur.process_id),
-                        f"processes {prev.process_id} and {cur.process_id} overlap on core {core_id}",
+                        (prev_pid, pid),
+                        f"processes {prev_pid} and {pid} overlap on core {core_id}",
                     )
                 )
 
+    attestor = w.attestor
     for a, b in w.conflicts:
-        ai, aj = by_pid.get(a), by_pid.get(b)
-        if ai is None or aj is None:
+        span_a, span_b = spans.get(a), spans.get(b)
+        if span_a is None or span_b is None:
             continue
-        if ai.start_ms < aj.finish_ms and aj.start_ms < ai.finish_ms:
+        a_start, a_finish = span_a
+        b_start, b_finish = span_b
+        if a_start < b_finish and b_start < a_finish:
             violations.append(
                 Violation(
                     "C2",
@@ -127,13 +131,13 @@ def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
                     f"conflicting processes {a} and {b} overlap in time",
                 )
             )
-        if w.attestor and ai.finish_ms > aj.start_ms:
+        if attestor and a_finish > b_start:
             violations.append(
                 Violation(
                     "C3",
                     (a, b),
-                    f"conflicting process {b} starts at {aj.start_ms} "
-                    f"before predecessor {a} finishes at {ai.finish_ms}",
+                    f"conflicting process {b} starts at {b_start} "
+                    f"before predecessor {a} finishes at {a_finish}",
                 )
             )
 

@@ -31,11 +31,14 @@ import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, starmap
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .conflict import ConflictIndex, build_conflict_index
 from .model import Process, Workload, WorkloadValidationError
+from .model import _all_instances, _all_ints, _all_keys, _read_json
 from .model import _require_int, _require_keys, _require_number
 
 __all__ = [
@@ -306,30 +309,40 @@ def schedule_to_dict(sch: Schedule) -> dict:
 
 
 _ASSIGNMENT_KEYS = ("processId", "coreId", "startMs", "finishMs")
+_ASSIGNMENT_KEY_SET = frozenset(_ASSIGNMENT_KEYS)
+_assignment_fields = itemgetter(*_ASSIGNMENT_KEYS)
+
+
+def _load_assignments(entries: list) -> tuple[Assignment, ...]:
+    if _all_instances(entries, dict) and _all_keys(entries, _ASSIGNMENT_KEY_SET):
+        rows = list(map(_assignment_fields, entries))
+        if _all_ints(chain.from_iterable(rows)):
+            return tuple(starmap(Assignment, rows))
+    for pos, entry in enumerate(entries):
+        where = f"assignments[{pos}]"
+        if not isinstance(entry, dict):
+            raise WorkloadValidationError(f"{where} must be an object")
+        _require_keys(entry, _ASSIGNMENT_KEY_SET, where)
+        for key in _ASSIGNMENT_KEYS:
+            _require_int(entry[key], f"{where}.{key}")
+    raise AssertionError("whole-list assignment check rejected a valid list")
 
 
 def schedule_from_dict(raw: dict) -> Schedule:
     """Build a schedule from its JSON form, checking keys and field types.
 
     Raises a field-named `WorkloadValidationError`; `validate_schedule`
-    checks whether the schedule is legal for a workload.
+    checks whether the schedule is legal for a workload. The assignments
+    are checked in whole-list passes; a per-entry loop runs only to name
+    the first bad entry.
     """
     if not isinstance(raw, dict):
         raise WorkloadValidationError("top-level value must be an object")
     _require_keys(raw, {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}, "schedule")
     if not isinstance(raw["assignments"], list):
         raise WorkloadValidationError("assignments must be an array")
-    assignments = []
-    for pos, entry in enumerate(raw["assignments"]):
-        where = f"assignments[{pos}]"
-        if not isinstance(entry, dict):
-            raise WorkloadValidationError(f"{where} must be an object")
-        _require_keys(entry, set(_ASSIGNMENT_KEYS), where)
-        assignments.append(
-            Assignment(*(_require_int(entry[key], f"{where}.{key}") for key in _ASSIGNMENT_KEYS))
-        )
     return Schedule(
-        assignments=tuple(assignments),
+        assignments=_load_assignments(raw["assignments"]),
         horizon_ms=_require_int(raw["horizonMs"], "horizonMs"),
         schedule_makespan_ms=_require_int(raw["scheduleMakespanMs"], "scheduleMakespanMs"),
         wall_time_ms=_require_number(raw["wallTimeMs"], "wallTimeMs"),
@@ -341,5 +354,8 @@ def save_schedule(sch: Schedule, path: str | Path) -> None:
 
 
 def load_schedule(path: str | Path) -> Schedule:
-    """Read a schedule file; see `schedule_from_dict` for the checks."""
-    return schedule_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a schedule file; see `schedule_from_dict` for the checks.
+
+    JSON nested too deeply to parse raises `WorkloadValidationError`.
+    """
+    return schedule_from_dict(_read_json(path, "schedule"))

@@ -1,5 +1,7 @@
 """Benchmark grid runner, aggregation, and output writers."""
 
+import dataclasses
+import hashlib
 import statistics
 
 import pytest
@@ -91,6 +93,17 @@ def test_run_grid_writes_deterministic_outputs(tmp_path):
     csv_b = (tmp_path / "b" / "results.csv").read_text()
     assert strip_wall_columns(csv_a) == strip_wall_columns(csv_b)
     assert (tmp_path / "a" / "results.md").read_bytes() == (tmp_path / "b" / "results.md").read_bytes()
+
+
+def test_results_csv_matches_reference_digest(tmp_path):
+    # three seeds, so row means are thirds and their rounding shows; the
+    # digest is the one the statistics.mean-based aggregation produced
+    grid = dataclasses.replace(TINY, seeds=(1, 2, 3))
+    run_grid(grid, tmp_path)
+    text = strip_wall_columns((tmp_path / "results.csv").read_text())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f2391d81daa5b0d6092ab1fe0d4b76c1b5d7db6397135e0d16ed2f3478857782"
+    )
 
 
 def test_markdown_contains_speedup_matrix(tmp_path):

@@ -145,3 +145,52 @@ def test_generate_rejects_bad_rate(tmp_path, capsys):
     )
     assert status == 2
     assert "conflictRate" in err
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda e: e.update(note=1), "assignments[1100] has unknown keys: ['note']"),
+        (lambda e: e.pop("coreId"), "assignments[1100] is missing keys: ['coreId']"),
+        (lambda e: e.update(startMs="5"), "assignments[1100].startMs must be an integer, got '5'"),
+        (lambda e: e.update(finishMs=True), "assignments[1100].finishMs must be an integer, got True"),
+    ],
+    ids=["extra-key", "missing-key", "string-field", "bool-field"],
+)
+def test_validate_names_bad_entry_deep_in_long_schedule(tmp_path, capsys, corrupt, message):
+    wpath = tmp_path / "w.json"
+    spath = tmp_path / "s.json"
+    run(["generate", "--n", "1200", "--rate", "0", "--seed", "2", "--out", str(wpath)], capsys)
+    run(["schedule", "--workload", str(wpath), "--out", str(spath)], capsys)
+    payload = json.loads(spath.read_text())
+    corrupt(payload["assignments"][1100])
+    spath.write_text(json.dumps(payload))
+    status, _, err = run(["validate", "--workload", str(wpath), "--schedule", str(spath)], capsys)
+    assert status == 2
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("which", ["workload", "schedule"])
+def test_validate_deeply_nested_file_exits_two(tmp_path, capsys, which):
+    paths = {"workload": tmp_path / "w.json", "schedule": tmp_path / "s.json"}
+    run(["generate", "--n", "10", "--rate", "0.5", "--seed", "2", "--out", str(paths["workload"])], capsys)
+    run(["schedule", "--workload", str(paths["workload"]), "--out", str(paths["schedule"])], capsys)
+    paths[which].write_text("[" * 100_000, encoding="utf-8")
+    status, _, err = run(
+        ["validate", "--workload", str(paths["workload"]), "--schedule", str(paths["schedule"])],
+        capsys,
+    )
+    assert status == 2
+    assert f"{which} file nests arrays or objects too deeply" in err
+
+
+@pytest.mark.parametrize("flag", ["--cost-per-op", "--cost-per-idle"])
+def test_generate_rejects_non_finite_cost(tmp_path, capsys, flag):
+    wpath = tmp_path / "w.json"
+    status, _, err = run(
+        ["generate", "--n", "5", "--rate", "0.2", "--seed", "1", flag, "nan", "--out", str(wpath)],
+        capsys,
+    )
+    assert status == 2
+    assert "must be finite, got nan" in err
+    assert not wpath.exists()

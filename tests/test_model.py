@@ -104,6 +104,154 @@ class TestLoadWorkload:
             load_workload(write_workload_file(tmp_path, payload))
 
 
+# a bad entry sits deep in a long list, so a check that stops early or
+# reports the wrong position shows
+LONG = 1500
+DEEP = 1200
+
+
+def long_payload():
+    """A valid file with LONG processes and LONG - 1 pairs, half of them reversed."""
+    return {
+        **MINIMAL,
+        "processes": [{"id": i, "execTimeMs": 1 + i % 7, "opCount": 1000} for i in range(LONG)],
+        "conflicts": [[i, i + 1] if i % 2 else [i + 1, i] for i in range(LONG - 1)],
+    }
+
+
+def load_error(tmp_path, payload):
+    with pytest.raises(WorkloadValidationError) as exc_info:
+        load_workload(write_workload_file(tmp_path, payload))
+    return str(exc_info.value)
+
+
+# JSON values a hand-written file may hold where a process id belongs
+json_scalars = st.one_of(
+    st.integers(-2, 11), st.booleans(), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=2), st.none(),
+)
+
+
+def per_entry_conflicts(entries):
+    """The per-entry rule for `conflicts`: the canonical pairs, or the first error."""
+    pairs = set()
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, list) or len(entry) != 2:
+            return f"conflicts[{pos}] must be a pair [a, b]"
+        for k, value in enumerate(entry):
+            if isinstance(value, bool) or not isinstance(value, int):
+                return f"conflicts[{pos}][{k}] must be an integer, got {value!r}"
+        a, b = entry
+        if a == b:
+            return f"conflicts[{pos}] pairs process {a} with itself"
+        if a < 0 or b < 0:
+            return f"conflicts[{pos}] has a negative process id"
+        pairs.add((min(a, b), max(a, b)))
+    return tuple(sorted(pairs))
+
+
+class TestLoadLongLists:
+    @given(
+        entries=st.lists(
+            st.one_of(
+                st.lists(st.integers(0, 11), min_size=2, max_size=2),
+                st.lists(json_scalars, max_size=3),
+                json_scalars,
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_whole_list_checks_agree_with_the_per_entry_rule(self, tmp_path_factory, entries):
+        expected = per_entry_conflicts(entries)
+        payload = {
+            **MINIMAL,
+            "processes": [{"id": i, "execTimeMs": 1, "opCount": 1} for i in range(12)],
+            "conflicts": entries,
+        }
+        path = write_workload_file(tmp_path_factory.mktemp("c"), payload)
+        if isinstance(expected, str):
+            with pytest.raises(WorkloadValidationError) as exc_info:
+                load_workload(path)
+            assert str(exc_info.value) == expected
+        else:
+            assert load_workload(path).conflicts == expected
+
+    def test_long_file_loads_canonical_sorted_unique_pairs(self, tmp_path):
+        payload = long_payload()
+        payload["conflicts"] += [[5, 4], [4, 5], [100, 7]]
+        w = load_workload(write_workload_file(tmp_path, payload))
+        expected = sorted({(min(a, b), max(a, b)) for a, b in payload["conflicts"]})
+        assert w.conflicts == tuple(expected)
+        assert all(type(pair) is ConflictPair for pair in w.conflicts)
+        assert w.processes[DEEP] == Process(DEEP, 1 + DEEP % 7, 1000)
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            (7, f"conflicts[{DEEP}] must be a pair [a, b]"),
+            ({"a": 1, "b": 2}, f"conflicts[{DEEP}] must be a pair [a, b]"),
+            ([1, 2, 3], f"conflicts[{DEEP}] must be a pair [a, b]"),
+            ([True, 2], f"conflicts[{DEEP}][0] must be an integer, got True"),
+            ([1, 1.5], f"conflicts[{DEEP}][1] must be an integer, got 1.5"),
+            ([3, -4], f"conflicts[{DEEP}] has a negative process id"),
+            ([9, 9], f"conflicts[{DEEP}] pairs process 9 with itself"),
+            ([LONG + 3, 4], f"conflict pair (4, {LONG + 3}) references unknown process id {LONG + 3}"),
+        ],
+        ids=["number", "object", "three-elements", "bool", "float", "negative", "self-pair",
+             "out-of-range"],
+    )
+    def test_bad_conflict_entry_is_named(self, tmp_path, entry, message):
+        payload = long_payload()
+        payload["conflicts"][DEEP] = entry
+        assert load_error(tmp_path, payload) == message
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda e: "x", f"processes[{DEEP}] must be an object"),
+            (lambda e: {**e, "gas": 1}, f"processes[{DEEP}] has unknown keys: ['gas']"),
+            (lambda e: {"id": e["id"], "execTimeMs": 1}, f"processes[{DEEP}] is missing keys: ['opCount']"),
+            (lambda e: {**e, "id": True}, f"processes[{DEEP}].id must be an integer, got True"),
+            (lambda e: {**e, "opCount": 2.0}, f"processes[{DEEP}].opCount must be an integer, got 2.0"),
+            (lambda e: {**e, "execTimeMs": 0}, f"processes[{DEEP}].execTimeMs must be >= 1, got 0"),
+            (lambda e: {**e, "id": -2}, "process id must be >= 0, got -2"),
+            (lambda e: {**e, "id": DEEP + 1}, f"processes[{DEEP}].id is {DEEP + 1}; ids must be 0..n-1 in order"),
+        ],
+        ids=["string", "extra-key", "missing-key", "bool-id", "float-ops", "zero-time",
+             "negative-id", "out-of-order"],
+    )
+    def test_bad_process_entry_is_named(self, tmp_path, change, message):
+        payload = long_payload()
+        payload["processes"][DEEP] = change(payload["processes"][DEEP])
+        assert load_error(tmp_path, payload) == message
+
+    def test_first_bad_entry_wins_over_a_later_type_error(self, tmp_path):
+        payload = long_payload()
+        payload["processes"][DEEP]["execTimeMs"] = 0
+        payload["processes"][DEEP + 100]["id"] = "x"
+        assert load_error(tmp_path, payload) == f"processes[{DEEP}].execTimeMs must be >= 1, got 0"
+        payload = long_payload()
+        payload["conflicts"][DEEP] = [8, 8]
+        payload["conflicts"][DEEP + 100] = "x"
+        assert load_error(tmp_path, payload) == f"conflicts[{DEEP}] pairs process 8 with itself"
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("field", ["costPerOp", "costPerIdleMs"])
+    def test_non_finite_cost_is_named(self, tmp_path, field, value):
+        path = tmp_path / "w.json"
+        text = json.dumps({**MINIMAL, "cores": {**MINIMAL["cores"], field: 0.5}})
+        path.write_text(text.replace("0.5", value), encoding="utf-8")
+        with pytest.raises(WorkloadValidationError, match=f"cores.{field} must be finite"):
+            load_workload(path)
+
+    def test_deeply_nested_file_is_named(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(WorkloadValidationError, match="workload file nests"):
+            load_workload(path)
+
+
 class TestSaveWorkload:
     def test_round_trip_is_identity(self, tmp_path):
         w = generate_workload(200, 0.3, seed=7, cores=CoreProfile(4, 0.5, 0.25))
@@ -213,6 +361,30 @@ class TestGenerator:
         save_workload(w, path)
         assert load_workload(path) == w
 
+    @given(
+        times=st.lists(st.integers(1, 50), min_size=1, max_size=40),
+        raw_pairs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=120),
+        cores=st.integers(1, 16),
+        attestor=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_file_round_trip_of_any_workload(self, tmp_path_factory, times, raw_pairs, cores, attestor):
+        # pairs arrive in either order and repeated, as a hand-written file may list them
+        n = len(times)
+        listed = [[a, b] for a, b in raw_pairs if a != b and a < n and b < n]
+        payload = {
+            **MINIMAL,
+            "processes": [{"id": i, "execTimeMs": t, "opCount": 3 * t} for i, t in enumerate(times)],
+            "conflicts": listed,
+            "cores": {"count": cores, "costPerOp": 0.25, "costPerIdleMs": 1.0},
+            "attestor": attestor,
+        }
+        directory = tmp_path_factory.mktemp("rt")
+        w = load_workload(write_workload_file(directory, payload))
+        assert w.conflicts == tuple(sorted({ConflictPair.of(a, b) for a, b in listed}))
+        save_workload(w, directory / "saved.json")
+        assert load_workload(directory / "saved.json") == w
+
 
 class TestEstimateExecTime:
     def test_zero_gas_clamps_to_one(self):
@@ -247,6 +419,59 @@ class TestWeights:
 
 
 class TestWorkloadInvariants:
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            ((9, 4), "conflict pair (9, 4) is not canonical (need a < b)"),
+            ((-1, 4), "conflict pair (-1, 4) references unknown process id -1"),
+            ((4, LONG), f"conflict pair (4, {LONG}) references unknown process id {LONG}"),
+        ],
+        ids=["reversed", "negative", "out-of-range"],
+    )
+    def test_bad_pair_deep_in_a_long_tuple_is_named(self, pair, message):
+        pairs = [ConflictPair(i, i + 1) for i in range(LONG - 1)]
+        pairs[DEEP] = ConflictPair(*pair)
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            Workload(
+                processes=tuple(Process(i, 1, 1) for i in range(LONG)),
+                conflicts=tuple(pairs),
+                cores=CoreProfile(2),
+            )
+        assert str(exc_info.value) == message
+
+    def test_first_bad_pair_in_given_order_is_named(self):
+        # the later pair sorts first; the message names the earlier one
+        pairs = [ConflictPair(i, i + 1) for i in range(LONG - 1)]
+        pairs[DEEP] = ConflictPair(9, LONG + 5)
+        pairs[DEEP + 100] = ConflictPair(4, 2)
+        with pytest.raises(WorkloadValidationError, match=f"unknown process id {LONG + 5}"):
+            Workload(
+                processes=tuple(Process(i, 1, 1) for i in range(LONG)),
+                conflicts=tuple(pairs),
+                cores=CoreProfile(2),
+            )
+
+    def test_out_of_order_process_deep_in_a_long_tuple_is_named(self):
+        procs = [Process(i, 1, 1) for i in range(LONG)]
+        procs[DEEP], procs[DEEP + 1] = procs[DEEP + 1], procs[DEEP]
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            Workload(processes=tuple(procs), conflicts=(), cores=CoreProfile(2))
+        assert str(exc_info.value) == f"processes[{DEEP}].id is {DEEP + 1}; ids must be 0..n-1 in order"
+
+    @given(
+        n=st.integers(2, 30),
+        pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=80),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pairs_are_sorted_and_deduplicated(self, n, pairs):
+        pairs = [ConflictPair(a, b) for a, b in pairs if a < b < n]
+        w = Workload(
+            processes=tuple(Process(i, 1, 1) for i in range(n)),
+            conflicts=tuple(pairs),
+            cores=CoreProfile(2),
+        )
+        assert w.conflicts == tuple(sorted(set(pairs)))
+
     def test_conflicts_are_normalized_at_construction(self):
         w = Workload(
             processes=(Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)),
@@ -271,6 +496,13 @@ class TestWorkloadInvariants:
     def test_core_profile_validation(self):
         with pytest.raises(WorkloadValidationError, match="cores.count"):
             CoreProfile(0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_core_profile_rejects_non_finite_costs(self, value):
+        with pytest.raises(WorkloadValidationError, match="cores.costPerOp must be finite"):
+            CoreProfile(2, cost_per_op=value)
+        with pytest.raises(WorkloadValidationError, match="cores.costPerIdleMs must be finite"):
+            CoreProfile(2, cost_per_idle_ms=value)
 
     @pytest.mark.parametrize(
         "derive,changes",

@@ -94,6 +94,29 @@ class TestValidateSchedule:
         kinds = sorted(v.constraint for v in report.violations)
         assert kinds == ["C1", "C2", "C2"]
 
+    def test_every_kind_in_order_with_its_message(self):
+        w = make_workload([4, 4, 4, 3, 2, 1], [(0, 1), (0, 2), (1, 3)], m=2, attestor=True)
+        sch = make_schedule([
+            (0, 0, 0, 4), (1, 1, 2, 6), (1, 1, 8, 12), (2, 0, 3, 7),
+            (3, 5, -1, 2), (7, 0, 0, 1), (2, 0, 9, 10), (4, 1, 20, 25),
+        ])
+        report = validate_schedule(sch, w)
+        assert [(v.constraint, v.process_ids, v.detail) for v in report.violations] == [
+            ("COMPLETENESS", (1,), "process 1 assigned twice"),
+            ("COMPLETENESS", (3,), "process 3 starts at -1 < 0"),
+            ("COMPLETENESS", (3,), "core id 5 out of range 0..1"),
+            ("COMPLETENESS", (7,), "unknown process id 7"),
+            ("COMPLETENESS", (2,), "process 2 assigned twice"),
+            ("COMPLETENESS", (4,), "process 4 finish 25 != start 20 + time 2"),
+            ("COMPLETENESS", (5,), "process 5 is unassigned"),
+            ("C1", (0, 2), "processes 0 and 2 overlap on core 0"),
+            ("C2", (0, 1), "conflicting processes 0 and 1 overlap in time"),
+            ("C3", (0, 1), "conflicting process 1 starts at 2 before predecessor 0 finishes at 4"),
+            ("C2", (0, 2), "conflicting processes 0 and 2 overlap in time"),
+            ("C3", (0, 2), "conflicting process 2 starts at 3 before predecessor 0 finishes at 4"),
+            ("C3", (1, 3), "conflicting process 3 starts at -1 before predecessor 1 finishes at 6"),
+        ]
+
 
 class TestExactOptimal:
     def test_single_process(self):

@@ -17,6 +17,7 @@ from conflictsched.model import (
     Process,
     TimeDistribution,
     Workload,
+    WorkloadValidationError,
     generate_workload,
 )
 from conflictsched.oracle import validate_schedule
@@ -31,6 +32,7 @@ from conflictsched.scheduler import (
     assign_loosely,
     assign_strictly,
     schedule,
+    schedule_from_dict,
     sort_processes,
 )
 
@@ -319,3 +321,41 @@ class TestStrategy:
     def test_labels(self):
         assert Strategy(SortType.MCDF, AssignType.LOOSE, 3).label == "MCDF-LOOSE-3"
         assert Strategy(SortType.FIFO, AssignType.STRICT).label == "FIFO-STRICT"
+
+
+ASSIGNMENT_KEYS = ("processId", "coreId", "startMs", "finishMs")
+int_or_not = st.one_of(st.integers(-3, 50), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2))
+
+
+def assignment_entry_ok(entry):
+    return (
+        isinstance(entry, dict)
+        and set(entry) == set(ASSIGNMENT_KEYS)
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in entry.values())
+    )
+
+
+class TestScheduleFromDict:
+    @given(
+        entries=st.lists(
+            st.one_of(
+                st.fixed_dictionaries({key: st.integers(-3, 50) for key in ASSIGNMENT_KEYS}),
+                st.dictionaries(st.sampled_from(ASSIGNMENT_KEYS + ("extra",)), int_or_not, max_size=5),
+                int_or_not,
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_whole_list_checks_agree_with_the_per_entry_rule(self, entries):
+        raw = {"assignments": entries, "horizonMs": 1, "scheduleMakespanMs": 1, "wallTimeMs": 0.5}
+        bad = [pos for pos, entry in enumerate(entries) if not assignment_entry_ok(entry)]
+        if bad:
+            with pytest.raises(WorkloadValidationError, match=rf"^assignments\[{bad[0]}\]"):
+                schedule_from_dict(raw)
+        else:
+            sch = schedule_from_dict(raw)
+            assert sch.assignments == tuple(
+                Assignment(*(entry[key] for key in ASSIGNMENT_KEYS)) for entry in entries
+            )
+            assert all(type(a) is Assignment for a in sch.assignments)
