@@ -47,7 +47,6 @@ from .oracle import OracleResult, ValidationReport, Violation, exact_optimal, va
 from .scheduler import (
     Assignment,
     AssignType,
-    CoreState,
     Plan,
     Schedule,
     SortType,
@@ -71,7 +70,6 @@ __all__ = [
     "ConflictModel",
     "ConflictPair",
     "CoreProfile",
-    "CoreState",
     "ExperimentGrid",
     "GasTimeModel",
     "MetricsReport",

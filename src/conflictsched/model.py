@@ -288,9 +288,7 @@ def _pairwise_conflicts(n: int, rate: float, rng: random.Random) -> list[Conflic
     return pairs
 
 
-def _participation_conflicts(
-    n: int, rate: float, rng: random.Random, extra_edge_rate: float
-) -> list[ConflictPair]:
+def _participation_conflicts(n: int, rate: float, rng: random.Random) -> list[ConflictPair]:
     target = min(n, _round_half_up(n * rate))
     if target < 2:
         # a single participant cannot form a pair; treat as conflict-free
@@ -307,7 +305,7 @@ def _participation_conflicts(
     ordered = sorted(participants)
     for i_pos in range(len(ordered)):
         for j_pos in range(i_pos + 1, len(ordered)):
-            if rng.random() < extra_edge_rate:
+            if rng.random() < PARTICIPANT_EXTRA_EDGE_RATE:
                 edges.add(ConflictPair(ordered[i_pos], ordered[j_pos]))
     return list(edges)
 
@@ -322,7 +320,6 @@ def generate_workload(
     attestor: bool = False,
     time_dist: TimeDistribution = DEFAULT_TIME_DIST,
     ops_per_ms: int = OPS_PER_MS,
-    extra_edge_rate: float | None = None,
 ) -> Workload:
     """Generate a synthetic benchmark workload, deterministic in ``seed``.
 
@@ -337,8 +334,6 @@ def generate_workload(
         raise WorkloadValidationError(
             f"conflictRate must be in [0, 1], got {conflict_rate}"
         )
-    if extra_edge_rate is None:
-        extra_edge_rate = PARTICIPANT_EXTRA_EDGE_RATE
     cores = cores if cores is not None else CoreProfile(core_count=2)
     rng = random.Random(seed)
     times = [time_dist.draw(rng) for _ in range(n)]
@@ -349,7 +344,7 @@ def generate_workload(
     if model is ConflictModel.PAIRWISE:
         pairs = _pairwise_conflicts(n, conflict_rate, rng)
     else:
-        pairs = _participation_conflicts(n, conflict_rate, rng, extra_edge_rate)
+        pairs = _participation_conflicts(n, conflict_rate, rng)
     meta = {
         "seed": seed,
         "conflictRate": conflict_rate,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .conflict import ConflictIndex, build_conflict_index
 from .model import Workload
@@ -56,7 +57,8 @@ def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
     """Check COMPLETENESS, C1, C2, and (in attestor mode) C3.
 
     COMPLETENESS: every process assigned exactly once, with a sane
-    interval (finish = start + exec time, start >= 0, core id in range).
+    interval (finish = start + exec time, start >= 0, core id in range),
+    and the stated makespan equal to the latest finish.
     C1: intervals on one core are pairwise disjoint. C2: conflicting
     processes never overlap, even across cores. C3: a conflicting pair
     must finish in original order when the workload is attestor-mode.
@@ -103,6 +105,16 @@ def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
         for pid in range(n):
             if pid not in spans:
                 violations.append(Violation("COMPLETENESS", (pid,), f"process {pid} is unassigned"))
+    # field 3 is finish_ms; a C-level pass, cheaper than named field reads
+    latest = max(map(itemgetter(3), sch.assignments), default=0)
+    if sch.schedule_makespan_ms != latest:
+        violations.append(
+            Violation(
+                "COMPLETENESS",
+                (),
+                f"schedule makespan {sch.schedule_makespan_ms} != latest finish {latest}",
+            )
+        )
 
     for core_id, items in sorted(per_core.items()):
         items.sort()
@@ -190,7 +202,9 @@ def _incumbent(
 ) -> tuple[int, dict[int, tuple[int, int, int]]]:
     best_ms = None
     best = None
-    strategies = [Strategy(sort, assign, 3) for sort in SortType for assign in AssignType]
+    # attestor sorting ignores the sort key, so one sort covers them all
+    sorts = [SortType.FIFO] if w.attestor else list(SortType)
+    strategies = [Strategy(sort, assign, 3) for sort in sorts for assign in AssignType]
     for strat in strategies:
         sch = _schedule_indexed(w, idx, strat, time.perf_counter())
         if best_ms is None or sch.schedule_makespan_ms < best_ms:

@@ -2,9 +2,9 @@
 
 Processes are sorted by a pluggable priority key, then placed one at a time
 on the least occupied core along one path: loose rounds, then strict
-placement of whatever they refused. The core ends are a heap owned by the
-`Plan` and advance only through placement, so picking the least occupied
-core is O(1) and committing a placement is O(log m).
+placement of whatever they refused. The `Plan` records core occupancy only
+as a heap of ``(occupied_until_ms, core_id)`` pairs, so picking the least
+occupied core is O(1) and committing a placement is O(log m).
 
 * Loose placement refuses any placement that would need idle time; refused
   processes are retried in the next round (core ends advance between
@@ -45,7 +45,6 @@ __all__ = [
     "Assignment",
     "AssignType",
     "AttestorOrderError",
-    "CoreState",
     "Plan",
     "Schedule",
     "SortType",
@@ -108,35 +107,23 @@ class Assignment(NamedTuple):
 
 
 @dataclass
-class CoreState:
-    """Occupancy of one core: the finish of its last placed process."""
-
-    core_id: int
-    occupied_until_ms: int = 0
-
-
-@dataclass
 class Plan:
     """Mutable working state shared by the placement methods.
 
-    The plan owns a heap of ``(occupied_until_ms, core_id, position in
-    cores)``, built from ``cores`` at construction, so the least occupied
-    core (ties to the lowest id) is read in O(1) and a placement updates it
-    in O(log m). Core ends advance only through placement: a core end
-    written directly after construction is not seen by the heap.
+    ``ends`` holds one ``(occupied_until_ms, core_id)`` pair per core: the
+    finish of the last process placed there. It is kept as a heap, so
+    ``ends[0]`` is the least occupied core, ties to the lowest id.
     """
 
-    cores: list[CoreState]
+    ends: list[tuple[int, int]]
     assigned: dict[int, Assignment] = field(default_factory=dict)
-    _ends: list[tuple[int, int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._ends = [(c.occupied_until_ms, c.core_id, k) for k, c in enumerate(self.cores)]
-        heapq.heapify(self._ends)
+        heapq.heapify(self.ends)
 
     @classmethod
     def empty(cls, w: Workload) -> Plan:
-        return cls(cores=[CoreState(k) for k in range(w.cores.core_count)])
+        return cls([(0, k) for k in range(w.cores.core_count)])
 
 
 @dataclass(frozen=True)
@@ -171,17 +158,14 @@ def sort_processes(
         return participants + rest
     if sort_type is SortType.FIFO:
         return ids
-    if sort_type is SortType.MCCF:
-        return sorted(ids, key=lambda i: -idx.conflict_count[i])
-    if sort_type is SortType.LCCF:
-        return sorted(ids, key=lambda i: idx.conflict_count[i])
-    if sort_type is SortType.MCDF:
-        return sorted(ids, key=lambda i: -idx.conflict_duration_ms[i])
-    return sorted(ids, key=lambda i: idx.conflict_duration_ms[i])
-
-
-def _least_occupied(plan: Plan) -> CoreState:
-    return plan.cores[plan._ends[0][2]]
+    stats, most_first = {
+        SortType.MCCF: (idx.conflict_count, True),
+        SortType.LCCF: (idx.conflict_count, False),
+        SortType.MCDF: (idx.conflict_duration_ms, True),
+        SortType.LCDF: (idx.conflict_duration_ms, False),
+    }[sort_type]
+    # a reversed sort is still stable, so ties keep id order
+    return sorted(ids, key=stats.__getitem__, reverse=most_first)
 
 
 def _unassigned_predecessor(plan: Plan, idx: ConflictIndex, pid: int) -> int | None:
@@ -191,12 +175,11 @@ def _unassigned_predecessor(plan: Plan, idx: ConflictIndex, pid: int) -> int | N
     return None
 
 
-def _commit(plan: Plan, core: CoreState, proc: Process, start: int) -> Assignment:
+def _commit(plan: Plan, core_id: int, proc: Process, start: int) -> Assignment:
     # both placement methods commit to the least occupied core: the heap top
     finish = start + proc.exec_time_ms
-    core.occupied_until_ms = finish
-    heapq.heapreplace(plan._ends, (finish, core.core_id, plan._ends[0][2]))
-    a = Assignment(proc.id, core.core_id, start, finish)
+    heapq.heapreplace(plan.ends, (finish, core_id))
+    a = Assignment(proc.id, core_id, start, finish)
     plan.assigned[proc.id] = a
     return a
 
@@ -216,13 +199,12 @@ def assign_strictly(
             raise AttestorOrderError(
                 f"process {proc.id} assigned before conflicting predecessor {missing}"
             )
-    core = _least_occupied(plan)
-    start = core.occupied_until_ms
+    start, core_id = plan.ends[0]
     for partner in idx.adjacency[proc.id]:
         a = plan.assigned.get(partner)
         if a is not None and a.finish_ms > start:
             start = a.finish_ms
-    return _commit(plan, core, proc, start)
+    return _commit(plan, core_id, proc, start)
 
 
 def assign_loosely(
@@ -239,8 +221,7 @@ def assign_loosely(
     """
     if is_attestor and _unassigned_predecessor(plan, idx, proc.id) is not None:
         return None
-    core = _least_occupied(plan)
-    start = core.occupied_until_ms
+    start, core_id = plan.ends[0]
     finish = start + proc.exec_time_ms
     for partner in idx.adjacency[proc.id]:
         a = plan.assigned.get(partner)
@@ -251,7 +232,7 @@ def assign_loosely(
         if is_attestor and a.finish_ms > start:
             # order preservation: cannot start before a predecessor finishes
             return None
-    return _commit(plan, core, proc, start)
+    return _commit(plan, core_id, proc, start)
 
 
 def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:

@@ -53,6 +53,20 @@ def test_validate_exits_one_on_violation(tmp_path, capsys):
     assert "COMPLETENESS" in out or "C1" in out or "C2" in out
 
 
+def test_validate_exits_one_on_false_makespan(tmp_path, capsys):
+    wpath = tmp_path / "w.json"
+    spath = tmp_path / "s.json"
+    run(["generate", "--n", "10", "--rate", "0.5", "--seed", "2", "--out", str(wpath)], capsys)
+    run(["schedule", "--workload", str(wpath), "--out", str(spath)], capsys)
+    payload = json.loads(spath.read_text())
+    latest = payload["scheduleMakespanMs"]
+    payload["scheduleMakespanMs"] = 1
+    spath.write_text(json.dumps(payload))
+    status, out, _ = run(["validate", "--workload", str(wpath), "--schedule", str(spath)], capsys)
+    assert status == 1
+    assert f"schedule makespan 1 != latest finish {latest}" in out
+
+
 @pytest.mark.parametrize(
     "corrupt,field",
     [

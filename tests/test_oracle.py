@@ -1,5 +1,6 @@
 """Schedule validator and the exact branch-and-bound solver."""
 
+import dataclasses
 import random
 
 import pytest
@@ -16,7 +17,14 @@ from conflictsched.model import (
     generate_workload,
 )
 from conflictsched.oracle import MAX_EXACT_PROCESSES, exact_optimal, validate_schedule
-from conflictsched.scheduler import Assignment, Schedule, schedule
+from conflictsched.scheduler import (
+    Assignment,
+    AssignType,
+    Schedule,
+    SortType,
+    Strategy,
+    schedule,
+)
 
 
 def make_workload(times, pairs, m=2, attestor=False):
@@ -93,6 +101,22 @@ class TestValidateSchedule:
         report = validate_schedule(sch, w)
         kinds = sorted(v.constraint for v in report.violations)
         assert kinds == ["C1", "C2", "C2"]
+
+    def test_false_makespan_is_completeness(self):
+        w = make_workload([4, 4], [], m=2)
+        sch = make_schedule([(0, 0, 0, 4), (1, 0, 4, 8)])
+        assert validate_schedule(sch, w).ok
+        for claimed in (1, 0, 9):
+            report = validate_schedule(dataclasses.replace(sch, schedule_makespan_ms=claimed), w)
+            assert [(v.constraint, v.process_ids, v.detail) for v in report.violations] == [
+                ("COMPLETENESS", (), f"schedule makespan {claimed} != latest finish 8"),
+            ]
+
+    def test_empty_schedule_makespan_is_zero(self):
+        w = make_workload([2], [], m=1)
+        empty = Schedule(assignments=(), horizon_ms=0, schedule_makespan_ms=3, wall_time_ms=0.0)
+        details = [v.detail for v in validate_schedule(empty, w).violations]
+        assert details == ["process 0 is unassigned", "schedule makespan 3 != latest finish 0"]
 
     def test_every_kind_in_order_with_its_message(self):
         w = make_workload([4, 4, 4, 3, 2, 1], [(0, 1), (0, 2), (1, 3)], m=2, attestor=True)
@@ -214,6 +238,34 @@ class TestExactOptimal:
         res = exact_optimal(w, prune=prune, node_budget=budget)
         assert validate_schedule(res.schedule, w).ok
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("attestor,runs", [(False, 10), (True, 2)])
+    def test_incumbent_runs_each_distinct_schedule_once(self, monkeypatch, attestor, runs):
+        # attestor sorting ignores the sort key: one sort per assign type
+        # gives the incumbent that all ten strategies give
+        real = conflictsched.oracle._schedule_indexed
+        labels = []
+
+        def counted(w, idx, strategy, t0):
+            labels.append(strategy.label)
+            return real(w, idx, strategy, t0)
+
+        monkeypatch.setattr(conflictsched.oracle, "_schedule_indexed", counted)
+        for seed in range(30):
+            w = generate_workload(
+                8, 0.5, model=ConflictModel.PAIRWISE, seed=seed, cores=CoreProfile(2),
+                attestor=attestor,
+            )
+            idx = build_conflict_index(w)
+            everyone = [
+                schedule(w, Strategy(sort, assign, 3)) for sort in SortType for assign in AssignType
+            ]
+            best = min(everyone, key=lambda sch: sch.schedule_makespan_ms)
+            labels.clear()
+            best_ms, best_assign = conflictsched.oracle._incumbent(w, idx)
+            assert len(labels) == len(set(labels)) == runs
+            assert best_ms == best.schedule_makespan_ms
+            assert best_assign == {a.process_id: a[1:] for a in best.assignments}
 
     def test_attestor_optimum_at_least_proposer_optimum(self):
         rng = random.Random(77)

@@ -25,7 +25,6 @@ from conflictsched.scheduler import (
     Assignment,
     AssignType,
     AttestorOrderError,
-    CoreState,
     Plan,
     SortType,
     Strategy,
@@ -120,9 +119,9 @@ class TestAssignLoosely:
         idx = build_conflict_index(THREE)
         plan = Plan.empty(THREE)
         assert assign_loosely(THREE.processes[0], plan, idx, False) is not None
-        before = ([c.occupied_until_ms for c in plan.cores], dict(plan.assigned))
+        before = (list(plan.ends), dict(plan.assigned))
         assert assign_loosely(THREE.processes[1], plan, idx, False) is None
-        assert ([c.occupied_until_ms for c in plan.cores], dict(plan.assigned)) == before
+        assert (plan.ends, plan.assigned) == before
         got = assign_loosely(THREE.processes[2], plan, idx, False)
         assert got == Assignment(2, 1, 0, 2)
 
@@ -144,16 +143,10 @@ class TestAssignLoosely:
         # would be disjoint but run ahead of it, breaking order
         w = make_workload([4, 4], [(0, 1)], m=2, attestor=True)
         idx = build_conflict_index(w)
-        plan = Plan.empty(w)
-        plan.cores[1].occupied_until_ms = 104
-        plan.assigned[0] = Assignment(0, 1, 100, 104)
+        plan = Plan([(0, 0), (104, 1)], {0: Assignment(0, 1, 100, 104)})
         assert assign_loosely(w.processes[1], plan, idx, True) is None
-        assert [c.occupied_until_ms for c in plan.cores] == [0, 104]
+        assert sorted(plan.ends) == [(0, 0), (104, 1)]
         assert list(plan.assigned) == [0]
-
-
-def least_occupied_by_scan(plan):
-    return min(plan.cores, key=lambda c: (c.occupied_until_ms, c.core_id))
 
 
 class TestCorePick:
@@ -161,10 +154,10 @@ class TestCorePick:
         # cores 1 and 3 tie at 4: the lower id goes first, then core 3
         w = make_workload([2, 2, 2], [], m=4)
         idx = build_conflict_index(w)
-        plan = Plan([CoreState(0, 9), CoreState(1, 4), CoreState(2, 7), CoreState(3, 4)])
+        plan = Plan([(9, 0), (4, 1), (7, 2), (4, 3)])
         got = [assign_strictly(p, plan, idx, False) for p in w.processes]
         assert got == [Assignment(0, 1, 4, 6), Assignment(1, 3, 4, 6), Assignment(2, 1, 6, 8)]
-        assert [c.occupied_until_ms for c in plan.cores] == [9, 8, 7, 6]
+        assert sorted(plan.ends) == [(6, 3), (7, 2), (8, 1), (9, 0)]
 
     @given(
         n=st.integers(1, 30),
@@ -186,12 +179,13 @@ class TestCorePick:
         real_commit = scheduler._commit
         commits = []
 
-        def checked_commit(plan, core, proc, start):
-            assert core is least_occupied_by_scan(plan)
-            a = real_commit(plan, core, proc, start)
-            expected = least_occupied_by_scan(plan)
-            assert plan._ends[0][:2] == (expected.occupied_until_ms, expected.core_id)
-            assert scheduler._least_occupied(plan) is expected
+        def checked_commit(plan, core_id, proc, start):
+            assert plan.ends[0] == min(plan.ends)
+            assert core_id == plan.ends[0][1]
+            a = real_commit(plan, core_id, proc, start)
+            assert (a.finish_ms, core_id) in plan.ends
+            assert plan.ends[0] == min(plan.ends)
+            assert sorted(k for _, k in plan.ends) == list(range(m))
             commits.append(a)
             return a
 
