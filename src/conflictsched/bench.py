@@ -121,7 +121,8 @@ def run_cells(grid: ExperimentGrid) -> Iterator[CellResult]:
 
     Workloads are generated once per (n, rate, seed) and reused across core
     counts, modes, and strategies, so generation is independent of those
-    axes. Cells are yielded in canonical grid order.
+    axes; their `with_cores`/`with_attestor` copies share one conflict
+    index. Cells are yielded in canonical grid order.
     """
     group = 0
     for n in grid.process_counts:

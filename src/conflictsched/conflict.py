@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .model import Workload
+if TYPE_CHECKING:
+    from .model import Workload
 
 __all__ = ["ConflictIndex", "build_conflict_index", "conflicts_with"]
 
@@ -13,30 +15,32 @@ __all__ = ["ConflictIndex", "build_conflict_index", "conflicts_with"]
 class ConflictIndex:
     """Adjacency view of the conflict pair set.
 
+    ``adjacency[i]`` lists the processes i conflicts with, ascending.
     ``conflict_count[i]`` is the number of processes i conflicts with and
     ``conflict_duration_ms[i]`` the summed execution time of those partners
     (the process's own time is excluded: it is constant across candidates
-    when sorting).
+    when sorting). A workload builds it once: `Workload.conflict_index`.
     """
 
-    adjacency: tuple[frozenset[int], ...]
+    adjacency: tuple[tuple[int, ...], ...]
     conflict_count: tuple[int, ...]
     conflict_duration_ms: tuple[int, ...]
 
 
 def build_conflict_index(w: Workload) -> ConflictIndex:
-    """Build the symmetric adjacency index; membership tests are O(1) after."""
+    """Build the symmetric adjacency index; each row is an ascending tuple."""
     times = w.exec_times()
-    neighbors: list[set[int]] = [set() for _ in range(w.n)]
+    neighbors: list[list[int]] = [[] for _ in range(w.n)]
     durations = [0] * w.n
-    for a, b in w.conflicts:  # pairs are deduplicated by the Workload
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+    # the Workload's pairs are sorted and distinct, so rows come out ascending
+    for a, b in w.conflicts:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
         durations[a] += times[b]
         durations[b] += times[a]
     return ConflictIndex(
-        adjacency=tuple(frozenset(s) for s in neighbors),
-        conflict_count=tuple(len(s) for s in neighbors),
+        adjacency=tuple(map(tuple, neighbors)),
+        conflict_count=tuple(map(len, neighbors)),
         conflict_duration_ms=tuple(durations),
     )
 

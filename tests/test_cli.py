@@ -208,3 +208,38 @@ def test_generate_rejects_non_finite_cost(tmp_path, capsys, flag):
     assert status == 2
     assert "must be finite, got nan" in err
     assert not wpath.exists()
+
+
+EMPTY_WORKLOAD = {
+    "processes": [],
+    "conflicts": [],
+    "cores": {"count": 2, "costPerOp": 0.0, "costPerIdleMs": 0.0},
+    "attestor": False,
+    "meta": {},
+}
+
+
+def test_schedule_empty_workload_to_file(tmp_path, capsys):
+    # a zero makespan leaves the speedups undefined: they are left out
+    wpath = tmp_path / "w.json"
+    spath = tmp_path / "s.json"
+    wpath.write_text(json.dumps(EMPTY_WORKLOAD))
+    status, out, err = run(["schedule", "--workload", str(wpath), "--out", str(spath)], capsys)
+    assert status == 0, err
+    assert out.startswith("makespan=0ms horizon=0ms pce=0 wall=")
+    assert "speedup" not in out
+    payload = json.loads(spath.read_text())
+    assert payload["assignments"] == [] and payload["scheduleMakespanMs"] == 0
+    status, _, _ = run(["validate", "--workload", str(wpath), "--schedule", str(spath)], capsys)
+    assert status == 0
+
+
+def test_schedule_empty_workload_to_stdout(tmp_path, capsys):
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(EMPTY_WORKLOAD))
+    status, out, err = run(["schedule", "--workload", str(wpath)], capsys)
+    assert status == 0, err
+    text, summary = out.rstrip("\n").rsplit("\n", 1)
+    assert json.loads(text)["assignments"] == []
+    assert summary.startswith("makespan=0ms horizon=0ms pce=0 wall=")
+    assert "speedup" not in summary

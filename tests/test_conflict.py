@@ -1,10 +1,13 @@
-"""Conflict index construction and lookups."""
+"""Conflict index construction and lookups, and the index a workload shares."""
 
+import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conflictsched.model
 from conflictsched.conflict import build_conflict_index, conflicts_with
 from conflictsched.model import (
     ConflictModel,
@@ -13,7 +16,11 @@ from conflictsched.model import (
     Process,
     Workload,
     generate_workload,
+    load_workload,
+    save_workload,
 )
+from conflictsched.oracle import validate_schedule
+from conflictsched.scheduler import load_schedule, save_schedule, schedule
 
 
 def make_workload(times, pairs):
@@ -82,3 +89,55 @@ def test_conflicts_with_lookups():
     assert conflicts_with(idx, 0, 1)
     assert conflicts_with(idx, 1, 0)
     assert not conflicts_with(idx, 1, 2)
+
+
+@given(
+    n=st.integers(1, 30),
+    pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=80),
+)
+@settings(max_examples=80, deadline=None)
+def test_adjacency_rows_are_sorted_partner_tuples(n, pairs):
+    # oracle: read each process's partners straight off the pair list,
+    # given in any order and with repeats
+    pairs = [ConflictPair(a, b) for a, b in pairs if a < b < n]
+    random.Random(n).shuffle(pairs)
+    idx = build_conflict_index(make_workload([1] * n, pairs))
+    for i in range(n):
+        partners = {b for a, b in pairs if a == i} | {a for a, b in pairs if b == i}
+        assert idx.adjacency[i] == tuple(sorted(partners))
+
+
+@pytest.mark.parametrize("first", ["base", "cores", "attestor", "both"])
+def test_workload_family_shares_one_index(first):
+    base = generate_workload(40, 0.3, model=ConflictModel.PAIRWISE, seed=4)
+    family = {
+        "base": base,
+        "cores": base.with_cores(CoreProfile(5)),
+        "attestor": base.with_attestor(True),
+    }
+    family["both"] = family["cores"].with_attestor(True)
+    idx = family[first].conflict_index
+    assert all(w.conflict_index is idx for w in family.values())
+    assert base.with_cores(CoreProfile(3)).conflict_index is idx
+    assert idx == build_conflict_index(base)
+
+
+def test_replace_gets_a_fresh_correct_index():
+    base = make_workload([5, 7, 9], [(0, 1), (0, 2)])
+    old = base.conflict_index
+    w = dataclasses.replace(base, conflicts=(ConflictPair(1, 2),))
+    assert w.conflict_index is not old
+    assert w.conflict_index == build_conflict_index(w)
+    assert w.conflict_index.adjacency == ((), (2,), (1,))
+    assert base.conflict_index is old
+
+
+def test_loading_saving_and_validating_build_no_index(tmp_path, monkeypatch):
+    w = generate_workload(50, 0.4, seed=2, cores=CoreProfile(3))
+    save_schedule(schedule(w), tmp_path / "s.json")
+    built = []
+    monkeypatch.setattr(conflictsched.model, "build_conflict_index", built.append)
+    save_workload(w, tmp_path / "w.json")
+    loaded = load_workload(tmp_path / "w.json")
+    assert validate_schedule(load_schedule(tmp_path / "s.json"), loaded).ok
+    assert built == []

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
+import conflictsched.model
 import conflictsched.oracle
-import conflictsched.scheduler
 from conflictsched.conflict import build_conflict_index
 from conflictsched.model import (
     ConflictModel,
@@ -224,7 +224,7 @@ class TestExactOptimal:
 
     @pytest.mark.parametrize("prune,budget", [(True, 2_000_000), (False, 2)])
     def test_builds_one_conflict_index_per_call(self, monkeypatch, prune, budget):
-        # the greedy incumbents reuse the oracle's index, also when pure
+        # the greedy incumbents reuse the workload's index, also when pure
         # enumeration runs out of budget and falls back to them
         calls = []
 
@@ -232,8 +232,7 @@ class TestExactOptimal:
             calls.append(w)
             return build_conflict_index(w)
 
-        monkeypatch.setattr(conflictsched.oracle, "build_conflict_index", counted)
-        monkeypatch.setattr(conflictsched.scheduler, "build_conflict_index", counted)
+        monkeypatch.setattr(conflictsched.model, "build_conflict_index", counted)
         w = generate_workload(10, 0.4, model=ConflictModel.PAIRWISE, seed=3, cores=CoreProfile(2))
         res = exact_optimal(w, prune=prune, node_budget=budget)
         assert validate_schedule(res.schedule, w).ok
@@ -243,26 +242,25 @@ class TestExactOptimal:
     def test_incumbent_runs_each_distinct_schedule_once(self, monkeypatch, attestor, runs):
         # attestor sorting ignores the sort key: one sort per assign type
         # gives the incumbent that all ten strategies give
-        real = conflictsched.oracle._schedule_indexed
+        real = conflictsched.oracle.schedule
         labels = []
 
-        def counted(w, idx, strategy, t0):
+        def counted(w, strategy):
             labels.append(strategy.label)
-            return real(w, idx, strategy, t0)
+            return real(w, strategy)
 
-        monkeypatch.setattr(conflictsched.oracle, "_schedule_indexed", counted)
+        monkeypatch.setattr(conflictsched.oracle, "schedule", counted)
         for seed in range(30):
             w = generate_workload(
                 8, 0.5, model=ConflictModel.PAIRWISE, seed=seed, cores=CoreProfile(2),
                 attestor=attestor,
             )
-            idx = build_conflict_index(w)
             everyone = [
                 schedule(w, Strategy(sort, assign, 3)) for sort in SortType for assign in AssignType
             ]
             best = min(everyone, key=lambda sch: sch.schedule_makespan_ms)
             labels.clear()
-            best_ms, best_assign = conflictsched.oracle._incumbent(w, idx)
+            best_ms, best_assign = conflictsched.oracle._incumbent(w)
             assert len(labels) == len(set(labels)) == runs
             assert best_ms == best.schedule_makespan_ms
             assert best_assign == {a.process_id: a[1:] for a in best.assignments}
