@@ -71,6 +71,9 @@ class ExperimentGrid:
         for rate in self.conflict_rates:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"conflict rate {rate} outside [0, 1]")
+        # checked here, not when the rows are aggregated after every cell ran
+        if 1 in self.process_counts and any(0.0 < rate < 1.0 for rate in self.conflict_rates):
+            raise ValueError("chromatic approximation needs n >= 2 for 0 < cr < 1")
         for mode in self.modes:
             if mode not in ("proposer", "attestor"):
                 raise ValueError(f"unknown mode {mode!r}")

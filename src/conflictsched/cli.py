@@ -7,8 +7,7 @@ import json
 import sys
 
 from .bench import ExperimentGrid, run_grid
-from .metrics import BoundParams, compute_idle_and_energy, compute_speedups
-from .metrics import upper_bound_chromatic, upper_bound_closed_form
+from .metrics import BoundParams, metrics_report, upper_bound_chromatic, upper_bound_closed_form
 from .model import (
     ConflictModel,
     CoreProfile,
@@ -69,12 +68,15 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         save_schedule(sch, args.out)
     else:
         print(json.dumps(schedule_to_dict(sch), indent=2))
+    report = metrics_report(sch, w)
     speedups = ""  # undefined for the zero makespan of an empty workload
-    if sch.schedule_makespan_ms:
-        speedups = "speedup={:.3f} speedup_total={:.3f} ".format(*compute_speedups(sch))
+    if report.speedup_total is not None:
+        speedups = (
+            f"speedup={report.speedup_makespan_only:.3f} speedup_total={report.speedup_total:.3f} "
+        )
     print(
         f"makespan={sch.schedule_makespan_ms}ms horizon={sch.horizon_ms}ms "
-        f"{speedups}pce={compute_idle_and_energy(sch, w)[2]:.6g} wall={sch.wall_time_ms:.3f}ms"
+        f"{speedups}pce={report.pce:.6g} wall={sch.wall_time_ms:.3f}ms"
     )
     return 0
 

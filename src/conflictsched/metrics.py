@@ -32,13 +32,15 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class MetricsReport:
+    """One schedule's objectives; no speedups (None) for a zero makespan."""
+
     te_ms: int
     idle_per_core_ms: tuple[int, ...]
     energy_per_core: tuple[float, ...]
     pce: float
     weighted_objective: float
-    speedup_makespan_only: float
-    speedup_total: float
+    speedup_makespan_only: float | None
+    speedup_total: float | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,10 +106,12 @@ def compute_speedups(sch: Schedule) -> tuple[float, float]:
 
 
 def metrics_report(sch: Schedule, w: Workload, weights: Weights = Weights(1.0)) -> MetricsReport:
-    """Assemble a full report for one schedule."""
+    """Assemble a full report for one schedule; see `MetricsReport`."""
     te = compute_te(sch)
     idle, energy, pce = compute_idle_and_energy(sch, w)
-    speedup_mk, speedup_total = compute_speedups(sch)
+    speedup_mk = speedup_total = None
+    if sch.schedule_makespan_ms:
+        speedup_mk, speedup_total = compute_speedups(sch)
     return MetricsReport(
         te_ms=te,
         idle_per_core_ms=idle,

@@ -8,7 +8,9 @@ reproduces the same workload byte for byte.
 
 Workload files are JSON (UTF-8) with the top-level keys ``processes``,
 ``conflicts``, ``cores``, ``attestor``, and ``meta``. Unknown keys are
-rejected; see `load_workload` for the exact shape.
+rejected; see `load_workload` for the exact shape. The file-format checks
+and the JSON encoding of schedule files live here too, so `scheduler`
+names only its keys.
 """
 
 from __future__ import annotations
@@ -394,17 +396,21 @@ def _workload_to_dict(w: Workload) -> dict:
 
 def save_workload(w: Workload, path: str | Path) -> None:
     """Write a workload file; byte-stable for a fixed workload value."""
-    text = json.dumps(_workload_to_dict(w), indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    _write_json(path, _workload_to_dict(w))
 
 
-def _require_keys(obj: dict, allowed: set[str] | frozenset[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _require_object(value, keys, where: str, subject: str | None = None) -> None:
+    """Check that ``value`` is an object with exactly the key set ``keys``.
+
+    ``where`` names it in the key messages; ``subject``, if given, in the
+    "must be an object" message.
+    """
+    if not isinstance(value, dict):
+        raise WorkloadValidationError(f"{subject or where} must be an object")
+    unknown = set(value) - keys
     if unknown:
-        raise WorkloadValidationError(
-            f"{where} has unknown keys: {sorted(unknown)}"
-        )
-    missing = allowed - set(obj)
+        raise WorkloadValidationError(f"{where} has unknown keys: {sorted(unknown)}")
+    missing = keys - set(value)
     if missing:
         raise WorkloadValidationError(f"{where} is missing keys: {sorted(missing)}")
 
@@ -438,7 +444,7 @@ def _all_ints(values) -> bool:
 
 
 def _all_keys(entries: list[dict], keys: frozenset[str]) -> bool:
-    """Whether every entry passes `_require_keys` with ``keys``."""
+    """Whether every entry passes `_require_object` with ``keys``."""
     # operator.eq, not frozenset.__eq__: called directly, the latter returns
     # NotImplemented (which is truthy) for a key view
     return all(map(eq, map(dict.keys, entries), repeat(keys)))
@@ -452,22 +458,31 @@ def _read_json(path: str | Path, what: str):
         raise WorkloadValidationError(f"{what} file nests arrays or objects too deeply") from None
 
 
-_PROCESS_KEYS = ("id", "execTimeMs", "opCount")
-_PROCESS_KEY_SET = frozenset(_PROCESS_KEYS)
+def _write_json(path: str | Path, value) -> None:
+    Path(path).write_text(json.dumps(value, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_processes(entries: list) -> list[Process]:
-    if _all_instances(entries, dict) and _all_keys(entries, _PROCESS_KEY_SET):
-        columns = [list(map(itemgetter(key), entries)) for key in _PROCESS_KEYS]
+def _load_records(raw: dict, name: str, keys: tuple[str, ...], cls) -> list:
+    """Build ``cls(*values)`` from each object of the array ``raw[name]``.
+
+    Each entry has exactly ``keys``, all integers, passed in that order;
+    ``cls`` checks their values. The per-entry loop runs only when the
+    whole-list passes fail, to name the first bad entry.
+    """
+    entries = raw[name]
+    if not isinstance(entries, list):
+        raise WorkloadValidationError(f"{name} must be an array")
+    key_set = frozenset(keys)
+    if _all_instances(entries, dict) and _all_keys(entries, key_set):
+        columns = [list(map(itemgetter(key), entries)) for key in keys]
         if _all_ints(chain.from_iterable(columns)):
-            # Process checks its own values and fails on the first bad entry
-            return list(map(Process, *columns))
+            # cls fails on the first entry with a bad value
+            return list(map(cls, *columns))
     for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise WorkloadValidationError(f"processes[{pos}] must be an object")
-        _require_keys(entry, _PROCESS_KEY_SET, f"processes[{pos}]")
-        Process(*(_require_int(entry[key], f"processes[{pos}].{key}") for key in _PROCESS_KEYS))
-    raise AssertionError("whole-list process check rejected a valid list")
+        where = f"{name}[{pos}]"
+        _require_object(entry, key_set, where)
+        cls(*(_require_int(entry[key], f"{where}.{key}") for key in keys))
+    raise AssertionError(f"whole-list {name} check rejected a valid list")
 
 
 def _load_conflicts(entries: list) -> list[ConflictPair]:
@@ -498,26 +513,21 @@ def load_workload(path: str | Path) -> Workload:
 
     Raises ``json.JSONDecodeError`` on malformed JSON and
     `WorkloadValidationError` (naming the offending field) on JSON nested
-    too deeply to parse and on schema or invariant violations. Conflict
-    pairs are canonicalized on load, so the file may list them in either
-    order.
+    too deeply to parse and on schema or invariant violations. The process
+    list is read as `load_schedule` reads the assignments (`_load_records`).
+    Conflict pairs are canonicalized on load, so the file may list them in
+    either order.
     """
     raw = _read_json(path, "workload")
-    if not isinstance(raw, dict):
-        raise WorkloadValidationError("top-level value must be an object")
-    _require_keys(raw, {"processes", "conflicts", "cores", "attestor", "meta"}, "workload")
-
-    if not isinstance(raw["processes"], list):
-        raise WorkloadValidationError("processes must be an array")
-    processes = _load_processes(raw["processes"])
+    keys = {"processes", "conflicts", "cores", "attestor", "meta"}
+    _require_object(raw, keys, "workload", "top-level value")
+    processes = _load_records(raw, "processes", ("id", "execTimeMs", "opCount"), Process)
 
     if not isinstance(raw["conflicts"], list):
         raise WorkloadValidationError("conflicts must be an array")
     pairs = _load_conflicts(raw["conflicts"])
 
-    if not isinstance(raw["cores"], dict):
-        raise WorkloadValidationError("cores must be an object")
-    _require_keys(raw["cores"], {"count", "costPerOp", "costPerIdleMs"}, "cores")
+    _require_object(raw["cores"], {"count", "costPerOp", "costPerIdleMs"}, "cores")
     cores = CoreProfile(
         core_count=_require_int(raw["cores"]["count"], "cores.count"),
         cost_per_op=_require_number(raw["cores"]["costPerOp"], "cores.costPerOp"),

@@ -50,7 +50,8 @@ def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
 
     COMPLETENESS: every process assigned exactly once, with a sane
     interval (finish = start + exec time, start >= 0, core id in range),
-    and the stated makespan equal to the latest finish.
+    the stated makespan equal to the latest finish, and the stated horizon
+    equal to the total execution time.
     C1: intervals on one core are pairwise disjoint. C2: conflicting
     processes never overlap, even across cores. C3: a conflicting pair
     must finish in original order when the workload is attestor-mode.
@@ -100,13 +101,11 @@ def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
     # field 3 is finish_ms; a C-level pass, cheaper than named field reads
     latest = max(map(itemgetter(3), sch.assignments), default=0)
     if sch.schedule_makespan_ms != latest:
-        violations.append(
-            Violation(
-                "COMPLETENESS",
-                (),
-                f"schedule makespan {sch.schedule_makespan_ms} != latest finish {latest}",
-            )
-        )
+        detail = f"schedule makespan {sch.schedule_makespan_ms} != latest finish {latest}"
+        violations.append(Violation("COMPLETENESS", (), detail))
+    if sch.horizon_ms != sum(times):
+        detail = f"schedule horizon {sch.horizon_ms} != total execution time {sum(times)}"
+        violations.append(Violation("COMPLETENESS", (), detail))
 
     for core_id, items in sorted(per_core.items()):
         items.sort()

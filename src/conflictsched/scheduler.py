@@ -27,19 +27,15 @@ measured wall time varies between runs.
 from __future__ import annotations
 
 import heapq
-import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, starmap
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .conflict import ConflictIndex
-from .model import Process, Workload, WorkloadValidationError
-from .model import _all_instances, _all_ints, _all_keys, _read_json
-from .model import _require_int, _require_keys, _require_number
+from .model import Process, Workload, _load_records, _read_json, _require_int
+from .model import _require_number, _require_object, _write_json
 
 __all__ = [
     "Assignment",
@@ -289,40 +285,21 @@ def schedule_to_dict(sch: Schedule) -> dict:
 
 
 _ASSIGNMENT_KEYS = ("processId", "coreId", "startMs", "finishMs")
-_ASSIGNMENT_KEY_SET = frozenset(_ASSIGNMENT_KEYS)
-_assignment_fields = itemgetter(*_ASSIGNMENT_KEYS)
-
-
-def _load_assignments(entries: list) -> tuple[Assignment, ...]:
-    if _all_instances(entries, dict) and _all_keys(entries, _ASSIGNMENT_KEY_SET):
-        rows = list(map(_assignment_fields, entries))
-        if _all_ints(chain.from_iterable(rows)):
-            return tuple(starmap(Assignment, rows))
-    for pos, entry in enumerate(entries):
-        where = f"assignments[{pos}]"
-        if not isinstance(entry, dict):
-            raise WorkloadValidationError(f"{where} must be an object")
-        _require_keys(entry, _ASSIGNMENT_KEY_SET, where)
-        for key in _ASSIGNMENT_KEYS:
-            _require_int(entry[key], f"{where}.{key}")
-    raise AssertionError("whole-list assignment check rejected a valid list")
 
 
 def schedule_from_dict(raw: dict) -> Schedule:
     """Build a schedule from its JSON form, checking keys and field types.
 
     Raises a field-named `WorkloadValidationError`; `validate_schedule`
-    checks whether the schedule is legal for a workload. The assignments
-    are checked in whole-list passes; a per-entry loop runs only to name
-    the first bad entry.
+    checks whether the schedule is legal for a workload, its stated
+    makespan and horizon included. The assignments go through the reader
+    that `load_workload` uses for the process list: whole-list passes,
+    and a per-entry loop only to name the first bad entry.
     """
-    if not isinstance(raw, dict):
-        raise WorkloadValidationError("top-level value must be an object")
-    _require_keys(raw, {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}, "schedule")
-    if not isinstance(raw["assignments"], list):
-        raise WorkloadValidationError("assignments must be an array")
+    keys = {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}
+    _require_object(raw, keys, "schedule", "top-level value")
     return Schedule(
-        assignments=_load_assignments(raw["assignments"]),
+        assignments=tuple(_load_records(raw, "assignments", _ASSIGNMENT_KEYS, Assignment)),
         horizon_ms=_require_int(raw["horizonMs"], "horizonMs"),
         schedule_makespan_ms=_require_int(raw["scheduleMakespanMs"], "scheduleMakespanMs"),
         wall_time_ms=_require_number(raw["wallTimeMs"], "wallTimeMs"),
@@ -330,7 +307,7 @@ def schedule_from_dict(raw: dict) -> Schedule:
 
 
 def save_schedule(sch: Schedule, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schedule_to_dict(sch), indent=2) + "\n", encoding="utf-8")
+    _write_json(path, schedule_to_dict(sch))
 
 
 def load_schedule(path: str | Path) -> Schedule:

@@ -9,6 +9,7 @@ import pytest
 import conflictsched.model
 from conflictsched.bench import (
     CSV_COLUMNS,
+    DEFAULT_STRATEGIES,
     ExperimentGrid,
     aggregate_cells,
     rows_to_csv,
@@ -123,6 +124,17 @@ def test_grid_validation():
         ExperimentGrid(conflict_rates=(1.5,))
     with pytest.raises(ValueError):
         ExperimentGrid(modes=("verifier",))
+
+
+def test_grid_rejects_one_process_with_a_fractional_rate(tmp_path):
+    # the chromatic estimate of every row needs n >= 2 for 0 < rate < 1
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        ExperimentGrid(process_counts=(5, 1), conflict_rates=(0.0, 0.5))
+    grid = ExperimentGrid(
+        process_counts=(1, 3), conflict_rates=(0.0, 1.0), seeds=(1,), core_counts=(1, 2),
+        strategies=DEFAULT_STRATEGIES[:1],
+    )
+    assert len(run_grid(grid, tmp_path)) == 2 * 2 * 2 * 2
 
 
 def test_default_grid_builds_one_conflict_index_per_base_workload(monkeypatch):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import conflictsched.bench
 from conflictsched.cli import cli
 
 
@@ -67,6 +68,23 @@ def test_validate_exits_one_on_false_makespan(tmp_path, capsys):
     assert f"schedule makespan 1 != latest finish {latest}" in out
 
 
+def test_validate_exits_one_on_false_horizon(tmp_path, capsys):
+    wpath = tmp_path / "w.json"
+    spath = tmp_path / "s.json"
+    run(["generate", "--n", "10", "--rate", "0.5", "--seed", "2", "--out", str(wpath)], capsys)
+    run(["schedule", "--workload", str(wpath), "--out", str(spath)], capsys)
+    payload = json.loads(spath.read_text())
+    total = payload["horizonMs"]
+    payload["horizonMs"] = 10**9
+    spath.write_text(json.dumps(payload))
+    status, out, _ = run(["validate", "--workload", str(wpath), "--schedule", str(spath)], capsys)
+    assert status == 1
+    assert out == (
+        f"COMPLETENESS: schedule horizon 1000000000 != total execution time {total}\n"
+        "1 violation(s)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "corrupt,field",
     [
@@ -118,6 +136,17 @@ def test_bench_deterministic_modulo_wall(tmp_path, capsys):
     a = strip_wall((tmp_path / "a" / "results.csv").read_text())
     b = strip_wall((tmp_path / "b" / "results.csv").read_text())
     assert a == b
+
+
+def test_bench_rejects_one_process_before_scheduling(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(conflictsched.bench, "schedule", lambda *args: calls.append(args))
+    out_dir = tmp_path / "out"
+    status, _, err = run(["bench", "--n-list", "1", "--rates", "0.5", "--out-dir", str(out_dir)], capsys)
+    assert status == 2
+    assert err == "error: chromatic approximation needs n >= 2 for 0 < cr < 1\n"
+    assert calls == []
+    assert not (out_dir / "results.csv").exists()
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -182,6 +182,15 @@ class TestMetricsReport:
         assert report.speedup_makespan_only == pytest.approx(9 / 7)
         assert report.speedup_total < report.speedup_makespan_only
 
+    def test_empty_workload_has_no_speedups(self):
+        w = make_workload([], [], m=3, cost_op=0.001, cost_idle=0.5)
+        report = metrics_report(schedule(w), w, Weights(0.5))
+        assert report.te_ms == 0
+        assert report.idle_per_core_ms == (0, 0, 0)
+        assert report.energy_per_core == (0.0, 0.0, 0.0)
+        assert report.pce == 0.0 and report.weighted_objective == 0.0
+        assert report.speedup_makespan_only is None and report.speedup_total is None
+
 
 class TestBoundParams:
     def test_validation(self):

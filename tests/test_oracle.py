@@ -112,11 +112,25 @@ class TestValidateSchedule:
                 ("COMPLETENESS", (), f"schedule makespan {claimed} != latest finish 8"),
             ]
 
+    def test_false_horizon_is_completeness(self):
+        w = make_workload([4, 4], [], m=2)
+        sch = make_schedule([(0, 0, 0, 4), (1, 0, 4, 8)])
+        assert validate_schedule(sch, w).ok
+        for claimed in (0, 7, 9, 10**9):
+            report = validate_schedule(dataclasses.replace(sch, horizon_ms=claimed), w)
+            assert [(v.constraint, v.process_ids, v.detail) for v in report.violations] == [
+                ("COMPLETENESS", (), f"schedule horizon {claimed} != total execution time 8"),
+            ]
+
     def test_empty_schedule_makespan_is_zero(self):
         w = make_workload([2], [], m=1)
         empty = Schedule(assignments=(), horizon_ms=0, schedule_makespan_ms=3, wall_time_ms=0.0)
         details = [v.detail for v in validate_schedule(empty, w).violations]
-        assert details == ["process 0 is unassigned", "schedule makespan 3 != latest finish 0"]
+        assert details == [
+            "process 0 is unassigned",
+            "schedule makespan 3 != latest finish 0",
+            "schedule horizon 0 != total execution time 2",
+        ]
 
     def test_every_kind_in_order_with_its_message(self):
         w = make_workload([4, 4, 4, 3, 2, 1], [(0, 1), (0, 2), (1, 3)], m=2, attestor=True)
@@ -133,6 +147,7 @@ class TestValidateSchedule:
             ("COMPLETENESS", (2,), "process 2 assigned twice"),
             ("COMPLETENESS", (4,), "process 4 finish 25 != start 20 + time 2"),
             ("COMPLETENESS", (5,), "process 5 is unassigned"),
+            ("COMPLETENESS", (), "schedule horizon 26 != total execution time 18"),
             ("C1", (0, 2), "processes 0 and 2 overlap on core 0"),
             ("C2", (0, 1), "conflicting processes 0 and 1 overlap in time"),
             ("C3", (0, 1), "conflicting process 1 starts at 2 before predecessor 0 finishes at 4"),
