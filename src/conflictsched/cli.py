@@ -13,6 +13,7 @@ from .model import (
     CoreProfile,
     TimeDistribution,
     WorkloadValidationError,
+    _json_text,
     generate_workload,
     load_workload,
     save_workload,
@@ -67,7 +68,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     if args.out:
         save_schedule(sch, args.out)
     else:
-        print(json.dumps(schedule_to_dict(sch), indent=2))
+        print(_json_text(schedule_to_dict(sch)))
     report = metrics_report(sch, w)
     speedups = ""  # undefined for the zero makespan of an empty workload
     if report.speedup_total is not None:
@@ -134,7 +135,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "nodes": result.nodes,
         "schedule": schedule_to_dict(result.schedule),
     }
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
     return 0
 
 

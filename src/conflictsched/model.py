@@ -10,7 +10,10 @@ Workload files are JSON (UTF-8) with the top-level keys ``processes``,
 ``conflicts``, ``cores``, ``attestor``, and ``meta``. Unknown keys are
 rejected; see `load_workload` for the exact shape. The file-format checks
 and the JSON encoding of schedule files live here too, so `scheduler`
-names only its keys.
+names only its keys. Both formats are written by one encoder whose output
+is byte for byte that of ``json.dumps(value, indent=2)``, with a trailing
+newline; it formats the long record lists with ``%`` templates in C-level
+passes.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress, count, repeat
-from operator import attrgetter, eq, ge, gt, itemgetter
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, eq, ge, gt, itemgetter, lt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -223,9 +226,13 @@ class Workload:
                         f"processes[{position}].id is {proc.id}; ids must be 0..n-1 in order"
                     )
             raise AssertionError("process id check rejected valid ids")
-        # a saved file lists its pairs in order, so this sort is nearly free;
-        # once sorted, the smallest `a` comes first and dedup keeps the order
-        pairs = sorted(self.conflicts)
+        # a loaded file lists its pairs as tuples in strictly ascending
+        # order, which two passes prove; other pairs are sorted, so the
+        # smallest `a` comes first, and deduplicated (hashed) in that order
+        pairs = tuple(self.conflicts)
+        ascending = _all_instances(pairs, tuple) and all(map(lt, pairs, islice(pairs, 1, None)))
+        if not ascending:
+            pairs = sorted(pairs)
         firsts = list(map(itemgetter(0), pairs))
         seconds = list(map(itemgetter(1), pairs))
         if pairs and (any(map(ge, firsts, seconds)) or firsts[0] < 0 or max(seconds) >= n):
@@ -239,7 +246,9 @@ class Workload:
                         f"conflict pair ({a}, {b}) references unknown process id {a if a < 0 else b}"
                     )
             raise AssertionError("conflict pair check rejected valid pairs")
-        object.__setattr__(self, "conflicts", tuple(dict.fromkeys(pairs)))
+        if not ascending:
+            pairs = dict.fromkeys(pairs)
+        object.__setattr__(self, "conflicts", tuple(pairs))
         object.__setattr__(self, "_family", {})
 
     @property
@@ -395,7 +404,11 @@ def _workload_to_dict(w: Workload) -> dict:
 
 
 def save_workload(w: Workload, path: str | Path) -> None:
-    """Write a workload file; byte-stable for a fixed workload value."""
+    """Write a workload file; byte-stable for a fixed workload value.
+
+    The file is exactly ``json.dumps(d, indent=2) + "\\n"`` of the workload's
+    JSON form ``d``, written by `_json_text` (see there for why).
+    """
     _write_json(path, _workload_to_dict(w))
 
 
@@ -458,8 +471,64 @@ def _read_json(path: str | Path, what: str):
         raise WorkloadValidationError(f"{what} file nests arrays or objects too deeply") from None
 
 
+def _json_text(value) -> str:
+    """Return exactly ``json.dumps(value, indent=2)``, faster.
+
+    Before CPython 3.13, an indent makes `json` leave its C encoder for a
+    Python one, which spends calls per number on a block's record lists. So
+    an object with string keys is written key by key: a member that is a
+    list of flat integer records goes through `_records_text`, and every
+    other member through `json.dumps`, indented one level.
+    """
+    if type(value) is not dict or set(map(type, value)) != {str}:
+        return json.dumps(value, indent=2)
+    members = []
+    for key, member in value.items():
+        text = _records_text(member)
+        if text is None:
+            text = json.dumps(member, indent=2).replace("\n", "\n  ")
+        members.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}"
+
+
+def _records_text(records) -> str | None:
+    """``json.dumps(records, indent=2)`` indented one level, or None.
+
+    Formats a non-empty list of flat records: objects with the same string
+    keys in the same order, or lists of the same non-zero length, whose
+    values all pass `_all_ints`. Anything else gives None. All records are
+    formatted by one ``%`` over one template repeated per record.
+    """
+    if type(records) is not list:
+        return None
+    kinds = set(map(type, records))
+    if kinds == {dict}:
+        keys = list(records[0])
+        # no key repeats within an object, so every record has exactly the
+        # first one's keys in its order when the key sequences concatenate
+        # to that order repeated
+        listed = list(chain.from_iterable(records))
+        if set(map(type, keys)) != {str} or listed != keys * len(records):
+            return None
+        values = tuple(chain.from_iterable(map(dict.values, records)))
+        # a key is a literal in the template, so its "%" is escaped
+        fields = [json.dumps(key).replace("%", "%%") + ": %d" for key in keys]
+        brackets = "{}"
+    elif kinds == {list} and len(set(map(len, records))) == 1:
+        values = tuple(chain.from_iterable(records))
+        fields = ["%d"] * len(records[0])
+        brackets = "[]"
+    else:
+        return None
+    if not fields or not _all_ints(values):
+        return None
+    # %d writes an int subclass by its value, as json's int.__repr__ does
+    record = f"    {brackets[0]}\n      " + ",\n      ".join(fields) + f"\n    {brackets[1]}"
+    return "[\n" + ",\n".join(repeat(record, len(records))) % values + "\n  ]"
+
+
 def _write_json(path: str | Path, value) -> None:
-    Path(path).write_text(json.dumps(value, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(_json_text(value) + "\n", encoding="utf-8")
 
 
 def _load_records(raw: dict, name: str, keys: tuple[str, ...], cls) -> list:
@@ -495,7 +564,9 @@ def _load_conflicts(entries: list) -> list[ConflictPair]:
                 firsts[pos], seconds[pos] = seconds[pos], firsts[pos]
             # every a < b now, so the smallest a is the smallest id
             if min(firsts, default=0) >= 0:
-                return list(map(ConflictPair, firsts, seconds))
+                # tuple.__new__ builds each pair in C; calling ConflictPair
+                # would run its Python-level __new__ once per pair
+                return list(map(tuple.__new__, repeat(ConflictPair), zip(firsts, seconds)))
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 2:
             raise WorkloadValidationError(f"conflicts[{pos}] must be a pair [a, b]")

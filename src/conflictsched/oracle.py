@@ -215,9 +215,11 @@ def exact_optimal(
     enumeration (only practical for very small n). If the node budget is
     exhausted the best schedule found so far is returned with
     ``optimal=False``. Raises ``ValueError`` for more than
-    `MAX_EXACT_PROCESSES` processes.
+    `MAX_EXACT_PROCESSES` processes and for a node budget below 1.
     """
     t0 = time.perf_counter()
+    if node_budget < 1:
+        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     n = w.n
     if n > MAX_EXACT_PROCESSES:
         raise ValueError(f"exact search handles at most {MAX_EXACT_PROCESSES} processes, got {n}")

@@ -169,6 +169,16 @@ def test_oracle_refuses_large_workload(tmp_path, capsys):
     assert "at most" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_oracle_rejects_a_budget_below_one(tmp_path, capsys, budget):
+    wpath = tmp_path / "w.json"
+    run(["generate", "--n", "6", "--rate", "0.4", "--seed", "3", "--out", str(wpath)], capsys)
+    status, out, err = run(["oracle", "--workload", str(wpath), "--budget", budget], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == f"error: node_budget must be >= 1, got {budget}\n"
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc_info:
         cli(["schedule"])  # missing required --workload

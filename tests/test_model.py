@@ -186,6 +186,18 @@ class TestLoadLongLists:
         assert all(type(pair) is ConflictPair for pair in w.conflicts)
         assert w.processes[DEEP] == Process(DEEP, 1 + DEEP % 7, 1000)
 
+    def test_loaded_pairs_are_conflict_pairs(self, tmp_path):
+        # the loader builds pairs with tuple.__new__, not ConflictPair(...)
+        w = load_workload(write_workload_file(tmp_path, long_payload()))
+        assert {type(pair) for pair in w.conflicts} == {ConflictPair}
+        first = w.conflicts[0]
+        assert first._fields == ("a", "b")
+        assert (first.a, first.b) == (0, 1)
+        assert repr(first) == "ConflictPair(a=0, b=1)"
+        assert first == ConflictPair(0, 1) == (0, 1)
+        assert hash(first) == hash((0, 1))
+        assert w.conflicts == tuple(ConflictPair(i, i + 1) for i in range(LONG - 1))
+
     @pytest.mark.parametrize(
         "entry,message",
         [
@@ -471,6 +483,56 @@ class TestWorkloadInvariants:
             cores=CoreProfile(2),
         )
         assert w.conflicts == tuple(sorted(set(pairs)))
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(1, 2), (0, 2), (1, 2)],
+            [ConflictPair(1, 2), (0, 1), ConflictPair(0, 1)],
+            [(0, 1), (0, 2), (0, 2)],
+            [(1, 2), (0, 1)],
+        ],
+        ids=["unsorted-duplicate", "mixed-types", "ascending-duplicate", "descending"],
+    )
+    def test_unsorted_duplicate_or_plain_pairs_are_sorted_and_deduplicated(self, pairs):
+        for conflicts in (tuple(pairs), list(pairs)):
+            w = Workload(
+                processes=(Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)),
+                conflicts=conflicts,
+                cores=CoreProfile(2),
+            )
+            assert type(w.conflicts) is tuple
+            assert w.conflicts == tuple(sorted(set(pairs)))
+
+    def test_ascending_list_pairs_are_still_hashed(self):
+        # only tuples skip the dedup, so an unhashable pair fails as before
+        with pytest.raises(TypeError, match="unhashable"):
+            Workload(
+                processes=(Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)),
+                conflicts=([0, 1], [0, 2]),
+                cores=CoreProfile(2),
+            )
+
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ([(0, 1), (2, 2)], "conflict pair (2, 2) is not canonical (need a < b)"),
+            ([(0, 1), (2, 1)], "conflict pair (2, 1) is not canonical (need a < b)"),
+            ([(-1, 2), (0, 1)], "conflict pair (-1, 2) references unknown process id -1"),
+            ([(0, 1), (1, 3)], "conflict pair (1, 3) references unknown process id 3"),
+        ],
+        ids=["self-pair", "reversed", "negative", "out-of-range"],
+    )
+    def test_bad_pair_in_ascending_input_is_named(self, pairs, message):
+        # the input is strictly ascending, so it skips the sort and dedup
+        assert pairs == sorted(set(pairs))
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            Workload(
+                processes=(Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)),
+                conflicts=tuple(ConflictPair(*pair) for pair in pairs),
+                cores=CoreProfile(2),
+            )
+        assert str(exc_info.value) == message
 
     def test_conflicts_are_normalized_at_construction(self):
         w = Workload(

@@ -237,6 +237,13 @@ class TestExactOptimal:
         with pytest.raises(ValueError, match=str(MAX_EXACT_PROCESSES)):
             exact_optimal(w, node_budget=5000)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_a_budget_below_one(self, budget):
+        w = generate_workload(6, 0.4, seed=3, cores=CoreProfile(2))
+        with pytest.raises(ValueError) as exc_info:
+            exact_optimal(w, node_budget=budget)
+        assert str(exc_info.value) == f"node_budget must be >= 1, got {budget}"
+
     @pytest.mark.parametrize("prune,budget", [(True, 2_000_000), (False, 2)])
     def test_builds_one_conflict_index_per_call(self, monkeypatch, prune, budget):
         # the greedy incumbents reuse the workload's index, also when pure
