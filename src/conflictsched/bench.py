@@ -4,8 +4,9 @@ The default grid mirrors the benchmark protocol used throughout this
 project: 50..200 processes, conflict participation rates 15%..45%, seeds
 1..3, 1..32 cores, both proposer and attestor modes, sweeping all five
 sort heuristics under the loose placement strategy. Every schedule is
-validated before it contributes to an aggregate; a validation failure
-aborts the run, since it can only mean a scheduler bug.
+validated, or equals one already validated on the same workload, before it
+contributes to an aggregate; a validation failure aborts the run, since it
+can only mean a scheduler bug.
 
 Output files are byte-deterministic for a fixed grid except for the
 wall-time columns, which are isolated under ``wall_``-prefixed names.
@@ -125,7 +126,10 @@ def run_cells(grid: ExperimentGrid) -> Iterator[CellResult]:
     Workloads are generated once per (n, rate, seed) and reused across core
     counts, modes, and strategies, so generation is independent of those
     axes; their `with_cores`/`with_attestor` copies share one conflict
-    index. Cells are yielded in canonical grid order.
+    index. Each strategy is scheduled, but a schedule equal to one already
+    validated on the same workload is not validated again: attestor mode
+    ignores the sort key, so its strategies repeat one schedule. Cells are
+    yielded in canonical grid order.
     """
     group = 0
     for n in grid.process_counts:
@@ -146,15 +150,19 @@ def run_cells(grid: ExperimentGrid) -> Iterator[CellResult]:
                     )
                     for mode in grid.modes:
                         w = sized.with_attestor(mode == "attestor")
+                        validated = set()
                         for strat in grid.strategies:
                             sch = schedule(w, strat)
-                            report = validate_schedule(sch, w)
-                            if not report.ok:
-                                raise BenchValidationError(
-                                    f"invalid schedule for n={n} rate={rate} seed={seed} "
-                                    f"m={m} mode={mode} strategy={strat.label}: "
-                                    f"{report.violations[0].detail}"
-                                )
+                            key = (sch.assignments, sch.schedule_makespan_ms)
+                            if key not in validated:
+                                report = validate_schedule(sch, w)
+                                if not report.ok:
+                                    raise BenchValidationError(
+                                        f"invalid schedule for n={n} rate={rate} seed={seed} "
+                                        f"m={m} mode={mode} strategy={strat.label}: "
+                                        f"{report.violations[0].detail}"
+                                    )
+                                validated.add(key)
                             yield CellResult(
                                 group=group,
                                 n=n,

@@ -208,7 +208,8 @@ class Workload:
     passes; the per-entry loops run only to name the first bad entry.
 
     A workload and its `with_cores`/`with_attestor` copies share one dict of
-    derived data, so `conflict_index` is built once for all of them.
+    derived data, so `conflict_index` and `exec_times` are built once for
+    all of them.
     """
 
     processes: tuple[Process, ...]
@@ -264,7 +265,11 @@ class Workload:
         return idx
 
     def exec_times(self) -> tuple[int, ...]:
-        return tuple(p.exec_time_ms for p in self.processes)
+        """Each process's execution time, in id order, built on first use."""
+        times = self._family.get("exec_times")
+        if times is None:
+            times = self._family["exec_times"] = tuple(p.exec_time_ms for p in self.processes)
+        return times
 
     def with_cores(self, cores: CoreProfile) -> Workload:
         return self._derive("cores", cores)

@@ -1,10 +1,13 @@
 """Greedy iterative conflict-aware scheduler.
 
 Processes are sorted by a pluggable priority key, then placed one at a time
-on the least occupied core along one path: loose rounds, then strict
-placement of whatever they refused. The `Plan` records core occupancy only
-as a heap of ``(occupied_until_ms, core_id)`` pairs, so picking the least
-occupied core is O(1) and committing a placement is O(log m).
+on the least occupied core: loose rounds, then strict placement of whatever
+they refused. One kernel, `_place`, does all placement: `schedule` calls it
+once per loose round and once for the strict fallback, and
+`assign_loosely`/`assign_strictly` are its one-process case. The `Plan`
+records core occupancy only as a heap of ``(occupied_until_ms, core_id)``
+pairs, so picking the least occupied core is O(1) and committing a
+placement is O(log m).
 
 * Loose placement refuses any placement that would need idle time; refused
   processes are retried in the next round (core ends advance between
@@ -12,7 +15,8 @@ occupied core is O(1) and committing a placement is O(log m).
 * Strict placement always places the process, inserting the minimal idle
   time needed to clear conflicts with already-placed partners.
 
-LOOSE-R strategies run R + 1 loose rounds; STRICT strategies run zero.
+LOOSE-R strategies run up to R + 1 loose rounds, stopping after a round
+that places nothing; STRICT strategies run zero.
 
 In attestor mode, conflicting pairs must additionally finish in their
 original block order; both placement methods respect that, and the sort
@@ -30,8 +34,9 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .conflict import ConflictIndex
 from .model import Process, Workload, _load_records, _read_json, _require_int
@@ -102,6 +107,11 @@ class Assignment(NamedTuple):
     finish_ms: int
 
 
+# builds an Assignment from a 4-tuple in C, skipping the named tuple's
+# Python-level __new__
+_new_assignment = partial(tuple.__new__, Assignment)
+
+
 @dataclass
 class Plan:
     """Mutable working state shared by the placement methods.
@@ -166,20 +176,58 @@ def sort_processes(
     return sorted(ids, key=stats.__getitem__, reverse=most_first)
 
 
-def _unassigned_predecessor(plan: Plan, idx: ConflictIndex, pid: int) -> int | None:
-    for partner in idx.adjacency[pid]:
-        if partner < pid and partner not in plan.assigned:
-            return partner
-    return None
+def _place(
+    plan: Plan,
+    idx: ConflictIndex,
+    procs: Sequence[Process] | Mapping[int, Process],
+    pids: Iterable[int],
+    is_attestor: bool,
+    loose: bool,
+) -> list[int]:
+    """Place ``pids`` in order, each on the least occupied core (the heap top).
 
-
-def _commit(plan: Plan, core_id: int, proc: Process, start: int) -> Assignment:
-    # both placement methods commit to the least occupied core: the heap top
-    finish = start + proc.exec_time_ms
-    heapq.heapreplace(plan.ends, (finish, core_id))
-    a = Assignment(proc.id, core_id, start, finish)
-    plan.assigned[proc.id] = a
-    return a
+    The one placement kernel: a loose round and the strict fallback are
+    each one call. One pass over a process's already placed partners
+    applies both rules. In attestor mode an unplaced lower-id partner (a
+    predecessor) refuses a loose placement and raises `AttestorOrderError`
+    for a strict one. A placed partner that finishes after the candidate
+    start refuses a loose placement when the two would overlap, or in
+    attestor mode always, since the process may not start before a
+    predecessor finishes; a strict placement instead starts after the
+    latest such finish. Returns the refused ids, leaving the plan untouched
+    for them; a strict call refuses none.
+    """
+    ends = plan.ends
+    heapreplace = heapq.heapreplace
+    assigned = plan.assigned
+    placed = assigned.get
+    adjacency = idx.adjacency
+    refused = []
+    for pid in pids:
+        start, core_id = ends[0]
+        exec_ms = procs[pid].exec_time_ms
+        finish = start + exec_ms
+        for partner in adjacency[pid]:
+            a = placed(partner)
+            if a is None:
+                if is_attestor and partner < pid:
+                    if loose:
+                        break
+                    raise AttestorOrderError(
+                        f"process {pid} assigned before conflicting predecessor {partner}"
+                    )
+            elif a[3] > start:
+                if not loose:
+                    start = a[3]
+                elif is_attestor or a[2] < finish:
+                    break
+        else:
+            finish = start + exec_ms
+            heapreplace(ends, (finish, core_id))
+            assigned[pid] = _new_assignment((pid, core_id, start, finish))
+            continue
+        refused.append(pid)
+    return refused
 
 
 def assign_strictly(
@@ -191,18 +239,8 @@ def assign_strictly(
     conflicting partner, so the placement never violates conflict freedom;
     in attestor mode every conflicting predecessor must already be placed.
     """
-    if is_attestor:
-        missing = _unassigned_predecessor(plan, idx, proc.id)
-        if missing is not None:
-            raise AttestorOrderError(
-                f"process {proc.id} assigned before conflicting predecessor {missing}"
-            )
-    start, core_id = plan.ends[0]
-    for partner in idx.adjacency[proc.id]:
-        a = plan.assigned.get(partner)
-        if a is not None and a.finish_ms > start:
-            start = a.finish_ms
-    return _commit(plan, core_id, proc, start)
+    _place(plan, idx, {proc.id: proc}, (proc.id,), is_attestor, False)
+    return plan.assigned[proc.id]
 
 
 def assign_loosely(
@@ -217,20 +255,9 @@ def assign_loosely(
     time is inserted; later review rounds or the strict fallback recover
     refused processes.
     """
-    if is_attestor and _unassigned_predecessor(plan, idx, proc.id) is not None:
+    if _place(plan, idx, {proc.id: proc}, (proc.id,), is_attestor, True):
         return None
-    start, core_id = plan.ends[0]
-    finish = start + proc.exec_time_ms
-    for partner in idx.adjacency[proc.id]:
-        a = plan.assigned.get(partner)
-        if a is None:
-            continue
-        if a.start_ms < finish and start < a.finish_ms:
-            return None
-        if is_attestor and a.finish_ms > start:
-            # order preservation: cannot start before a predecessor finishes
-            return None
-    return _commit(plan, core_id, proc, start)
+    return plan.assigned[proc.id]
 
 
 def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
@@ -238,8 +265,10 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
 
     LOOSE strategies run rounds 0..loose_review_round of loose placement
     over the still-pending processes in sorted order; STRICT strategies run
-    none. Whatever is still pending is then placed strictly, in order. The
-    conflict index is workload data, read before the wall clock starts.
+    none. The rounds stop early once one places nothing: the plan did not
+    change, so every later round would refuse the same processes. Whatever
+    is still pending is then placed strictly, in order. The conflict index
+    is workload data, read before the wall clock starts.
     """
     idx = w.conflict_index
     t0 = time.perf_counter()
@@ -247,17 +276,16 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
     plan = Plan.empty(w)
     procs = w.processes
 
-    loose = strategy.assign_type is AssignType.LOOSE
-    for _ in range(strategy.loose_review_round + 1 if loose else 0):
-        pending = [
-            pid for pid in pending
-            if assign_loosely(procs[pid], plan, idx, w.attestor) is None
-        ]
-    for pid in pending:
-        assign_strictly(procs[pid], plan, idx, w.attestor)
+    if strategy.assign_type is AssignType.LOOSE:
+        for _ in range(strategy.loose_review_round + 1):
+            refused = _place(plan, idx, procs, pending, w.attestor, True)
+            if len(refused) == len(pending):
+                break
+            pending = refused
+    _place(plan, idx, procs, pending, w.attestor, False)
 
-    assignments = tuple(plan.assigned[pid] for pid in range(w.n))
-    makespan = max((a.finish_ms for a in assignments), default=0)
+    assignments = tuple(map(plan.assigned.__getitem__, range(w.n)))
+    makespan = max(plan.ends)[0]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return Schedule(
         assignments=assignments,

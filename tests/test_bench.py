@@ -6,6 +6,7 @@ import statistics
 
 import pytest
 
+import conflictsched.bench
 import conflictsched.model
 from conflictsched.bench import (
     CSV_COLUMNS,
@@ -17,6 +18,7 @@ from conflictsched.bench import (
     run_grid,
 )
 from conflictsched.conflict import build_conflict_index
+from conflictsched.oracle import validate_schedule
 from conflictsched.scheduler import AssignType, SortType, Strategy
 
 TINY = ExperimentGrid(
@@ -149,3 +151,19 @@ def test_default_grid_builds_one_conflict_index_per_base_workload(monkeypatch):
     cells = list(run_cells(ExperimentGrid()))
     assert len(cells) == 2880
     assert len(built) == 48
+
+
+def test_default_grid_validates_each_distinct_schedule_once(monkeypatch):
+    # attestor mode ignores the sort key, so each attestor workload's five
+    # strategies give one schedule: 1 440 proposer + 1 440 / 5 attestor
+    validated = []
+
+    def counted(sch, w):
+        validated.append(sch)
+        return validate_schedule(sch, w)
+
+    monkeypatch.setattr(conflictsched.bench, "validate_schedule", counted)
+    cells = list(run_cells(ExperimentGrid()))
+    assert len(cells) == 2880
+    assert len(validated) == 1728
+

@@ -582,3 +582,14 @@ class TestWorkloadInvariants:
             assert getattr(derived, f.name) == getattr(rebuilt, f.name), f.name
         assert derived == rebuilt
         assert base.cores == CoreProfile(2) and base.attestor is False
+
+    def test_exec_times_are_built_once_per_family(self):
+        base = generate_workload(30, 0.3, seed=8, cores=CoreProfile(2))
+        times = base.exec_times()
+        assert times == tuple(p.exec_time_ms for p in base.processes)
+        assert base.exec_times() is times
+        assert base.with_cores(CoreProfile(5)).with_attestor(True).exec_times() is times
+        slower = tuple(Process(p.id, p.exec_time_ms + 1, p.op_count) for p in base.processes)
+        rebuilt = dataclasses.replace(base, processes=slower)
+        assert rebuilt.exec_times() == tuple(t + 1 for t in times)
+        assert base.exec_times() is times

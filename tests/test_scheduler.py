@@ -110,8 +110,9 @@ class TestAssignStrictly:
         w = make_workload([2, 2], [(0, 1)], attestor=True)
         idx = build_conflict_index(w)
         plan = Plan.empty(w)
-        with pytest.raises(AttestorOrderError):
+        with pytest.raises(AttestorOrderError, match="^process 1 assigned before conflicting predecessor 0$"):
             assign_strictly(w.processes[1], plan, idx, True)
+        assert plan.assigned == {} and sorted(plan.ends) == [(0, 0), (0, 1)]
 
 
 class TestAssignLoosely:
@@ -176,22 +177,40 @@ class TestCorePick:
         w = generate_workload(
             n, rate, model=model, seed=seed, cores=CoreProfile(m), attestor=attestor
         )
-        real_commit = scheduler._commit
         commits = []
 
-        def checked_commit(plan, core_id, proc, start):
-            assert plan.ends[0] == min(plan.ends)
-            assert core_id == plan.ends[0][1]
-            a = real_commit(plan, core_id, proc, start)
-            assert (a.finish_ms, core_id) in plan.ends
+        def check(plan, before, a):
+            if a is None:
+                assert plan.ends == before
+                return
+            assert before[0] == min(before)
+            assert a.core_id == before[0][1]
+            assert (a.finish_ms, a.core_id) in plan.ends
             assert plan.ends[0] == min(plan.ends)
             assert sorted(k for _, k in plan.ends) == list(range(m))
             commits.append(a)
-            return a
 
-        with mock.patch.object(scheduler, "_commit", checked_commit):
-            schedule(w, Strategy(SortType.MCDF, assign, rounds))
+        replay(w, Strategy(SortType.MCDF, assign, rounds), check)
         assert len(commits) == n
+
+
+def replay(w, strategy, observe=lambda plan, before, a: None):
+    """schedule() rebuilt from its public parts, one placement call at a time.
+
+    Runs every loose round, even one with nothing left to place, then the
+    strict fallback; ``observe`` sees the plan, a copy of its heap from
+    before the call, and the call's result.
+    """
+    idx = w.conflict_index
+    order = sort_processes(w, idx, strategy.sort_type, w.attestor)
+    plan = Plan.empty(w)
+    loose = strategy.assign_type is AssignType.LOOSE
+    calls = [assign_loosely] * (strategy.loose_review_round + 1 if loose else 0)
+    for place in calls + [assign_strictly]:
+        for pid in [pid for pid in order if pid not in plan.assigned]:
+            before = list(plan.ends)
+            observe(plan, before, place(w.processes[pid], plan, idx, w.attestor))
+    return tuple(plan.assigned[pid] for pid in range(w.n))
 
 
 class TestSchedule:
@@ -235,6 +254,47 @@ class TestSchedule:
             a = schedule(base.with_attestor(False), strat)
             b = schedule(base.with_attestor(True), strat)
             assert a.schedule_makespan_ms == b.schedule_makespan_ms
+
+    @given(
+        n=st.integers(1, 40),
+        rate=st.floats(0, 0.6),
+        m=st.integers(1, 8),
+        seed=st.integers(0, 2_000),
+        sort_type=st.sampled_from(list(SortType)),
+        assign=st.sampled_from(list(AssignType)),
+        rounds=st.integers(0, 3),
+        attestor=st.booleans(),
+        model=st.sampled_from(list(ConflictModel)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_a_replay_through_the_public_parts(
+        self, n, rate, m, seed, sort_type, assign, rounds, attestor, model
+    ):
+        w = generate_workload(n, rate, model=model, seed=seed, cores=CoreProfile(m), attestor=attestor)
+        strategy = Strategy(sort_type, assign, rounds)
+        assert schedule(w, strategy).assignments == replay(w, strategy)
+
+    @pytest.mark.parametrize("attestor", [False, True])
+    def test_loose_rounds_stop_once_one_places_nothing(self, attestor):
+        w = generate_workload(30, 0.6, seed=4, cores=CoreProfile(3), attestor=attestor)
+        real_place = scheduler._place
+        calls = []  # (loose, offered, refused) per kernel call
+
+        def counted(plan, idx, procs, pids, is_attestor, loose):
+            refused = real_place(plan, idx, procs, pids, is_attestor, loose)
+            calls.append((loose, len(pids), len(refused)))
+            return refused
+
+        with mock.patch.object(scheduler, "_place", counted):
+            sch = schedule(w, Strategy(SortType.MCDF, AssignType.LOOSE, 10**9))
+        *rounds, strict = calls
+        # every loose round but the last placed something, the last placed
+        # nothing, and one strict call placed what was left
+        assert all(loose for loose, _, _ in rounds) and not strict[0]
+        assert all(refused < offered for _, offered, refused in rounds[:-1])
+        assert rounds[-1][1] == rounds[-1][2] and strict[2] == 0
+        assert len(rounds) <= w.n + 1
+        assert sch.assignments == replay(w, Strategy(SortType.MCDF, AssignType.LOOSE, w.n + 1))
 
     def test_loose_round_zero_only_still_completes(self):
         sch = schedule(THREE, Strategy(SortType.FIFO, AssignType.LOOSE, 0))
