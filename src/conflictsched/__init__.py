@@ -16,7 +16,6 @@ from .bench import (
     run_cells,
     run_grid,
 )
-from .conflict import ConflictIndex, build_conflict_index, conflicts_with
 from .metrics import (
     BoundParams,
     MetricsReport,
@@ -29,32 +28,35 @@ from .metrics import (
     weighted_objective,
 )
 from .model import (
+    Assignment,
+    ConflictIndex,
     ConflictModel,
     ConflictPair,
     CoreProfile,
     GasTimeModel,
     Process,
+    Schedule,
     TimeDistribution,
     Weights,
     Workload,
     WorkloadValidationError,
+    build_conflict_index,
+    conflicts_with,
     estimate_exec_time,
     generate_workload,
+    load_schedule,
     load_workload,
+    save_schedule,
     save_workload,
 )
 from .oracle import OracleResult, ValidationReport, Violation, exact_optimal, validate_schedule
 from .scheduler import (
-    Assignment,
     AssignType,
     Plan,
-    Schedule,
     SortType,
     Strategy,
     assign_loosely,
     assign_strictly,
-    load_schedule,
-    save_schedule,
     schedule,
     sort_processes,
 )

@@ -28,7 +28,7 @@ from .model import (
     generate_workload,
 )
 from .oracle import validate_schedule
-from .scheduler import AssignType, SortType, Strategy, schedule
+from .scheduler import SortType, Strategy, schedule
 
 __all__ = [
     "CSV_COLUMNS",
@@ -41,9 +41,7 @@ __all__ = [
     "run_grid",
 ]
 
-DEFAULT_STRATEGIES = tuple(
-    Strategy(sort, AssignType.LOOSE, 3) for sort in SortType
-)
+DEFAULT_STRATEGIES = tuple(Strategy(sort) for sort in SortType)
 
 CSV_COLUMNS = (
     "group,n,conflict_rate,m,mode,strategy,"
@@ -72,9 +70,10 @@ class ExperimentGrid:
         for rate in self.conflict_rates:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"conflict rate {rate} outside [0, 1]")
-        # checked here, not when the rows are aggregated after every cell ran
-        if 1 in self.process_counts and any(0.0 < rate < 1.0 for rate in self.conflict_rates):
-            raise ValueError("chromatic approximation needs n >= 2 for 0 < cr < 1")
+        # asked here, not when the rows are aggregated after every cell ran
+        for n in self.process_counts:
+            for rate in self.conflict_rates:
+                upper_bound_chromatic(BoundParams(n, self.time_dist.mean_ms, 1, rate))
         for mode in self.modes:
             if mode not in ("proposer", "attestor"):
                 raise ValueError(f"unknown mode {mode!r}")

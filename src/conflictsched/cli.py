@@ -9,25 +9,21 @@ import sys
 from .bench import ExperimentGrid, run_grid
 from .metrics import BoundParams, metrics_report, upper_bound_chromatic, upper_bound_closed_form
 from .model import (
+    DEFAULT_TIME_DIST,
     ConflictModel,
     CoreProfile,
     TimeDistribution,
     WorkloadValidationError,
     _json_text,
     generate_workload,
-    load_workload,
-    save_workload,
-)
-from .oracle import exact_optimal, validate_schedule
-from .scheduler import (
-    AssignType,
-    SortType,
-    Strategy,
     load_schedule,
+    load_workload,
     save_schedule,
-    schedule,
+    save_workload,
     schedule_to_dict,
 )
+from .oracle import exact_optimal, validate_schedule
+from .scheduler import DEFAULT_STRATEGY, AssignType, SortType, Strategy, schedule
 
 __all__ = ["cli", "main"]
 
@@ -39,11 +35,17 @@ def _time_dist(args: argparse.Namespace) -> TimeDistribution:
 
 
 def _add_dist_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dist", choices=["uniform", "constant"], default="uniform",
-                   help="execution time distribution (default uniform)")
-    p.add_argument("--t-min", type=int, default=1, help="uniform low, ms (default 1)")
-    p.add_argument("--t-max", type=int, default=15, help="uniform high, ms (default 15)")
+    p.add_argument("--dist", choices=["uniform", "constant"], default=DEFAULT_TIME_DIST.kind,
+                   help="execution time distribution (default %(default)s)")
+    p.add_argument("--t-min", type=int, default=DEFAULT_TIME_DIST.low,
+                   help="uniform low, ms (default %(default)s)")
+    p.add_argument("--t-max", type=int, default=DEFAULT_TIME_DIST.high,
+                   help="uniform high, ms (default %(default)s)")
     p.add_argument("--t-const", type=int, default=8, help="constant value, ms (default 8)")
+
+
+def _joined(values) -> str:
+    return ",".join(map(str, values))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -162,9 +164,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="schedule a workload file")
     p.add_argument("--workload", required=True)
-    p.add_argument("--sort", choices=[s.value for s in SortType], default="MCDF")
-    p.add_argument("--assign", choices=[a.value for a in AssignType], default="LOOSE")
-    p.add_argument("--rounds", type=int, default=3, help="loose review rounds (default 3)")
+    p.add_argument("--sort", choices=[s.value for s in SortType],
+                   default=DEFAULT_STRATEGY.sort_type.value)
+    p.add_argument("--assign", choices=[a.value for a in AssignType],
+                   default=DEFAULT_STRATEGY.assign_type.value)
+    p.add_argument("--rounds", type=int, default=DEFAULT_STRATEGY.loose_review_round,
+                   help="loose review rounds (default %(default)s)")
     p.add_argument("--out", help="schedule JSON path (stdout when omitted)")
     p.set_defaults(func=_cmd_schedule)
 
@@ -182,15 +187,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the benchmark grid, write CSV and markdown")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--n-list", default="50,100,150,200")
-    p.add_argument("--rates", default="0.15,0.25,0.35,0.45")
-    p.add_argument("--seeds", default="1,2,3")
-    p.add_argument("--cores", default="1,2,4,8,16,32")
-    p.add_argument("--sorts", default="FIFO,MCCF,MCDF,LCCF,LCDF")
-    p.add_argument("--assign", choices=[a.value for a in AssignType], default="LOOSE")
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--modes", default="proposer,attestor")
-    p.add_argument("--model", choices=["pairwise", "participation"], default="participation")
+    grid = ExperimentGrid()
+    p.add_argument("--n-list", default=_joined(grid.process_counts))
+    p.add_argument("--rates", default=_joined(grid.conflict_rates))
+    p.add_argument("--seeds", default=_joined(grid.seeds))
+    p.add_argument("--cores", default=_joined(grid.core_counts))
+    p.add_argument("--sorts", default=_joined(s.sort_type.value for s in grid.strategies))
+    p.add_argument("--assign", choices=[a.value for a in AssignType],
+                   default=DEFAULT_STRATEGY.assign_type.value)
+    p.add_argument("--rounds", type=int, default=DEFAULT_STRATEGY.loose_review_round)
+    p.add_argument("--modes", default=_joined(grid.modes))
+    p.add_argument("--model", choices=["pairwise", "participation"],
+                   default=grid.conflict_model.value.lower())
     _add_dist_flags(p)
     p.set_defaults(func=_cmd_bench)
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Weights, Workload
-from .scheduler import Schedule
+from .model import Schedule, Weights, Workload
 
 __all__ = [
     "BoundParams",

@@ -1,19 +1,18 @@
-"""Domain types, workload file I/O, and the synthetic workload generator.
+"""The scheduler's data: workloads, their conflict index, schedules, and files.
 
 A workload is the scheduler's complete input: an ordered list of processes
 (one per transaction), the set of pairwise conflicts between them, a core
 profile, and the attestor flag. Workloads are immutable values; the
 generator is a pure function of its arguments, so a fixed seed always
-reproduces the same workload byte for byte.
+reproduces the same workload byte for byte. A schedule is its output.
 
 Workload files are JSON (UTF-8) with the top-level keys ``processes``,
-``conflicts``, ``cores``, ``attestor``, and ``meta``. Unknown keys are
-rejected; see `load_workload` for the exact shape. The file-format checks
-and the JSON encoding of schedule files live here too, so `scheduler`
-names only its keys. Both formats are written by one encoder whose output
-is byte for byte that of ``json.dumps(value, indent=2)``, with a trailing
-newline; it formats the long record lists with ``%`` templates in C-level
-passes.
+``conflicts``, ``cores``, ``attestor``, and ``meta``; schedule files are
+described at `schedule_from_dict`. Unknown keys are rejected. Both
+formats are checked by one record reader and written by one encoder whose
+output is byte for byte that of ``json.dumps(value, indent=2)``, with a
+trailing newline; it formats the long record lists with ``%`` templates
+in C-level passes.
 """
 
 from __future__ import annotations
@@ -29,23 +28,30 @@ from operator import attrgetter, eq, ge, gt, itemgetter, lt
 from pathlib import Path
 from typing import NamedTuple
 
-from .conflict import ConflictIndex, build_conflict_index
-
 __all__ = [
     "OPS_PER_MS",
+    "Assignment",
+    "ConflictIndex",
     "ConflictModel",
     "ConflictPair",
     "CoreProfile",
     "GasTimeModel",
     "Process",
+    "Schedule",
     "TimeDistribution",
     "Weights",
     "Workload",
     "WorkloadValidationError",
+    "build_conflict_index",
+    "conflicts_with",
     "estimate_exec_time",
     "generate_workload",
+    "load_schedule",
     "load_workload",
+    "save_schedule",
     "save_workload",
+    "schedule_from_dict",
+    "schedule_to_dict",
 ]
 
 # ops are coupled to execution time so that energy accounting stays
@@ -227,11 +233,14 @@ class Workload:
                         f"processes[{position}].id is {proc.id}; ids must be 0..n-1 in order"
                     )
             raise AssertionError("process id check rejected valid ids")
-        # a loaded file lists its pairs as tuples in strictly ascending
-        # order, which two passes prove; other pairs are sorted, so the
-        # smallest `a` comes first, and deduplicated (hashed) in that order
         pairs = tuple(self.conflicts)
-        ascending = _all_instances(pairs, tuple) and all(map(lt, pairs, islice(pairs, 1, None)))
+        if not _all_instances(pairs, tuple):
+            bad = next(pair for pair in pairs if not isinstance(pair, tuple))
+            raise WorkloadValidationError(f"conflict pair {bad!r} is not a tuple")
+        # a loaded file lists its pairs in strictly ascending order, which
+        # one pass proves; other pairs are sorted, so the smallest `a` comes
+        # first, and deduplicated (hashed) in that order
+        ascending = all(map(lt, pairs, islice(pairs, 1, None)))
         if not ascending:
             pairs = sorted(pairs)
         firsts = list(map(itemgetter(0), pairs))
@@ -283,6 +292,69 @@ class Workload:
         derived = copy.copy(self)
         object.__setattr__(derived, name, value)
         return derived
+
+
+@dataclass(frozen=True)
+class ConflictIndex:
+    """Adjacency view of the conflict pair set.
+
+    ``adjacency[i]`` lists the processes i conflicts with, ascending.
+    ``conflict_count[i]`` is the number of processes i conflicts with and
+    ``conflict_duration_ms[i]`` the summed execution time of those partners
+    (the process's own time is excluded: it is constant across candidates
+    when sorting). A workload builds it once: `Workload.conflict_index`.
+    """
+
+    adjacency: tuple[tuple[int, ...], ...]
+    conflict_count: tuple[int, ...]
+    conflict_duration_ms: tuple[int, ...]
+
+
+def build_conflict_index(w: Workload) -> ConflictIndex:
+    """Build the symmetric adjacency index; each row is an ascending tuple."""
+    times = w.exec_times()
+    neighbors: list[list[int]] = [[] for _ in range(w.n)]
+    durations = [0] * w.n
+    # the Workload's pairs are sorted and distinct, so rows come out ascending
+    for a, b in w.conflicts:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+        durations[a] += times[b]
+        durations[b] += times[a]
+    return ConflictIndex(
+        adjacency=tuple(map(tuple, neighbors)),
+        conflict_count=tuple(map(len, neighbors)),
+        conflict_duration_ms=tuple(durations),
+    )
+
+
+def conflicts_with(idx: ConflictIndex, i: int, j: int) -> bool:
+    """True iff processes i and j cannot run concurrently. Irreflexive."""
+    return i != j and j in idx.adjacency[i]
+
+
+class Assignment(NamedTuple):
+    process_id: int
+    core_id: int
+    start_ms: int
+    finish_ms: int
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Scheduler output: one assignment per process plus summary times.
+
+    ``horizon_ms`` is the serial-execution makespan (sum of all execution
+    times) and the baseline for speedups. ``wall_time_ms`` is the measured
+    duration of the scheduling call's sort and placement, not of the
+    schedule; the conflict index it reads is workload data, prepared once
+    per workload like the paper's offline conflict repository.
+    """
+
+    assignments: tuple[Assignment, ...]
+    horizon_ms: int
+    schedule_makespan_ms: int
+    wall_time_ms: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -622,3 +694,51 @@ def load_workload(path: str | Path) -> Workload:
         attestor=raw["attestor"],
         meta=raw["meta"],
     )
+
+
+def schedule_to_dict(sch: Schedule) -> dict:
+    return {
+        "assignments": [
+            {
+                "processId": a.process_id,
+                "coreId": a.core_id,
+                "startMs": a.start_ms,
+                "finishMs": a.finish_ms,
+            }
+            for a in sch.assignments
+        ],
+        "horizonMs": sch.horizon_ms,
+        "scheduleMakespanMs": sch.schedule_makespan_ms,
+        "wallTimeMs": sch.wall_time_ms,
+    }
+
+
+def schedule_from_dict(raw: dict) -> Schedule:
+    """Build a schedule from its JSON form, checking keys and field types.
+
+    Raises a field-named `WorkloadValidationError`; `validate_schedule`
+    checks whether the schedule is legal for a workload, its stated
+    makespan and horizon included. The assignments go through the reader
+    that `load_workload` uses for the process list.
+    """
+    keys = {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}
+    _require_object(raw, keys, "schedule", "top-level value")
+    assignment_keys = ("processId", "coreId", "startMs", "finishMs")
+    return Schedule(
+        assignments=tuple(_load_records(raw, "assignments", assignment_keys, Assignment)),
+        horizon_ms=_require_int(raw["horizonMs"], "horizonMs"),
+        schedule_makespan_ms=_require_int(raw["scheduleMakespanMs"], "scheduleMakespanMs"),
+        wall_time_ms=_require_number(raw["wallTimeMs"], "wallTimeMs"),
+    )
+
+
+def save_schedule(sch: Schedule, path: str | Path) -> None:
+    _write_json(path, schedule_to_dict(sch))
+
+
+def load_schedule(path: str | Path) -> Schedule:
+    """Read a schedule file; see `schedule_from_dict` for the checks.
+
+    JSON nested too deeply to parse raises `WorkloadValidationError`.
+    """
+    return schedule_from_dict(_read_json(path, "schedule"))

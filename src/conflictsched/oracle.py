@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .model import Workload
-from .scheduler import Assignment, AssignType, Schedule, SortType, Strategy, schedule
+from .model import Assignment, Schedule, Workload
+from .scheduler import AssignType, SortType, Strategy, schedule
 
 __all__ = [
     "MAX_EXACT_PROCESSES",

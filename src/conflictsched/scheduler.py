@@ -1,5 +1,6 @@
-"""Greedy iterative conflict-aware scheduler.
+"""Greedy iterative conflict-aware scheduler: placement only.
 
+The data it reads and returns, and their files, live in `model`.
 Processes are sorted by a pluggable priority key, then placed one at a time
 on the least occupied core: loose rounds, then strict placement of whatever
 they refused. One kernel, `_place`, does all placement: `schedule` calls it
@@ -35,28 +36,19 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .conflict import ConflictIndex
-from .model import Process, Workload, _load_records, _read_json, _require_int
-from .model import _require_number, _require_object, _write_json
+from .model import Assignment, ConflictIndex, Process, Schedule, Workload
 
 __all__ = [
-    "Assignment",
     "AssignType",
     "AttestorOrderError",
     "Plan",
-    "Schedule",
     "SortType",
     "Strategy",
     "assign_loosely",
     "assign_strictly",
-    "load_schedule",
-    "save_schedule",
     "schedule",
-    "schedule_from_dict",
-    "schedule_to_dict",
     "sort_processes",
 ]
 
@@ -97,15 +89,7 @@ class Strategy:
         return f"{self.sort_type.value}-LOOSE-{self.loose_review_round}"
 
 
-DEFAULT_STRATEGY = Strategy(SortType.MCDF, AssignType.LOOSE, 3)
-
-
-class Assignment(NamedTuple):
-    process_id: int
-    core_id: int
-    start_ms: int
-    finish_ms: int
-
+DEFAULT_STRATEGY = Strategy()
 
 # builds an Assignment from a 4-tuple in C, skipping the named tuple's
 # Python-level __new__
@@ -130,23 +114,6 @@ class Plan:
     @classmethod
     def empty(cls, w: Workload) -> Plan:
         return cls([(0, k) for k in range(w.cores.core_count)])
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Scheduler output: one assignment per process plus summary times.
-
-    ``horizon_ms`` is the serial-execution makespan (sum of all execution
-    times) and the baseline for speedups. ``wall_time_ms`` is the measured
-    duration of the scheduling call's sort and placement, not of the
-    schedule; the conflict index it reads is workload data, prepared once
-    per workload like the paper's offline conflict repository.
-    """
-
-    assignments: tuple[Assignment, ...]
-    horizon_ms: int
-    schedule_makespan_ms: int
-    wall_time_ms: float
 
 
 def sort_processes(
@@ -294,53 +261,3 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
         wall_time_ms=wall_ms,
     )
 
-
-def schedule_to_dict(sch: Schedule) -> dict:
-    return {
-        "assignments": [
-            {
-                "processId": a.process_id,
-                "coreId": a.core_id,
-                "startMs": a.start_ms,
-                "finishMs": a.finish_ms,
-            }
-            for a in sch.assignments
-        ],
-        "horizonMs": sch.horizon_ms,
-        "scheduleMakespanMs": sch.schedule_makespan_ms,
-        "wallTimeMs": sch.wall_time_ms,
-    }
-
-
-_ASSIGNMENT_KEYS = ("processId", "coreId", "startMs", "finishMs")
-
-
-def schedule_from_dict(raw: dict) -> Schedule:
-    """Build a schedule from its JSON form, checking keys and field types.
-
-    Raises a field-named `WorkloadValidationError`; `validate_schedule`
-    checks whether the schedule is legal for a workload, its stated
-    makespan and horizon included. The assignments go through the reader
-    that `load_workload` uses for the process list: whole-list passes,
-    and a per-entry loop only to name the first bad entry.
-    """
-    keys = {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}
-    _require_object(raw, keys, "schedule", "top-level value")
-    return Schedule(
-        assignments=tuple(_load_records(raw, "assignments", _ASSIGNMENT_KEYS, Assignment)),
-        horizon_ms=_require_int(raw["horizonMs"], "horizonMs"),
-        schedule_makespan_ms=_require_int(raw["scheduleMakespanMs"], "scheduleMakespanMs"),
-        wall_time_ms=_require_number(raw["wallTimeMs"], "wallTimeMs"),
-    )
-
-
-def save_schedule(sch: Schedule, path: str | Path) -> None:
-    _write_json(path, schedule_to_dict(sch))
-
-
-def load_schedule(path: str | Path) -> Schedule:
-    """Read a schedule file; see `schedule_from_dict` for the checks.
-
-    JSON nested too deeply to parse raises `WorkloadValidationError`.
-    """
-    return schedule_from_dict(_read_json(path, "schedule"))

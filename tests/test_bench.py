@@ -17,7 +17,7 @@ from conflictsched.bench import (
     run_cells,
     run_grid,
 )
-from conflictsched.conflict import build_conflict_index
+from conflictsched.model import build_conflict_index
 from conflictsched.oracle import validate_schedule
 from conflictsched.scheduler import AssignType, SortType, Strategy
 

@@ -5,7 +5,10 @@ import json
 import pytest
 
 import conflictsched.bench
+import conflictsched.cli
+from conflictsched.bench import ExperimentGrid
 from conflictsched.cli import cli
+from conflictsched.scheduler import DEFAULT_STRATEGY
 
 
 def run(argv, capsys):
@@ -282,3 +285,36 @@ def test_schedule_empty_workload_to_stdout(tmp_path, capsys):
     assert json.loads(text)["assignments"] == []
     assert summary.startswith("makespan=0ms horizon=0ms pce=0 wall=")
     assert "speedup" not in summary
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--t-min", "0"], "time distribution low must be >= 1"),
+        (["--t-min", "5", "--t-max", "4"], "time distribution high must be >= low"),
+    ],
+    ids=["low", "high"],
+)
+def test_generate_rejects_bad_time_bounds(tmp_path, capsys, flags, message):
+    wpath = tmp_path / "w.json"
+    status, _, err = run(
+        ["generate", "--n", "5", "--rate", "0.2", "--seed", "1", *flags, "--out", str(wpath)],
+        capsys,
+    )
+    assert status == 2
+    assert err == f"error: {message}\n"
+    assert not wpath.exists()
+
+
+def test_default_flags_build_the_library_defaults(tmp_path, capsys, monkeypatch):
+    wpath = tmp_path / "w.json"
+    assert run(["generate", "--n", "5", "--rate", "0.2", "--seed", "1", "--out", str(wpath)],
+               capsys)[0] == 0
+    built = []
+    real_schedule = conflictsched.cli.schedule
+    monkeypatch.setattr(conflictsched.cli, "schedule",
+                        lambda w, strategy: built.append(strategy) or real_schedule(w, strategy))
+    monkeypatch.setattr(conflictsched.cli, "run_grid", lambda grid, out_dir: built.append(grid) or [])
+    assert run(["schedule", "--workload", str(wpath)], capsys)[0] == 0
+    assert run(["bench", "--out-dir", str(tmp_path / "bench")], capsys)[0] == 0
+    assert built == [DEFAULT_STRATEGY, ExperimentGrid()]

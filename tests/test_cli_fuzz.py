@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conflictsched.cli import cli
-from conflictsched.model import CoreProfile, generate_workload, save_workload
-from conflictsched.scheduler import schedule, schedule_to_dict
+from conflictsched.model import CoreProfile, generate_workload, save_workload, schedule_to_dict
+from conflictsched.scheduler import schedule
 
 JSON_VALUES = st.recursive(
     st.none()

@@ -8,19 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conflictsched.model
-from conflictsched.conflict import build_conflict_index, conflicts_with
 from conflictsched.model import (
     ConflictModel,
     ConflictPair,
     CoreProfile,
     Process,
     Workload,
+    build_conflict_index,
+    conflicts_with,
     generate_workload,
+    load_schedule,
     load_workload,
+    save_schedule,
     save_workload,
 )
 from conflictsched.oracle import validate_schedule
-from conflictsched.scheduler import load_schedule, save_schedule, schedule
+from conflictsched.scheduler import schedule
 
 
 def make_workload(times, pairs):

@@ -17,17 +17,21 @@ from hypothesis import strategies as st
 
 from conflictsched.cli import cli
 from conflictsched.model import (
+    Assignment,
     ConflictModel,
     ConflictPair,
     CoreProfile,
     Process,
+    Schedule,
     Workload,
     _json_text,
     _workload_to_dict,
     generate_workload,
+    save_schedule,
     save_workload,
+    schedule_to_dict,
 )
-from conflictsched.scheduler import Assignment, Schedule, save_schedule, schedule, schedule_to_dict
+from conflictsched.scheduler import schedule
 
 
 class Level(enum.IntEnum):

@@ -17,15 +17,17 @@ from conflictsched.metrics import (
     weighted_objective,
 )
 from conflictsched.model import (
+    Assignment,
     ConflictPair,
     CoreProfile,
     Process,
+    Schedule,
     TimeDistribution,
     Weights,
     Workload,
     generate_workload,
 )
-from conflictsched.scheduler import Assignment, AssignType, Schedule, SortType, Strategy, schedule
+from conflictsched.scheduler import AssignType, SortType, Strategy, schedule
 
 
 def make_workload(times, pairs, m=2, cost_op=0.0, cost_idle=0.0):

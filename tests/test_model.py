@@ -248,6 +248,21 @@ class TestLoadLongLists:
         payload["conflicts"][DEEP + 100] = "x"
         assert load_error(tmp_path, payload) == f"conflicts[{DEEP}] pairs process 8 with itself"
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda p: p["processes"][0].update(opCount=0), "processes[0].opCount must be >= 1, got 0"),
+            (lambda p: p["cores"].update(costPerOp=-1), "cores.costPerOp must be >= 0"),
+            (lambda p: p["cores"].update(costPerIdleMs=-0.5), "cores.costPerIdleMs must be >= 0"),
+            (lambda p: p.update(meta=[]), "meta must be an object"),
+        ],
+        ids=["zero-ops", "negative-op-cost", "negative-idle-cost", "list-meta"],
+    )
+    def test_bad_value_is_named(self, tmp_path, change, message):
+        payload = json.loads(json.dumps(MINIMAL))
+        change(payload)
+        assert load_error(tmp_path, payload) == message
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     @pytest.mark.parametrize("field", ["costPerOp", "costPerIdleMs"])
     def test_non_finite_cost_is_named(self, tmp_path, field, value):
@@ -505,8 +520,8 @@ class TestWorkloadInvariants:
             assert w.conflicts == tuple(sorted(set(pairs)))
 
     def test_ascending_list_pairs_are_still_hashed(self):
-        # only tuples skip the dedup, so an unhashable pair fails as before
-        with pytest.raises(TypeError, match="unhashable"):
+        # a pair that is not a tuple is named before any sort or dedup
+        with pytest.raises(WorkloadValidationError, match=r"conflict pair \[0, 1\] is not a tuple"):
             Workload(
                 processes=(Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)),
                 conflicts=([0, 1], [0, 2]),

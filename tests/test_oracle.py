@@ -7,20 +7,20 @@ import pytest
 
 import conflictsched.model
 import conflictsched.oracle
-from conflictsched.conflict import build_conflict_index
 from conflictsched.model import (
+    Assignment,
     ConflictModel,
     ConflictPair,
     CoreProfile,
     Process,
+    Schedule,
     Workload,
+    build_conflict_index,
     generate_workload,
 )
 from conflictsched.oracle import MAX_EXACT_PROCESSES, exact_optimal, validate_schedule
 from conflictsched.scheduler import (
-    Assignment,
     AssignType,
-    Schedule,
     SortType,
     Strategy,
     schedule,
@@ -131,6 +131,22 @@ class TestValidateSchedule:
             "schedule makespan 3 != latest finish 0",
             "schedule horizon 0 != total execution time 2",
         ]
+
+    @pytest.mark.parametrize("attestor", [False, True])
+    def test_pair_with_an_unassigned_member_is_skipped(self, attestor):
+        w = make_workload([2, 3, 1], [(0, 1), (1, 2)], m=2, attestor=attestor)
+        # pair (0, 1) is skipped, pair (1, 2) after it is still checked
+        sch = make_schedule([(1, 0, 0, 3), (2, 1, 0, 1)], horizon=6)
+        report = validate_schedule(sch, w)
+        expected = [
+            ("COMPLETENESS", (0,), "process 0 is unassigned"),
+            ("C2", (1, 2), "conflicting processes 1 and 2 overlap in time"),
+        ]
+        if attestor:
+            expected.append(
+                ("C3", (1, 2), "conflicting process 2 starts at 0 before predecessor 1 finishes at 3")
+            )
+        assert [(v.constraint, v.process_ids, v.detail) for v in report.violations] == expected
 
     def test_every_kind_in_order_with_its_message(self):
         w = make_workload([4, 4, 4, 3, 2, 1], [(0, 1), (0, 2), (1, 3)], m=2, attestor=True)
@@ -298,3 +314,34 @@ class TestExactOptimal:
             att = exact_optimal(w.with_attestor(True))
             assert prop.optimal and att.optimal
             assert att.makespan_ms >= prop.makespan_ms
+
+
+class TestStaticLowerBound:
+    """The pair-bound form (no clique table), used for 17 <= n <= 500."""
+
+    @pytest.mark.parametrize("attestor", [False, True])
+    def test_at_most_the_optimum_on_small_instances(self, attestor):
+        rng = random.Random(41)
+        for i in range(60):
+            w = generate_workload(
+                rng.randint(2, 9), rng.random(), seed=1000 + i,
+                model=rng.choice(list(ConflictModel)),
+                cores=CoreProfile(rng.choice([2, 3])), attestor=attestor,
+            )
+            res = exact_optimal(w)
+            assert res.optimal
+            assert conflictsched.oracle._static_lower_bound(w, None) <= res.makespan_ms
+
+    @pytest.mark.parametrize("attestor", [False, True])
+    def test_at_most_every_greedy_makespan_above_the_clique_table(self, attestor):
+        rng = random.Random(43)
+        for n in range(17, 61):
+            w = generate_workload(
+                n, rng.random(), seed=1100 + n,
+                model=rng.choice(list(ConflictModel)),
+                cores=CoreProfile(rng.choice([2, 3, 4, 8])), attestor=attestor,
+            )
+            lb = conflictsched.oracle._static_lower_bound(w, None)
+            for sort in SortType:
+                for assign in AssignType:
+                    assert lb <= schedule(w, Strategy(sort, assign, 3)).schedule_makespan_ms

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conflictsched.scheduler as scheduler
-from conflictsched.conflict import build_conflict_index
 from conflictsched.model import (
+    Assignment,
     ConflictModel,
     ConflictPair,
     CoreProfile,
@@ -18,11 +18,12 @@ from conflictsched.model import (
     TimeDistribution,
     Workload,
     WorkloadValidationError,
+    build_conflict_index,
     generate_workload,
+    schedule_from_dict,
 )
 from conflictsched.oracle import validate_schedule
 from conflictsched.scheduler import (
-    Assignment,
     AssignType,
     AttestorOrderError,
     Plan,
@@ -31,7 +32,6 @@ from conflictsched.scheduler import (
     assign_loosely,
     assign_strictly,
     schedule,
-    schedule_from_dict,
     sort_processes,
 )
 
