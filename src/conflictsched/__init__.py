@@ -1,9 +1,10 @@
 """Conflict-aware scheduling of transactions onto homogeneous cores.
 
-The package assigns n processes with pairwise conflicts to m cores using a
-greedy iterative heuristic, minimizing makespan while guaranteeing
-conflict-free parallel execution; attestor mode additionally preserves the
-original order of conflicting pairs. Includes workload generation and I/O,
+The package assigns n processes with pairwise conflicts to m cores using the
+paper's greedy iterative heuristic or an event-driven list scheduler
+(EVENT), minimizing makespan while guaranteeing conflict-free parallel
+execution; attestor mode additionally preserves the original order of
+conflicting pairs. Includes workload generation and I/O,
 schedule validation, an exact small-instance solver, objective metrics with
 the paper's analytic makespan estimates, and a benchmark harness.
 """

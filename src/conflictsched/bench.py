@@ -77,6 +77,12 @@ class ExperimentGrid:
         for mode in self.modes:
             if mode not in ("proposer", "attestor"):
                 raise ValueError(f"unknown mode {mode!r}")
+        # rows are keyed by label: two strategies with one label would
+        # merge their cells into one row
+        labels = [strat.label for strat in self.strategies]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(f"strategy {label} appears more than once")
 
 
 @dataclass(frozen=True)

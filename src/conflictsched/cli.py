@@ -9,6 +9,8 @@ import sys
 from .bench import ExperimentGrid, run_grid
 from .metrics import BoundParams, metrics_report, upper_bound_chromatic, upper_bound_closed_form
 from .model import (
+    DEFAULT_CONFLICT_MODEL,
+    DEFAULT_CORE_COUNT,
     DEFAULT_TIME_DIST,
     ConflictModel,
     CoreProfile,
@@ -22,7 +24,7 @@ from .model import (
     save_workload,
     schedule_to_dict,
 )
-from .oracle import exact_optimal, validate_schedule
+from .oracle import DEFAULT_NODE_BUDGET, exact_optimal, validate_schedule
 from .scheduler import DEFAULT_STRATEGY, AssignType, SortType, Strategy, schedule
 
 __all__ = ["cli", "main"]
@@ -109,16 +111,18 @@ def _parse_list(text: str, cast) -> tuple:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    strategies = tuple(
-        Strategy(SortType(s), AssignType(args.assign), args.rounds)
-        for s in _parse_list(args.sorts, str)
-    )
+    # one strategy per distinct label, first one first: a repeated sort, or
+    # any sort under EVENT (which reads no sort key), repeats a schedule
+    strategies: dict[str, Strategy] = {}
+    for s in _parse_list(args.sorts, str):
+        strat = Strategy(SortType(s), AssignType(args.assign), args.rounds)
+        strategies.setdefault(strat.label, strat)
     grid = ExperimentGrid(
         process_counts=_parse_list(args.n_list, int),
         conflict_rates=_parse_list(args.rates, float),
         seeds=_parse_list(args.seeds, int),
         core_counts=_parse_list(args.cores, int),
-        strategies=strategies,
+        strategies=tuple(strategies.values()),
         modes=_parse_list(args.modes, str),
         conflict_model=ConflictModel(args.model.upper()),
         time_dist=_time_dist(args),
@@ -152,9 +156,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="process count")
     p.add_argument("--rate", type=float, required=True, help="conflict rate in [0, 1]")
     p.add_argument("--model", choices=["pairwise", "participation"],
-                   default="participation", help="conflict model (default participation)")
+                   default=DEFAULT_CONFLICT_MODEL.value.lower(),
+                   help="conflict model (default %(default)s)")
     p.add_argument("--seed", type=int, required=True, help="generator seed")
-    p.add_argument("--cores", type=int, default=2, help="core count (default 2)")
+    p.add_argument("--cores", type=int, default=DEFAULT_CORE_COUNT,
+                   help="core count (default %(default)s)")
     p.add_argument("--cost-per-op", type=float, default=0.0)
     p.add_argument("--cost-per-idle", type=float, default=0.0)
     p.add_argument("--attestor", action="store_true", help="mark the workload attestor-mode")
@@ -204,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact optimum for a small workload")
     p.add_argument("--workload", required=True)
-    p.add_argument("--budget", type=int, default=2_000_000, help="search node budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
     p.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -83,6 +83,11 @@ class ConflictModel(str, Enum):
     PARTICIPATION = "PARTICIPATION"
 
 
+# `generate_workload`'s defaults, which the CLI reads too
+DEFAULT_CONFLICT_MODEL = ConflictModel.PARTICIPATION
+DEFAULT_CORE_COUNT = 2
+
+
 @dataclass(frozen=True, slots=True)
 class Process:
     """One schedulable unit: a transaction's function call."""
@@ -214,8 +219,8 @@ class Workload:
     passes; the per-entry loops run only to name the first bad entry.
 
     A workload and its `with_cores`/`with_attestor` copies share one dict of
-    derived data, so `conflict_index` and `exec_times` are built once for
-    all of them.
+    derived data, so `conflict_index`, `exec_times` and `attestor_order`
+    are built once for all of them.
     """
 
     processes: tuple[Process, ...]
@@ -279,6 +284,21 @@ class Workload:
         if times is None:
             times = self._family["exec_times"] = tuple(p.exec_time_ms for p in self.processes)
         return times
+
+    def attestor_order(self) -> tuple[int, ...]:
+        """Conflict participants in id order, then the rest, built on first use.
+
+        The attestor-mode placement order; it depends only on the conflict
+        pairs, so the whole family shares it.
+        """
+        order = self._family.get("attestor_order")
+        if order is None:
+            counts = self.conflict_index.conflict_count
+            ids = range(self.n)
+            order = self._family["attestor_order"] = tuple(
+                [i for i in ids if counts[i]] + [i for i in ids if not counts[i]]
+            )
+        return order
 
     def with_cores(self, cores: CoreProfile) -> Workload:
         return self._derive("cores", cores)
@@ -416,7 +436,7 @@ def generate_workload(
     n: int,
     conflict_rate: float,
     *,
-    model: ConflictModel = ConflictModel.PARTICIPATION,
+    model: ConflictModel = DEFAULT_CONFLICT_MODEL,
     seed: int = 0,
     cores: CoreProfile | None = None,
     attestor: bool = False,
@@ -436,7 +456,7 @@ def generate_workload(
         raise WorkloadValidationError(
             f"conflictRate must be in [0, 1], got {conflict_rate}"
         )
-    cores = cores if cores is not None else CoreProfile(core_count=2)
+    cores = cores if cores is not None else CoreProfile(DEFAULT_CORE_COUNT)
     rng = random.Random(seed)
     times = [time_dist.draw(rng) for _ in range(n)]
     processes = tuple(

@@ -18,6 +18,7 @@ from .model import Assignment, Schedule, Workload
 from .scheduler import AssignType, SortType, Strategy, schedule
 
 __all__ = [
+    "DEFAULT_NODE_BUDGET",
     "MAX_EXACT_PROCESSES",
     "OracleResult",
     "ValidationReport",
@@ -30,6 +31,9 @@ __all__ = [
 # the search recurses once per placed process: stay well below CPython's
 # default recursion limit of 1000, leaving room for the caller's frames
 MAX_EXACT_PROCESSES = 500
+
+# search nodes `exact_optimal` may visit before it gives up undecided
+DEFAULT_NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,9 +194,13 @@ def _static_lower_bound(w: Workload, clique_w: list[int] | None) -> int:
 def _incumbent(w: Workload) -> tuple[int, dict[int, tuple[int, int, int]]]:
     best_ms = None
     best = None
-    # attestor sorting ignores the sort key, so one sort covers them all
+    # attestor sorting ignores the sort key, so one sort covers them all;
+    # EVENT reads no sort key and runs last, so it replaces the greedy's
+    # schedule only when it is shorter
     sorts = [SortType.FIFO] if w.attestor else list(SortType)
-    strategies = [Strategy(sort, assign, 3) for sort in sorts for assign in AssignType]
+    greedy = (AssignType.LOOSE, AssignType.STRICT)
+    strategies = [Strategy(sort, assign, 3) for sort in sorts for assign in greedy]
+    strategies.append(Strategy(assign_type=AssignType.EVENT))
     for strat in strategies:
         sch = schedule(w, strat)
         if best_ms is None or sch.schedule_makespan_ms < best_ms:
@@ -203,18 +211,20 @@ def _incumbent(w: Workload) -> tuple[int, dict[int, tuple[int, int, int]]]:
 
 
 def exact_optimal(
-    w: Workload, *, node_budget: int = 2_000_000, prune: bool = True
+    w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET, prune: bool = True
 ) -> OracleResult:
     """Find a minimum-makespan schedule by exhaustive search.
 
     Branches over which process to place next and on which core; each
     placement starts at the earliest time that respects conflict freedom
     (and original order, in attestor mode). With ``prune`` enabled the
-    search uses a greedy incumbent, admissible lower bounds, core-symmetry
-    breaking, and dominance memoization; disabling it gives pure
-    enumeration (only practical for very small n). If the node budget is
-    exhausted the best schedule found so far is returned with
-    ``optimal=False``. Raises ``ValueError`` for more than
+    search starts from the best of the greedy and EVENT schedules and uses
+    admissible lower bounds, core-symmetry breaking, and dominance
+    memoization; an incumbent that meets the load, pair and neighbourhood
+    bound is optimal, and is returned without a search and without the
+    O(2^n) clique table. Disabling ``prune`` gives pure enumeration (only
+    practical for very small n). If the node budget is exhausted the best
+    schedule found so far is returned with ``optimal=False``. Raises ``ValueError`` for more than
     `MAX_EXACT_PROCESSES` processes and for a node budget below 1.
     """
     t0 = time.perf_counter()
@@ -228,17 +238,19 @@ def exact_optimal(
     idx = w.conflict_index
     attestor = w.attestor
 
-    adj_mask = [0] * n
-    for a, b in w.conflicts:
-        adj_mask[a] |= 1 << b
-        adj_mask[b] |= 1 << a
-    clique_w = _clique_weight_table(times, adj_mask) if (prune and n <= 16) else None
-
-    static_lb = _static_lower_bound(w, clique_w) if prune else 0
+    clique_w = None
     if prune:
         best_ms, best_assign = _incumbent(w)
+        static_lb = _static_lower_bound(w, None)
+        if best_ms > static_lb and n <= 16:
+            adj_mask = [0] * n
+            for a, b in w.conflicts:
+                adj_mask[a] |= 1 << b
+                adj_mask[b] |= 1 << a
+            clique_w = _clique_weight_table(times, adj_mask)
+            static_lb = _static_lower_bound(w, clique_w)
     else:
-        best_ms, best_assign = sum(times) * 2 + 1, None
+        best_ms, best_assign, static_lb = sum(times) * 2 + 1, None, 0
 
     # larger processes first: finds tight schedules early, so bounds bite
     branch_order = sorted(range(n), key=lambda i: (-times[i], i))

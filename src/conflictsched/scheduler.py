@@ -1,4 +1,4 @@
-"""Greedy iterative conflict-aware scheduler: placement only.
+"""The paper's greedy conflict-aware scheduler and an event-driven one: placement only.
 
 The data it reads and returns, and their files, live in `model`.
 Processes are sorted by a pluggable priority key, then placed one at a time
@@ -24,6 +24,11 @@ original block order; both placement methods respect that, and the sort
 phase puts all conflict participants first in original order so the gate
 can always be satisfied.
 
+EVENT strategies skip all of the above and run `_event`, a list scheduler
+(Graham 1969): a clock that jumps from one completion to the next, starting
+the highest-priority ready process on each free core. It ignores the sort
+key and the review rounds.
+
 All tie-breaks are pinned (lowest core id, original process id), so a
 schedule is a pure function of the workload and strategy; only the
 measured wall time varies between runs.
@@ -36,6 +41,8 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from itertools import compress
+from operator import add, not_
 from typing import Iterable, Mapping, Sequence
 
 from .model import Assignment, ConflictIndex, Process, Schedule, Workload
@@ -64,6 +71,7 @@ class SortType(str, Enum):
 class AssignType(str, Enum):
     LOOSE = "LOOSE"
     STRICT = "STRICT"
+    EVENT = "EVENT"  # event-driven list scheduling; no sort, no rounds
 
 
 class AttestorOrderError(RuntimeError):
@@ -84,6 +92,8 @@ class Strategy:
 
     @property
     def label(self) -> str:
+        if self.assign_type is AssignType.EVENT:
+            return "EVENT"
         if self.assign_type is AssignType.STRICT:
             return f"{self.sort_type.value}-STRICT"
         return f"{self.sort_type.value}-LOOSE-{self.loose_review_round}"
@@ -126,11 +136,10 @@ def sort_processes(
     participants come first in original order (their relative order is
     fixed anyway), then the conflict-free remainder in original order.
     """
-    ids = list(range(w.n))
     if is_attestor:
-        participants = [i for i in ids if idx.conflict_count[i] > 0]
-        rest = [i for i in ids if idx.conflict_count[i] == 0]
-        return participants + rest
+        # a fresh list, so no caller can change the workload's cached order
+        return list(w.attestor_order())
+    ids = list(range(w.n))
     if sort_type is SortType.FIFO:
         return ids
     stats, most_first = {
@@ -227,32 +236,121 @@ def assign_loosely(
     return plan.assigned[proc.id]
 
 
-def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
-    """Run the full greedy scheduler on a workload.
+def _event(w: Workload, idx: ConflictIndex) -> tuple[tuple[Assignment, ...], int]:
+    """Event-driven list scheduling: the assignments in id order and the makespan.
 
-    LOOSE strategies run rounds 0..loose_review_round of loose placement
-    over the still-pending processes in sorted order; STRICT strategies run
-    none. The rounds stop early once one places nothing: the plan did not
-    change, so every later round would refuse the same processes. Whatever
-    is still pending is then placed strictly, in order. The conflict index
-    is workload data, read before the wall clock starts.
+    The clock jumps from one completion to the next. After each, while a
+    core is free, the ready process with the highest priority starts on the
+    lowest free core id, ties to the lower process id.
+
+    Proposer mode: every process is ready from the start, its priority its
+    own time plus its partners' time. A popped process with a partner still
+    running parks on that partner's waiter list, and is ready again once
+    that partner finishes; so adjacency is read only when a process is
+    popped, as the greedy reads it.
+
+    Attestor mode: the priority is the bottom level, the longest id-ordered
+    conflict chain that starts at the process, and a process is ready once
+    its last lower-id partner has finished. No partner of a ready process
+    can then be running, so none parks: this is list scheduling for
+    P|prec|Cmax, and meets Graham's bound m * Cmax <= W + (m - 1) * CP.
+    """
+    n = w.n
+    m = w.cores.core_count
+    times = w.exec_times()
+    adjacency = idx.adjacency
+    attestor = w.attestor
+    heappush, heappop = heapq.heappush, heapq.heappop
+    if attestor:
+        # the pairs are sorted, so reversed they visit `a` in descending
+        # order, and priority[b] is final before any (a, b) reads it
+        priority = list(times)
+        splits = [0] * n  # lower-id partners: a prefix of the ascending row
+        for a, b in reversed(w.conflicts):
+            splits[b] += 1
+            chain = times[a] + priority[b]
+            if chain > priority[a]:
+                priority[a] = chain
+        blocking = splits.copy()  # lower-id partners not yet finished
+    else:
+        priority = list(map(add, times, idx.conflict_duration_ms))
+        busy = [False] * n
+        waiters: dict[int, list[int]] = {}
+    # heaps of plain ints compare faster than heaps of tuples: a ready key
+    # orders by descending priority, then id; a running entry by finish,
+    # then core
+    keys = [pid - p * n for pid, p in enumerate(priority)]
+    ready = list(compress(keys, map(not_, blocking))) if attestor else keys.copy()
+    heapq.heapify(ready)
+    free = list(range(m))  # ascending, so already a heap
+    running: list[int] = []
+    on_core = [0] * m
+    slots: list = [None] * n
+    now = 0
+    while True:
+        while ready and free:
+            pid = heappop(ready) % n
+            if not attestor:
+                blocker = next(filter(busy.__getitem__, adjacency[pid]), None)
+                if blocker is not None:
+                    waiters.setdefault(blocker, []).append(pid)
+                    continue
+                busy[pid] = True
+            core = heappop(free)
+            finish = now + times[pid]
+            heappush(running, finish * m + core)
+            on_core[core] = pid
+            slots[pid] = _new_assignment((pid, core, now, finish))
+        if not running:
+            break
+        now = running[0] // m
+        limit = (now + 1) * m  # every entry that finishes at `now`
+        while running and running[0] < limit:
+            core = heappop(running) % m
+            heappush(free, core)
+            pid = on_core[core]
+            if attestor:
+                for later in adjacency[pid][splits[pid]:]:
+                    blocking[later] -= 1
+                    if not blocking[later]:
+                        heappush(ready, keys[later])
+            else:
+                busy[pid] = False
+                for waiter in waiters.pop(pid, ()):
+                    heappush(ready, keys[waiter])
+    return tuple(slots), now
+
+
+def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
+    """Run the full scheduler on a workload.
+
+    EVENT strategies run `_event`. For the greedy, LOOSE strategies run
+    rounds 0..loose_review_round of loose placement over the still-pending
+    processes in sorted order; STRICT strategies run none. The rounds stop
+    early once one places nothing: the plan did not change, so every later
+    round would refuse the same processes. Whatever is still pending is
+    then placed strictly, in order. The conflict index is workload data,
+    read before the wall clock starts.
     """
     idx = w.conflict_index
     t0 = time.perf_counter()
-    pending = sort_processes(w, idx, strategy.sort_type, w.attestor)
-    plan = Plan.empty(w)
-    procs = w.processes
+    if strategy.assign_type is AssignType.EVENT:
+        assignments, makespan = _event(w, idx)
+    else:
+        pending = sort_processes(w, idx, strategy.sort_type, w.attestor)
+        plan = Plan.empty(w)
+        procs = w.processes
 
-    if strategy.assign_type is AssignType.LOOSE:
-        for _ in range(strategy.loose_review_round + 1):
-            refused = _place(plan, idx, procs, pending, w.attestor, True)
-            if len(refused) == len(pending):
-                break
-            pending = refused
-    _place(plan, idx, procs, pending, w.attestor, False)
+        if strategy.assign_type is AssignType.LOOSE:
+            for _ in range(strategy.loose_review_round + 1):
+                refused = _place(plan, idx, procs, pending, w.attestor, True)
+                if len(refused) == len(pending):
+                    break
+                pending = refused
+        _place(plan, idx, procs, pending, w.attestor, False)
 
-    assignments = tuple(map(plan.assigned.__getitem__, range(w.n)))
-    makespan = max(plan.ends)[0]
+        assignments = tuple(map(plan.assigned.__getitem__, range(w.n)))
+        makespan = max(plan.ends)[0]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return Schedule(
         assignments=assignments,

@@ -128,6 +128,20 @@ def test_grid_validation():
         ExperimentGrid(modes=("verifier",))
 
 
+@pytest.mark.parametrize(
+    "strategies",
+    [
+        (Strategy(SortType.MCDF), Strategy(SortType.FIFO), Strategy(SortType.MCDF)),
+        (Strategy(SortType.MCDF, AssignType.EVENT), Strategy(SortType.FIFO, AssignType.EVENT, 0)),
+    ],
+)
+def test_grid_rejects_two_strategies_with_one_label(strategies):
+    # rows are keyed by label, so the two would merge into one row
+    label = strategies[-1].label
+    with pytest.raises(ValueError, match=f"strategy {label} appears more than once"):
+        ExperimentGrid(strategies=strategies)
+
+
 def test_grid_rejects_one_process_with_a_fractional_rate(tmp_path):
     # the chromatic estimate of every row needs n >= 2 for 0 < rate < 1
     with pytest.raises(ValueError, match="needs n >= 2"):

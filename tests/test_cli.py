@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output contracts."""
 
+import inspect
 import json
 
 import pytest
@@ -8,6 +9,8 @@ import conflictsched.bench
 import conflictsched.cli
 from conflictsched.bench import ExperimentGrid
 from conflictsched.cli import cli
+from conflictsched.model import DEFAULT_CONFLICT_MODEL, DEFAULT_CORE_COUNT, generate_workload
+from conflictsched.oracle import DEFAULT_NODE_BUDGET, exact_optimal
 from conflictsched.scheduler import DEFAULT_STRATEGY
 
 
@@ -139,6 +142,39 @@ def test_bench_deterministic_modulo_wall(tmp_path, capsys):
     a = strip_wall((tmp_path / "a" / "results.csv").read_text())
     b = strip_wall((tmp_path / "b" / "results.csv").read_text())
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "flags,label",
+    [(["--sorts", "MCDF,FIFO,MCDF"], None), (["--assign", "EVENT"], "EVENT")],
+)
+def test_bench_runs_each_distinct_label_once(tmp_path, capsys, monkeypatch, flags, label):
+    grids = []
+    real_run_grid = conflictsched.cli.run_grid
+    monkeypatch.setattr(conflictsched.cli, "run_grid",
+                        lambda grid, out_dir: grids.append(grid) or real_run_grid(grid, out_dir))
+    status, out, _ = run(["bench", "--n-list", "20", "--rates", "0.2", "--seeds", "1",
+                          "--cores", "1,2", *flags, "--out-dir", str(tmp_path)], capsys)
+    assert status == 0
+    labels = [s.label for s in grids[0].strategies]
+    assert labels == ([label] if label else ["MCDF-LOOSE-3", "FIFO-LOOSE-3"])
+    # one row per (n, rate, m, mode, strategy), and one matrix per strategy
+    assert out == f"wrote {2 * 2 * len(labels)} rows to {tmp_path}/results.csv and results.md\n"
+    markdown = (tmp_path / "results.md").read_text()
+    assert [line for line in markdown.split("\n") if line.startswith("## ")] == [
+        f"## Strategy {name}" for name in labels
+    ]
+
+
+def test_schedule_assign_event_validates(tmp_path, capsys):
+    wpath, spath = tmp_path / "w.json", tmp_path / "s.json"
+    run(["generate", "--n", "80", "--rate", "0.4", "--seed", "5", "--cores", "4", "--attestor",
+         "--out", str(wpath)], capsys)
+    status, out, _ = run(["schedule", "--workload", str(wpath), "--assign", "EVENT",
+                          "--out", str(spath)], capsys)
+    assert status == 0 and out.startswith("makespan=")
+    status, out, _ = run(["validate", "--workload", str(wpath), "--schedule", str(spath)], capsys)
+    assert status == 0 and "valid" in out
 
 
 def test_bench_rejects_one_process_before_scheduling(tmp_path, capsys, monkeypatch):
@@ -318,3 +354,23 @@ def test_default_flags_build_the_library_defaults(tmp_path, capsys, monkeypatch)
     assert run(["schedule", "--workload", str(wpath)], capsys)[0] == 0
     assert run(["bench", "--out-dir", str(tmp_path / "bench")], capsys)[0] == 0
     assert built == [DEFAULT_STRATEGY, ExperimentGrid()]
+
+
+def test_generate_and_oracle_defaults_are_the_library_defaults(tmp_path, capsys, monkeypatch):
+    wpath = tmp_path / "w.json"
+    seen = []
+    real_generate = conflictsched.cli.generate_workload
+    monkeypatch.setattr(conflictsched.cli, "generate_workload",
+                        lambda *args, **kwargs: seen.append(kwargs) or real_generate(*args, **kwargs))
+    monkeypatch.setattr(conflictsched.cli, "exact_optimal",
+                        lambda w, node_budget: seen.append(node_budget) or exact_optimal(w))
+    assert run(["generate", "--n", "5", "--rate", "0.2", "--seed", "1", "--out", str(wpath)],
+               capsys)[0] == 0
+    assert run(["oracle", "--workload", str(wpath)], capsys)[0] == 0
+    kwargs, budget = seen
+    assert kwargs["model"] is DEFAULT_CONFLICT_MODEL
+    assert kwargs["cores"].core_count == DEFAULT_CORE_COUNT
+    assert budget == DEFAULT_NODE_BUDGET
+    assert inspect.signature(exact_optimal).parameters["node_budget"].default == budget
+    assert inspect.signature(generate_workload).parameters["model"].default is kwargs["model"]
+    assert generate_workload(5, 0.2, seed=1).cores.core_count == DEFAULT_CORE_COUNT

@@ -276,10 +276,11 @@ class TestExactOptimal:
         assert validate_schedule(res.schedule, w).ok
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("attestor,runs", [(False, 10), (True, 2)])
+    @pytest.mark.parametrize("attestor,runs", [(False, 11), (True, 3)])
     def test_incumbent_runs_each_distinct_schedule_once(self, monkeypatch, attestor, runs):
-        # attestor sorting ignores the sort key: one sort per assign type
-        # gives the incumbent that all ten strategies give
+        # attestor sorting ignores the sort key: one sort per greedy assign
+        # type, plus one EVENT run, gives the incumbent that all fifteen
+        # strategies give
         real = conflictsched.oracle.schedule
         labels = []
 
@@ -293,9 +294,10 @@ class TestExactOptimal:
                 8, 0.5, model=ConflictModel.PAIRWISE, seed=seed, cores=CoreProfile(2),
                 attestor=attestor,
             )
-            everyone = [
-                schedule(w, Strategy(sort, assign, 3)) for sort in SortType for assign in AssignType
-            ]
+            strategies = [Strategy(sort, assign, 3) for sort in SortType for assign in AssignType]
+            # EVENT runs after the greedy, so the greedy's schedule wins a tie
+            strategies.sort(key=lambda strat: strat.assign_type is AssignType.EVENT)
+            everyone = [schedule(w, strat) for strat in strategies]
             best = min(everyone, key=lambda sch: sch.schedule_makespan_ms)
             labels.clear()
             best_ms, best_assign = conflictsched.oracle._incumbent(w)
@@ -314,6 +316,61 @@ class TestExactOptimal:
             att = exact_optimal(w.with_attestor(True))
             assert prop.optimal and att.optimal
             assert att.makespan_ms >= prop.makespan_ms
+
+    def test_event_never_beats_a_decided_optimum(self):
+        rng = random.Random(97)
+        for i in range(80):
+            w = generate_workload(
+                rng.randint(2, 10), rng.random(), seed=1200 + i,
+                model=rng.choice(list(ConflictModel)),
+                cores=CoreProfile(rng.choice([2, 3])), attestor=bool(i % 2),
+            )
+            res = exact_optimal(w)
+            assert res.optimal
+            event = schedule(w, Strategy(assign_type=AssignType.EVENT))
+            assert event.schedule_makespan_ms >= res.makespan_ms
+
+    def test_an_incumbent_at_the_cheap_bound_needs_no_clique_table(self, monkeypatch):
+        # the load/pair/neighbourhood bound is cheap; the clique table is
+        # O(2^n) and is built only when the incumbent misses that bound
+        real = conflictsched.oracle._clique_weight_table
+        tables = []
+
+        def counted(times, adj_mask):
+            tables.append(times)
+            return real(times, adj_mask)
+
+        monkeypatch.setattr(conflictsched.oracle, "_clique_weight_table", counted)
+        met = missed = 0
+        for seed in range(40):
+            w = generate_workload(10, 0.45, seed=seed, cores=CoreProfile(2), attestor=bool(seed % 2))
+            cheap = conflictsched.oracle._static_lower_bound(w, None)
+            at_bound = conflictsched.oracle._incumbent(w)[0] <= cheap
+            tables.clear()
+            res = exact_optimal(w)
+            assert res.optimal
+            if at_bound:
+                met += 1
+                assert tables == [] and res.nodes == 0
+                assert res.makespan_ms == cheap
+            else:
+                missed += 1
+                assert len(tables) == 1
+        assert met and missed
+
+    def test_optima_equal_pure_enumeration_up_to_six_processes(self):
+        rng = random.Random(17)
+        for i in range(24):
+            n = 1 + i % 6
+            w = generate_workload(
+                n, rng.random(), seed=1300 + i, model=rng.choice(list(ConflictModel)),
+                cores=CoreProfile(2 if n == 6 else rng.choice([2, 3])), attestor=bool(i % 2),
+            )
+            pruned = exact_optimal(w)
+            pure = exact_optimal(w, prune=False)
+            assert pruned.optimal and pure.optimal
+            assert pruned.makespan_ms == pure.makespan_ms
+            assert validate_schedule(pruned.schedule, w).ok
 
 
 class TestStaticLowerBound:
