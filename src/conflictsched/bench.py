@@ -15,7 +15,7 @@ wall-time columns, which are isolated under ``wall_``-prefixed names.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -42,12 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_STRATEGIES = tuple(Strategy(sort) for sort in SortType)
-
-CSV_COLUMNS = (
-    "group,n,conflict_rate,m,mode,strategy,"
-    "speedup_mean,speedup_min,speedup_max,makespan_ms_mean,"
-    "wall_ms_mean,wall_ms_median,horizon_ms_mean,ub_closed_ms,ub_chromatic_ms"
-)
 
 
 @dataclass(frozen=True)
@@ -119,6 +113,10 @@ class ResultRow:
     horizon_ms_mean: float
     ub_closed_ms: float
     ub_chromatic_ms: float
+
+
+# the CSV header: one column per ResultRow field, in field order
+CSV_COLUMNS = ",".join(f.name for f in fields(ResultRow))
 
 
 class BenchValidationError(RuntimeError):

@@ -239,9 +239,17 @@ class Workload:
                     )
             raise AssertionError("process id check rejected valid ids")
         pairs = tuple(self.conflicts)
-        if not _all_instances(pairs, tuple):
+        # `_all_instances` by hand, keeping the type set: generated and
+        # loaded pairs are all ConflictPairs, which have two fields; other
+        # pairs are checked for two ids and rebuilt as ConflictPairs
+        pair_types = set(map(type, pairs))
+        plain = pair_types != {ConflictPair}
+        if not all(issubclass(t, tuple) for t in pair_types):
             bad = next(pair for pair in pairs if not isinstance(pair, tuple))
             raise WorkloadValidationError(f"conflict pair {bad!r} is not a tuple")
+        if plain and set(map(len, pairs)) - {2}:
+            bad = next(pair for pair in pairs if len(pair) != 2)
+            raise WorkloadValidationError(f"conflict pair {bad!r} does not have two ids")
         # a loaded file lists its pairs in strictly ascending order, which
         # one pass proves; other pairs are sorted, so the smallest `a` comes
         # first, and deduplicated (hashed) in that order
@@ -263,6 +271,9 @@ class Workload:
             raise AssertionError("conflict pair check rejected valid pairs")
         if not ascending:
             pairs = dict.fromkeys(pairs)
+        if plain:
+            # built in C, as the loader builds its pairs
+            pairs = map(tuple.__new__, repeat(ConflictPair), pairs)
         object.__setattr__(self, "conflicts", tuple(pairs))
         object.__setattr__(self, "_family", {})
 

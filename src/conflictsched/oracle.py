@@ -1,10 +1,12 @@
-"""Correctness backstop: full schedule validation and an exact small-instance solver.
+"""Correctness backstop: full schedule validation and an exact solver.
 
 The validator checks arbitrary candidate schedules against every constraint
 and reports all violations, not just the first. The exact solver is a
-branch-and-bound search over (placement order, core choice) used to measure
-the greedy scheduler's optimality gap on small instances; it is not meant
-for production-sized workloads and refuses more than `MAX_EXACT_PROCESSES`.
+depth-first branch-and-bound search over (placement order, core choice)
+used to measure the greedy scheduler's optimality gap. It runs as one loop
+over an explicit stack, so it takes any block size; its time is bounded by
+its node budget. An incumbent that meets the static bound is certified at
+the root, whatever the size of the block.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .scheduler import AssignType, SortType, Strategy, schedule
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
-    "MAX_EXACT_PROCESSES",
     "OracleResult",
     "ValidationReport",
     "Violation",
@@ -27,10 +28,6 @@ __all__ = [
     "validate_schedule",
 ]
 
-
-# the search recurses once per placed process: stay well below CPython's
-# default recursion limit of 1000, leaving room for the caller's frames
-MAX_EXACT_PROCESSES = 500
 
 # search nodes `exact_optimal` may visit before it gives up undecided
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -159,10 +156,6 @@ class OracleResult:
     nodes: int
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def _clique_weight_table(times: tuple[int, ...], adj_mask: list[int]) -> list[int]:
     # exact max-weight clique per vertex subset; any clique must serialize,
     # so its summed time lower-bounds the makespan
@@ -176,15 +169,12 @@ def _clique_weight_table(times: tuple[int, ...], adj_mask: list[int]) -> list[in
     return table
 
 
-def _static_lower_bound(w: Workload, clique_w: list[int] | None) -> int:
+def _static_lower_bound(w: Workload) -> int:
     times = w.exec_times()
     m = w.cores.core_count
     lb = math.ceil(sum(times) / m)
-    if clique_w is not None:
-        lb = max(lb, clique_w[-1])
-    else:
-        for a, b in w.conflicts:
-            lb = max(lb, times[a] + times[b])
+    for a, b in w.conflicts:
+        lb = max(lb, times[a] + times[b])
     for t, hood in zip(times, w.conflict_index.conflict_duration_ms):
         if hood:
             lb = max(lb, t + math.ceil(hood / m))
@@ -217,40 +207,37 @@ def exact_optimal(
 
     Branches over which process to place next and on which core; each
     placement starts at the earliest time that respects conflict freedom
-    (and original order, in attestor mode). With ``prune`` enabled the
-    search starts from the best of the greedy and EVENT schedules and uses
+    (and original order, in attestor mode). The search starts from the best
+    of the greedy and EVENT schedules and replaces it only with a shorter
+    one. With ``prune`` enabled it uses
     admissible lower bounds, core-symmetry breaking, and dominance
     memoization; an incumbent that meets the load, pair and neighbourhood
     bound is optimal, and is returned without a search and without the
     O(2^n) clique table. Disabling ``prune`` gives pure enumeration (only
     practical for very small n). If the node budget is exhausted the best
-    schedule found so far is returned with ``optimal=False``. Raises ``ValueError`` for more than
-    `MAX_EXACT_PROCESSES` processes and for a node budget below 1.
+    schedule found so far is returned with ``optimal=False``. Raises
+    ``ValueError`` for a node budget below 1.
     """
     t0 = time.perf_counter()
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     n = w.n
-    if n > MAX_EXACT_PROCESSES:
-        raise ValueError(f"exact search handles at most {MAX_EXACT_PROCESSES} processes, got {n}")
     m = w.cores.core_count
     times = w.exec_times()
-    idx = w.conflict_index
+    adjacency = w.conflict_index.adjacency
     attestor = w.attestor
 
+    best_ms, best_assign = _incumbent(w)
+    static_lb = _static_lower_bound(w)
     clique_w = None
-    if prune:
-        best_ms, best_assign = _incumbent(w)
-        static_lb = _static_lower_bound(w, None)
-        if best_ms > static_lb and n <= 16:
-            adj_mask = [0] * n
-            for a, b in w.conflicts:
-                adj_mask[a] |= 1 << b
-                adj_mask[b] |= 1 << a
-            clique_w = _clique_weight_table(times, adj_mask)
-            static_lb = _static_lower_bound(w, clique_w)
-    else:
-        best_ms, best_assign, static_lb = sum(times) * 2 + 1, None, 0
+    if prune and best_ms > static_lb and n <= 16:
+        adj_mask = [0] * n
+        for a, b in w.conflicts:
+            adj_mask[a] |= 1 << b
+            adj_mask[b] |= 1 << a
+        clique_w = _clique_weight_table(times, adj_mask)
+        # the whole set's clique weighs at least every pair in it
+        static_lb = max(static_lb, clique_w[-1])
 
     # larger processes first: finds tight schedules early, so bounds bite
     branch_order = sorted(range(n), key=lambda i: (-times[i], i))
@@ -259,31 +246,18 @@ def exact_optimal(
     core_of: dict[int, tuple[int, int, int]] = {}
     visited: set = set()
     nodes = 0
-    exhausted = False
 
-    def recurse(depth: int, remaining_mask: int, remaining_work: int) -> None:
-        nonlocal best_ms, best_assign, nodes
-        if prune and best_ms <= static_lb:
-            return
-        if depth == n:
-            if max(ends) < best_ms:
-                best_ms = max(ends)
-                best_assign = dict(core_of)
-            return
-        if prune:
-            key = (tuple(sorted(ends)), tuple(sorted(finish_of.items())))
-            if key in visited:
-                return
-            visited.add(key)
+    def children(remaining_mask: int, remaining_work: int):
+        # places each child's process, yields what the child has left to
+        # place, and undoes the placement when resumed
+        nonlocal nodes
         for pid in branch_order:
             if not remaining_mask & (1 << pid):
                 continue
-            if attestor and any(
-                q < pid and q not in finish_of for q in idx.adjacency[pid]
-            ):
+            if attestor and any(q < pid and q not in finish_of for q in adjacency[pid]):
                 continue
             conflict_floor = 0
-            for q in idx.adjacency[pid]:
+            for q in adjacency[pid]:
                 f = finish_of.get(q)
                 if f is not None and f > conflict_floor:
                     conflict_floor = f
@@ -295,7 +269,7 @@ def exact_optimal(
                     seen_empty = True
                 nodes += 1
                 if nodes > node_budget:
-                    raise _BudgetExceeded
+                    return
                 start = max(ends[k], conflict_floor)
                 finish = start + times[pid]
                 next_mask = remaining_mask & ~(1 << pid)
@@ -318,20 +292,34 @@ def exact_optimal(
                 ends[k] = finish
                 finish_of[pid] = finish
                 core_of[pid] = (k, start, finish)
-                recurse(depth + 1, next_mask, next_work)
+                yield next_mask, next_work
                 ends[k] = prev_end
                 del finish_of[pid]
                 del core_of[pid]
 
-    try:
-        recurse(0, (1 << n) - 1, sum(times))
-    except _BudgetExceeded:
-        exhausted = True
+    # depth first over a stack of child generators; the root is the only
+    # child of a node that places nothing
+    stack = [iter([((1 << n) - 1, sum(times))])]
+    while stack and nodes <= node_budget:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            continue
+        if prune and best_ms <= static_lb:
+            continue
+        remaining_mask, remaining_work = child
+        if not remaining_mask:
+            if max(ends) < best_ms:
+                best_ms = max(ends)
+                best_assign = dict(core_of)
+            continue
+        if prune:
+            key = (tuple(sorted(ends)), tuple(sorted(finish_of.items())))
+            if key in visited:
+                continue
+            visited.add(key)
+        stack.append(children(remaining_mask, remaining_work))
 
-    if best_assign is None:
-        # pure enumeration ran out of budget before any leaf
-        best_ms, best_assign = _incumbent(w)
-        exhausted = True
     assignments = tuple(
         Assignment(pid, best_assign[pid][0], best_assign[pid][1], best_assign[pid][2])
         for pid in range(n)
@@ -346,6 +334,6 @@ def exact_optimal(
     return OracleResult(
         makespan_ms=best_ms,
         schedule=witness,
-        optimal=not exhausted,
+        optimal=nodes <= node_budget,
         nodes=nodes,
     )

@@ -199,13 +199,19 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert payload["optimalMakespanMs"] >= 1
 
 
-def test_oracle_refuses_large_workload(tmp_path, capsys):
+def test_oracle_certifies_a_large_conflict_free_workload_at_the_root(tmp_path, capsys):
     wpath = tmp_path / "w.json"
-    # conflict-free, so the search dives one frame per process without pruning
+    spath = tmp_path / "s.json"
+    # conflict-free, so the incumbent meets the load bound before any search
     run(["generate", "--n", "1500", "--rate", "0", "--seed", "1", "--out", str(wpath)], capsys)
-    status, _, err = run(["oracle", "--workload", str(wpath), "--budget", "5000"], capsys)
-    assert status == 2
-    assert "at most" in err
+    status, out, _ = run(["oracle", "--workload", str(wpath), "--budget", "5000"], capsys)
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["optimal"] is True
+    assert payload["nodes"] == 0
+    spath.write_text(json.dumps(payload["schedule"]), encoding="utf-8")
+    status, _, _ = run(["validate", "--workload", str(wpath), "--schedule", str(spath)], capsys)
+    assert status == 0
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

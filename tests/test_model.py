@@ -529,6 +529,29 @@ class TestWorkloadInvariants:
             )
 
     @pytest.mark.parametrize(
+        "pairs", [((0, 1), (1, 2)), ((1, 2), (0, 1))], ids=["ascending", "unsorted"]
+    )
+    def test_plain_tuple_pairs_become_conflict_pairs(self, pairs):
+        # `conflicts` is typed tuple[ConflictPair, ...], and callers read .a/.b
+        w = Workload(
+            processes=(Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)),
+            conflicts=pairs,
+            cores=CoreProfile(2),
+        )
+        assert {type(pair) for pair in w.conflicts} == {ConflictPair}
+        assert [(pair.a, pair.b) for pair in w.conflicts] == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("pair", [(0,), (0, 1, 2)], ids=["one-id", "three-ids"])
+    def test_a_pair_without_two_ids_is_named(self, pair):
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            Workload(
+                processes=(Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)),
+                conflicts=((0, 2), pair),
+                cores=CoreProfile(2),
+            )
+        assert str(exc_info.value) == f"conflict pair {pair!r} does not have two ids"
+
+    @pytest.mark.parametrize(
         "pairs,message",
         [
             ([(0, 1), (2, 2)], "conflict pair (2, 2) is not canonical (need a < b)"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -18,13 +19,19 @@ from conflictsched.model import (
     build_conflict_index,
     generate_workload,
 )
-from conflictsched.oracle import MAX_EXACT_PROCESSES, exact_optimal, validate_schedule
+from conflictsched.oracle import exact_optimal, validate_schedule
 from conflictsched.scheduler import (
     AssignType,
     SortType,
     Strategy,
     schedule,
 )
+
+
+# the 10 greedy strategies, and EVENT once: it reads no sort key
+DISTINCT_STRATEGIES = [
+    Strategy(sort, assign, 3) for sort in SortType for assign in (AssignType.LOOSE, AssignType.STRICT)
+] + [Strategy(assign_type=AssignType.EVENT)]
 
 
 def make_workload(times, pairs, m=2, attestor=False):
@@ -245,13 +252,26 @@ class TestExactOptimal:
     def test_budget_exhaustion_returns_best_found_flagged(self):
         w = generate_workload(10, 0.4, model=ConflictModel.PAIRWISE, seed=1, cores=CoreProfile(3))
         res = exact_optimal(w, node_budget=20)
-        assert not res.optimal
+        assert not res.optimal and res.nodes == 21
         assert validate_schedule(res.schedule, w).ok
 
-    def test_refuses_more_processes_than_its_limit(self):
-        w = generate_workload(MAX_EXACT_PROCESSES + 1, 0.45, seed=1, cores=CoreProfile(3))
-        with pytest.raises(ValueError, match=str(MAX_EXACT_PROCESSES)):
-            exact_optimal(w, node_budget=5000)
+    def test_searches_a_block_of_501_processes(self):
+        # pairwise conflicts: the incumbent misses the static bound, so
+        # the search runs until the budget stops it
+        w = generate_workload(501, 0.45, model=ConflictModel.PAIRWISE, seed=1, cores=CoreProfile(3))
+        res = exact_optimal(w, node_budget=5000)
+        assert not res.optimal and res.nodes == 5001
+        assert validate_schedule(res.schedule, w).ok
+        assert res.makespan_ms == res.schedule.schedule_makespan_ms
+
+    def test_a_dive_deeper_than_the_recursion_limit(self):
+        # pure enumeration places one process per level on its first dive,
+        # so the first n nodes form one path of depth n
+        n = sys.getrecursionlimit() + 1
+        w = generate_workload(n, 0.0, seed=1, cores=CoreProfile(2))
+        res = exact_optimal(w, prune=False, node_budget=n)
+        assert not res.optimal and res.nodes == n + 1
+        assert validate_schedule(res.schedule, w).ok
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_rejects_a_budget_below_one(self, budget):
@@ -263,7 +283,7 @@ class TestExactOptimal:
     @pytest.mark.parametrize("prune,budget", [(True, 2_000_000), (False, 2)])
     def test_builds_one_conflict_index_per_call(self, monkeypatch, prune, budget):
         # the greedy incumbents reuse the workload's index, also when pure
-        # enumeration runs out of budget and falls back to them
+        # enumeration runs out of budget and returns one of them
         calls = []
 
         def counted(w):
@@ -344,7 +364,7 @@ class TestExactOptimal:
         met = missed = 0
         for seed in range(40):
             w = generate_workload(10, 0.45, seed=seed, cores=CoreProfile(2), attestor=bool(seed % 2))
-            cheap = conflictsched.oracle._static_lower_bound(w, None)
+            cheap = conflictsched.oracle._static_lower_bound(w)
             at_bound = conflictsched.oracle._incumbent(w)[0] <= cheap
             tables.clear()
             res = exact_optimal(w)
@@ -374,7 +394,8 @@ class TestExactOptimal:
 
 
 class TestStaticLowerBound:
-    """The pair-bound form (no clique table), used for 17 <= n <= 500."""
+    """The load, pair and neighbourhood bound: the whole bound for n > 16,
+    and the test that skips the clique table when the incumbent meets it."""
 
     @pytest.mark.parametrize("attestor", [False, True])
     def test_at_most_the_optimum_on_small_instances(self, attestor):
@@ -387,7 +408,7 @@ class TestStaticLowerBound:
             )
             res = exact_optimal(w)
             assert res.optimal
-            assert conflictsched.oracle._static_lower_bound(w, None) <= res.makespan_ms
+            assert conflictsched.oracle._static_lower_bound(w) <= res.makespan_ms
 
     @pytest.mark.parametrize("attestor", [False, True])
     def test_at_most_every_greedy_makespan_above_the_clique_table(self, attestor):
@@ -398,7 +419,6 @@ class TestStaticLowerBound:
                 model=rng.choice(list(ConflictModel)),
                 cores=CoreProfile(rng.choice([2, 3, 4, 8])), attestor=attestor,
             )
-            lb = conflictsched.oracle._static_lower_bound(w, None)
-            for sort in SortType:
-                for assign in AssignType:
-                    assert lb <= schedule(w, Strategy(sort, assign, 3)).schedule_makespan_ms
+            lb = conflictsched.oracle._static_lower_bound(w)
+            for strat in DISTINCT_STRATEGIES:
+                assert lb <= schedule(w, strat).schedule_makespan_ms

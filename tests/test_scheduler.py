@@ -174,7 +174,8 @@ class TestCorePick:
         rate=st.floats(0, 0.6),
         m=st.integers(1, 8),
         seed=st.integers(0, 2_000),
-        assign=st.sampled_from(list(AssignType)),
+        # the replay rebuilds the greedy only
+        assign=st.sampled_from([AssignType.LOOSE, AssignType.STRICT]),
         rounds=st.integers(0, 3),
         attestor=st.booleans(),
         model=st.sampled_from(list(ConflictModel)),
