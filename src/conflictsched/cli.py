@@ -208,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dist_flags(p)
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("oracle", help="exact optimum for a small workload")
+    p = sub.add_parser("oracle", help="exact optimum, searched within a node budget")
     p.add_argument("--workload", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget")
     p.set_defaults(func=_cmd_oracle)

@@ -5,8 +5,10 @@ and reports all violations, not just the first. The exact solver is a
 depth-first branch-and-bound search over (placement order, core choice)
 used to measure the greedy scheduler's optimality gap. It runs as one loop
 over an explicit stack, so it takes any block size; its time is bounded by
-its node budget. An incumbent that meets the static bound is certified at
-the root, whatever the size of the block.
+its node budget. It computes its cheap static bound before any incumbent,
+and tries EVENT first: the first incumbent that meets the bound is
+certified at the root, whatever the size of the block, and no later
+strategy runs.
 """
 
 from __future__ import annotations
@@ -178,26 +180,32 @@ def _static_lower_bound(w: Workload) -> int:
     for t, hood in zip(times, w.conflict_index.conflict_duration_ms):
         if hood:
             lb = max(lb, t + math.ceil(hood / m))
+    if w.attestor:
+        # an id-ordered conflict chain runs in order; the pairs are sorted,
+        # so reversed they visit `a` in descending order, and chain[b] is
+        # final before any (a, b) reads it
+        chain = list(times)
+        for a, b in reversed(w.conflicts):
+            chain[a] = max(chain[a], times[a] + chain[b])
+        lb = max(lb, max(chain, default=0))
     return lb
 
 
-def _incumbent(w: Workload) -> tuple[int, dict[int, tuple[int, int, int]]]:
-    best_ms = None
-    best = None
-    # attestor sorting ignores the sort key, so one sort covers them all;
-    # EVENT reads no sort key and runs last, so it replaces the greedy's
-    # schedule only when it is shorter
+def _incumbent(w: Workload, bound: int) -> Schedule:
+    # EVENT first: it meets the bound most often, and a schedule at a lower
+    # bound is optimal, so the sweep stops there; otherwise the earliest of
+    # the shortest wins. Attestor sorting ignores the sort key, so one sort
+    # covers them all.
+    best = schedule(w, Strategy(assign_type=AssignType.EVENT))
     sorts = [SortType.FIFO] if w.attestor else list(SortType)
-    greedy = (AssignType.LOOSE, AssignType.STRICT)
-    strategies = [Strategy(sort, assign, 3) for sort in sorts for assign in greedy]
-    strategies.append(Strategy(assign_type=AssignType.EVENT))
-    for strat in strategies:
-        sch = schedule(w, strat)
-        if best_ms is None or sch.schedule_makespan_ms < best_ms:
-            best_ms = sch.schedule_makespan_ms
-            best = {a.process_id: (a.core_id, a.start_ms, a.finish_ms) for a in sch.assignments}
-    assert best_ms is not None and best is not None
-    return best_ms, best
+    for sort in sorts:
+        for assign in (AssignType.LOOSE, AssignType.STRICT):
+            if best.schedule_makespan_ms <= bound:
+                return best
+            sch = schedule(w, Strategy(sort, assign, 3))
+            if sch.schedule_makespan_ms < best.schedule_makespan_ms:
+                best = sch
+    return best
 
 
 def exact_optimal(
@@ -207,11 +215,13 @@ def exact_optimal(
 
     Branches over which process to place next and on which core; each
     placement starts at the earliest time that respects conflict freedom
-    (and original order, in attestor mode). The search starts from the best
-    of the greedy and EVENT schedules and replaces it only with a shorter
-    one. With ``prune`` enabled it uses
-    admissible lower bounds, core-symmetry breaking, and dominance
-    memoization; an incumbent that meets the load, pair and neighbourhood
+    (and original order, in attestor mode). The load, pair, neighbourhood
+    and (in attestor mode) chain bound comes first. The incumbent is EVENT,
+    then each greedy strategy in turn: the first schedule that meets the
+    bound ends that sweep, else the earliest of the shortest is kept, so
+    EVENT wins a tie. The search replaces the incumbent only with a shorter
+    schedule. With ``prune`` enabled it uses admissible lower bounds,
+    core-symmetry breaking, and dominance memoization; an incumbent at the
     bound is optimal, and is returned without a search and without the
     O(2^n) clique table. Disabling ``prune`` gives pure enumeration (only
     practical for very small n). If the node budget is exhausted the best
@@ -227,8 +237,10 @@ def exact_optimal(
     adjacency = w.conflict_index.adjacency
     attestor = w.attestor
 
-    best_ms, best_assign = _incumbent(w)
     static_lb = _static_lower_bound(w)
+    incumbent = _incumbent(w, static_lb)
+    best_ms = incumbent.schedule_makespan_ms
+    best_assign = incumbent.assignments
     clique_w = None
     if prune and best_ms > static_lb and n <= 16:
         adj_mask = [0] * n
@@ -311,7 +323,7 @@ def exact_optimal(
         if not remaining_mask:
             if max(ends) < best_ms:
                 best_ms = max(ends)
-                best_assign = dict(core_of)
+                best_assign = tuple(Assignment(pid, *core_of[pid]) for pid in range(n))
             continue
         if prune:
             key = (tuple(sorted(ends)), tuple(sorted(finish_of.items())))
@@ -320,13 +332,9 @@ def exact_optimal(
             visited.add(key)
         stack.append(children(remaining_mask, remaining_work))
 
-    assignments = tuple(
-        Assignment(pid, best_assign[pid][0], best_assign[pid][1], best_assign[pid][2])
-        for pid in range(n)
-    )
     wall_ms = (time.perf_counter() - t0) * 1000.0
     witness = Schedule(
-        assignments=assignments,
+        assignments=best_assign,
         horizon_ms=sum(times),
         schedule_makespan_ms=best_ms,
         wall_time_ms=wall_ms,

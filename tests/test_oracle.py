@@ -28,10 +28,11 @@ from conflictsched.scheduler import (
 )
 
 
-# the 10 greedy strategies, and EVENT once: it reads no sort key
-DISTINCT_STRATEGIES = [
+# EVENT once (it reads no sort key), then the 10 greedy strategies, in the
+# order of the oracle's incumbent sweep
+DISTINCT_STRATEGIES = [Strategy(assign_type=AssignType.EVENT)] + [
     Strategy(sort, assign, 3) for sort in SortType for assign in (AssignType.LOOSE, AssignType.STRICT)
-] + [Strategy(assign_type=AssignType.EVENT)]
+]
 
 
 def make_workload(times, pairs, m=2, attestor=False):
@@ -298,9 +299,10 @@ class TestExactOptimal:
 
     @pytest.mark.parametrize("attestor,runs", [(False, 11), (True, 3)])
     def test_incumbent_runs_each_distinct_schedule_once(self, monkeypatch, attestor, runs):
-        # attestor sorting ignores the sort key: one sort per greedy assign
-        # type, plus one EVENT run, gives the incumbent that all fifteen
-        # strategies give
+        # with a bound no schedule meets, the sweep runs EVENT and then one
+        # sort per greedy assign type in attestor mode (attestor sorting
+        # ignores the sort key), and keeps the earliest of the shortest of
+        # all the distinct strategies
         real = conflictsched.oracle.schedule
         labels = []
 
@@ -314,16 +316,49 @@ class TestExactOptimal:
                 8, 0.5, model=ConflictModel.PAIRWISE, seed=seed, cores=CoreProfile(2),
                 attestor=attestor,
             )
-            strategies = [Strategy(sort, assign, 3) for sort in SortType for assign in AssignType]
-            # EVENT runs after the greedy, so the greedy's schedule wins a tie
-            strategies.sort(key=lambda strat: strat.assign_type is AssignType.EVENT)
-            everyone = [schedule(w, strat) for strat in strategies]
+            everyone = [real(w, strat) for strat in DISTINCT_STRATEGIES]
             best = min(everyone, key=lambda sch: sch.schedule_makespan_ms)
             labels.clear()
-            best_ms, best_assign = conflictsched.oracle._incumbent(w)
+            incumbent = conflictsched.oracle._incumbent(w, 0)
             assert len(labels) == len(set(labels)) == runs
-            assert best_ms == best.schedule_makespan_ms
-            assert best_assign == {a.process_id: a[1:] for a in best.assignments}
+            assert labels[0] == "EVENT"
+            assert incumbent.schedule_makespan_ms == best.schedule_makespan_ms
+            assert incumbent.assignments == best.assignments
+
+    @pytest.mark.parametrize("prune,budget", [(True, 20_000), (False, 2_000)])
+    def test_stopping_at_the_bound_changes_no_result(self, monkeypatch, prune, budget):
+        # the reference sweeps every distinct strategy with no stop; an
+        # incumbent at a lower bound is already the shortest, so stopping
+        # there moves neither the optimum, the verdict nor the node count
+        def full_sweep(w, bound):
+            everyone = [schedule(w, strat) for strat in DISTINCT_STRATEGIES]
+            return min(everyone, key=lambda sch: sch.schedule_makespan_ms)
+
+        # oracle-small's shapes, then random ones
+        bases = [
+            generate_workload(n, rate, seed=seed, cores=CoreProfile(2))
+            for n in (8, 10) for rate in (0.25, 0.45) for seed in range(5)
+        ]
+        rng = random.Random(61)
+        bases += [
+            generate_workload(
+                rng.randint(1, 11), rng.random(), seed=1400 + i,
+                model=rng.choice(list(ConflictModel)), cores=CoreProfile(rng.randint(1, 3)),
+            )
+            for i in range(200)
+        ]
+        for base in bases:
+            for attestor in (False, True):
+                w = base.with_attestor(attestor)
+                res = exact_optimal(w, prune=prune, node_budget=budget)
+                with monkeypatch.context() as patch:
+                    patch.setattr(conflictsched.oracle, "_incumbent", full_sweep)
+                    ref = exact_optimal(w, prune=prune, node_budget=budget)
+                assert (res.makespan_ms, res.optimal, res.nodes) == (
+                    ref.makespan_ms, ref.optimal, ref.nodes
+                )
+                assert validate_schedule(res.schedule, w).ok
+                assert validate_schedule(ref.schedule, w).ok
 
     def test_attestor_optimum_at_least_proposer_optimum(self):
         rng = random.Random(77)
@@ -351,32 +386,47 @@ class TestExactOptimal:
             assert event.schedule_makespan_ms >= res.makespan_ms
 
     def test_an_incumbent_at_the_cheap_bound_needs_no_clique_table(self, monkeypatch):
-        # the load/pair/neighbourhood bound is cheap; the clique table is
-        # O(2^n) and is built only when the incumbent misses that bound
-        real = conflictsched.oracle._clique_weight_table
+        # the load/pair/neighbourhood/chain bound is cheap and comes first;
+        # the clique table is O(2^n) and is built only when the incumbent
+        # misses that bound. When EVENT meets it, EVENT is the only
+        # schedule the oracle runs.
+        real_table = conflictsched.oracle._clique_weight_table
+        real_schedule = conflictsched.oracle.schedule
         tables = []
+        labels = []
 
-        def counted(times, adj_mask):
+        def counted_table(times, adj_mask):
             tables.append(times)
-            return real(times, adj_mask)
+            return real_table(times, adj_mask)
 
-        monkeypatch.setattr(conflictsched.oracle, "_clique_weight_table", counted)
-        met = missed = 0
+        def counted_schedule(w, strategy):
+            labels.append(strategy.label)
+            return real_schedule(w, strategy)
+
+        monkeypatch.setattr(conflictsched.oracle, "_clique_weight_table", counted_table)
+        monkeypatch.setattr(conflictsched.oracle, "schedule", counted_schedule)
+        event = Strategy(assign_type=AssignType.EVENT)
+        by_event = by_greedy = missed = 0
         for seed in range(40):
             w = generate_workload(10, 0.45, seed=seed, cores=CoreProfile(2), attestor=bool(seed % 2))
             cheap = conflictsched.oracle._static_lower_bound(w)
-            at_bound = conflictsched.oracle._incumbent(w)[0] <= cheap
+            event_ms = real_schedule(w, event).schedule_makespan_ms
+            at_bound = conflictsched.oracle._incumbent(w, cheap).schedule_makespan_ms <= cheap
             tables.clear()
+            labels.clear()
             res = exact_optimal(w)
             assert res.optimal
+            if event_ms <= cheap:
+                by_event += 1
+                assert labels == ["EVENT"]
             if at_bound:
-                met += 1
+                by_greedy += event_ms > cheap
                 assert tables == [] and res.nodes == 0
                 assert res.makespan_ms == cheap
             else:
                 missed += 1
                 assert len(tables) == 1
-        assert met and missed
+        assert by_event and by_greedy and missed
 
     def test_optima_equal_pure_enumeration_up_to_six_processes(self):
         rng = random.Random(17)
@@ -409,6 +459,17 @@ class TestStaticLowerBound:
             res = exact_optimal(w)
             assert res.optimal
             assert conflictsched.oracle._static_lower_bound(w) <= res.makespan_ms
+
+    def test_attestor_chain_term_binds_on_a_chain(self):
+        # 0 - 1 - 2 in id order: attestor mode runs the chain end to end,
+        # 6 ms, above the load (2), pair (4) and neighbourhood (2 + 2)
+        # terms; proposer mode runs 0 and 2 together, then 1
+        w = make_workload([2, 2, 2], [(0, 1), (1, 2)], m=3, attestor=True)
+        assert conflictsched.oracle._static_lower_bound(w) == 6
+        assert conflictsched.oracle._static_lower_bound(w.with_attestor(False)) == 4
+        res = exact_optimal(w)
+        assert res.optimal and res.makespan_ms == 6 and res.nodes == 0
+        assert exact_optimal(w.with_attestor(False)).makespan_ms == 4
 
     @pytest.mark.parametrize("attestor", [False, True])
     def test_at_most_every_greedy_makespan_above_the_clique_table(self, attestor):
