@@ -219,8 +219,8 @@ class Workload:
     passes; the per-entry loops run only to name the first bad entry.
 
     A workload and its `with_cores`/`with_attestor` copies share one dict of
-    derived data, so `conflict_index`, `exec_times` and `attestor_order`
-    are built once for all of them.
+    derived data, so `conflict_index`, `exec_times`, `attestor_order` and
+    `attestor_chain` are built once for all of them.
     """
 
     processes: tuple[Process, ...]
@@ -310,6 +310,28 @@ class Workload:
                 [i for i in ids if counts[i]] + [i for i in ids if not counts[i]]
             )
         return order
+
+    def attestor_chain(self) -> tuple[int, ...]:
+        """Each process's bottom level, built on first use.
+
+        The total time of the longest id-ordered conflict chain that starts
+        at the process, the process included: in attestor mode that chain
+        runs in order, so this is EVENT's attestor priority and the oracle's
+        chain bound. It depends only on the times and the conflict pairs, so
+        the whole family shares it.
+        """
+        chain = self._family.get("attestor_chain")
+        if chain is None:
+            times = self.exec_times()
+            levels = list(times)
+            # the pairs are sorted, so reversed they visit `a` in descending
+            # order, and levels[b] is final before any (a, b) reads it
+            for a, b in reversed(self.conflicts):
+                level = times[a] + levels[b]
+                if level > levels[a]:
+                    levels[a] = level
+            chain = self._family["attestor_chain"] = tuple(levels)
+        return chain
 
     def with_cores(self, cores: CoreProfile) -> Workload:
         return self._derive("cores", cores)

@@ -8,7 +8,8 @@ over an explicit stack, so it takes any block size; its time is bounded by
 its node budget. It computes its cheap static bound before any incumbent,
 and tries EVENT first: the first incumbent that meets the bound is
 certified at the root, whatever the size of the block, and no later
-strategy runs.
+strategy runs. A schedule at a lower bound is optimal, so the search, too,
+ends at the first schedule it finds that meets its bound.
 """
 
 from __future__ import annotations
@@ -55,10 +56,12 @@ def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
     interval (finish = start + exec time, start >= 0, core id in range),
     the stated makespan equal to the latest finish, and the stated horizon
     equal to the total execution time.
-    C1: intervals on one core are pairwise disjoint. C2: conflicting
-    processes never overlap, even across cores. C3: a conflicting pair
-    must finish in original order when the workload is attestor-mode.
-    Intervals are half-open, so back-to-back placement is legal.
+    C1: intervals on one core are pairwise disjoint; each interval that
+    overlaps an earlier one on its core is reported with the one of those
+    that finishes last. C2: conflicting processes never overlap, even
+    across cores. C3: a conflicting pair must finish in original order when
+    the workload is attestor-mode. Intervals are half-open, so
+    back-to-back placement is legal.
     """
     violations: list[Violation] = []
     n = w.n
@@ -112,15 +115,20 @@ def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
 
     for core_id, items in sorted(per_core.items()):
         items.sort()
-        for (_, prev_pid, prev_finish), (start, pid, _) in zip(items, items[1:]):
-            if start < prev_finish:
+        # each interval against the earlier one on its core that finishes
+        # last: any earlier interval it overlaps, that one overlaps too
+        _, last_pid, last_finish = items[0]
+        for start, pid, finish in items[1:]:
+            if start < last_finish:
                 violations.append(
                     Violation(
                         "C1",
-                        (prev_pid, pid),
-                        f"processes {prev_pid} and {pid} overlap on core {core_id}",
+                        (last_pid, pid),
+                        f"processes {last_pid} and {pid} overlap on core {core_id}",
                     )
                 )
+            if finish > last_finish:
+                last_pid, last_finish = pid, finish
 
     attestor = w.attestor
     for a, b in w.conflicts:
@@ -181,13 +189,8 @@ def _static_lower_bound(w: Workload) -> int:
         if hood:
             lb = max(lb, t + math.ceil(hood / m))
     if w.attestor:
-        # an id-ordered conflict chain runs in order; the pairs are sorted,
-        # so reversed they visit `a` in descending order, and chain[b] is
-        # final before any (a, b) reads it
-        chain = list(times)
-        for a, b in reversed(w.conflicts):
-            chain[a] = max(chain[a], times[a] + chain[b])
-        lb = max(lb, max(chain, default=0))
+        # an id-ordered conflict chain runs in order
+        lb = max(lb, max(w.attestor_chain(), default=0))
     return lb
 
 
@@ -208,10 +211,8 @@ def _incumbent(w: Workload, bound: int) -> Schedule:
     return best
 
 
-def exact_optimal(
-    w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET, prune: bool = True
-) -> OracleResult:
-    """Find a minimum-makespan schedule by exhaustive search.
+def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> OracleResult:
+    """Find a minimum-makespan schedule by branch and bound.
 
     Branches over which process to place next and on which core; each
     placement starts at the earliest time that respects conflict freedom
@@ -219,14 +220,14 @@ def exact_optimal(
     and (in attestor mode) chain bound comes first. The incumbent is EVENT,
     then each greedy strategy in turn: the first schedule that meets the
     bound ends that sweep, else the earliest of the shortest is kept, so
-    EVENT wins a tie. The search replaces the incumbent only with a shorter
-    schedule. With ``prune`` enabled it uses admissible lower bounds,
-    core-symmetry breaking, and dominance memoization; an incumbent at the
-    bound is optimal, and is returned without a search and without the
-    O(2^n) clique table. Disabling ``prune`` gives pure enumeration (only
-    practical for very small n). If the node budget is exhausted the best
-    schedule found so far is returned with ``optimal=False``. Raises
-    ``ValueError`` for a node budget below 1.
+    EVENT wins a tie. An incumbent at the bound is optimal, and is returned
+    without a search and without the O(2^n) clique table. Otherwise the
+    search skips children by admissible lower bounds (with the clique table
+    up to n = 16), core symmetry and dominance memoization. It replaces the
+    incumbent only with a shorter schedule, and ends as soon as one meets
+    the bound. If the node budget is exhausted first, the best schedule
+    found so far is returned with ``optimal=False``. Raises ``ValueError``
+    for a node budget below 1.
     """
     t0 = time.perf_counter()
     if node_budget < 1:
@@ -242,7 +243,7 @@ def exact_optimal(
     best_ms = incumbent.schedule_makespan_ms
     best_assign = incumbent.assignments
     clique_w = None
-    if prune and best_ms > static_lb and n <= 16:
+    if best_ms > static_lb and n <= 16:
         adj_mask = [0] * n
         for a, b in w.conflicts:
             adj_mask[a] |= 1 << b
@@ -276,7 +277,7 @@ def exact_optimal(
             seen_empty = False
             for k in range(m):
                 if ends[k] == 0:
-                    if prune and seen_empty:
+                    if seen_empty:
                         continue  # empty cores are interchangeable
                     seen_empty = True
                 nodes += 1
@@ -286,20 +287,19 @@ def exact_optimal(
                 finish = start + times[pid]
                 next_mask = remaining_mask & ~(1 << pid)
                 next_work = remaining_work - times[pid]
-                if prune:
-                    # append-only completions: consumed core time plus the
-                    # remaining work cannot be packed below this; a clique
-                    # among the remaining processes must also serialize
-                    # after the current earliest core end
-                    consumed = sum(ends) - ends[k] + finish
-                    bound = max(finish, max(ends), math.ceil((consumed + next_work) / m))
-                    if clique_w is not None and next_mask:
-                        prev_end = ends[k]
-                        ends[k] = finish
-                        bound = max(bound, min(ends) + clique_w[next_mask])
-                        ends[k] = prev_end
-                    if bound >= best_ms:
-                        continue
+                # append-only completions: consumed core time plus the
+                # remaining work cannot be packed below this; a clique
+                # among the remaining processes must also serialize after
+                # the current earliest core end
+                consumed = sum(ends) - ends[k] + finish
+                bound = max(finish, max(ends), math.ceil((consumed + next_work) / m))
+                if clique_w is not None and next_mask:
+                    prev_end = ends[k]
+                    ends[k] = finish
+                    bound = max(bound, min(ends) + clique_w[next_mask])
+                    ends[k] = prev_end
+                if bound >= best_ms:
+                    continue
                 prev_end = ends[k]
                 ends[k] = finish
                 finish_of[pid] = finish
@@ -310,14 +310,13 @@ def exact_optimal(
                 del core_of[pid]
 
     # depth first over a stack of child generators; the root is the only
-    # child of a node that places nothing
+    # child of a node that places nothing. A schedule at the bound is
+    # optimal, so the search ends there.
     stack = [iter([((1 << n) - 1, sum(times))])]
-    while stack and nodes <= node_budget:
+    while stack and nodes <= node_budget and best_ms > static_lb:
         child = next(stack[-1], None)
         if child is None:
             stack.pop()
-            continue
-        if prune and best_ms <= static_lb:
             continue
         remaining_mask, remaining_work = child
         if not remaining_mask:
@@ -325,11 +324,10 @@ def exact_optimal(
                 best_ms = max(ends)
                 best_assign = tuple(Assignment(pid, *core_of[pid]) for pid in range(n))
             continue
-        if prune:
-            key = (tuple(sorted(ends)), tuple(sorted(finish_of.items())))
-            if key in visited:
-                continue
-            visited.add(key)
+        key = (tuple(sorted(ends)), tuple(sorted(finish_of.items())))
+        if key in visited:
+            continue
+        visited.add(key)
         stack.append(children(remaining_mask, remaining_work))
 
     wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -250,10 +251,11 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[tuple[Assignment, ...], int
     popped, as the greedy reads it.
 
     Attestor mode: the priority is the bottom level, the longest id-ordered
-    conflict chain that starts at the process, and a process is ready once
-    its last lower-id partner has finished. No partner of a ready process
-    can then be running, so none parks: this is list scheduling for
-    P|prec|Cmax, and meets Graham's bound m * Cmax <= W + (m - 1) * CP.
+    conflict chain that starts at the process (`Workload.attestor_chain`),
+    and a process is ready once its last lower-id partner has finished. No
+    partner of a ready process can then be running, so none parks: this is
+    list scheduling for P|prec|Cmax, and meets Graham's bound
+    m * Cmax <= W + (m - 1) * CP.
     """
     n = w.n
     m = w.cores.core_count
@@ -262,15 +264,9 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[tuple[Assignment, ...], int
     attestor = w.attestor
     heappush, heappop = heapq.heappush, heapq.heappop
     if attestor:
-        # the pairs are sorted, so reversed they visit `a` in descending
-        # order, and priority[b] is final before any (a, b) reads it
-        priority = list(times)
-        splits = [0] * n  # lower-id partners: a prefix of the ascending row
-        for a, b in reversed(w.conflicts):
-            splits[b] += 1
-            chain = times[a] + priority[b]
-            if chain > priority[a]:
-                priority[a] = chain
+        priority = w.attestor_chain()
+        # lower-id partners: a prefix of the ascending row
+        splits = list(map(bisect_left, adjacency, range(n)))
         blocking = splits.copy()  # lower-id partners not yet finished
     else:
         priority = list(map(add, times, idx.conflict_duration_ms))

@@ -35,6 +35,59 @@ DISTINCT_STRATEGIES = [Strategy(assign_type=AssignType.EVENT)] + [
 ]
 
 
+def pure_enumeration_optimum(w):
+    """The minimum makespan over every placement order and core choice.
+
+    The reference for `exact_optimal`, sharing no code with it: each
+    process starts on its chosen core at the earliest time after that
+    core's last finish and its placed partners' finishes, and the minimum
+    is taken over the leaves that `validate_schedule` accepts (so an
+    attestor leaf out of id order counts for nothing). A leaf no shorter
+    than the best accepted one cannot lower the minimum, so only the
+    others are validated.
+    """
+    n, m = w.n, w.cores.core_count
+    times = [p.exec_time_ms for p in w.processes]
+    partners = [[] for _ in range(n)]
+    for a, b in w.conflicts:
+        partners[a].append(b)
+        partners[b].append(a)
+    ends = [0] * m
+    spans = [None] * n  # process id -> (core, start, finish) once placed
+    best = []
+
+    def place(unplaced):
+        if not unplaced:
+            makespan = max(ends)
+            if not best or makespan < best[-1]:
+                sch = Schedule(
+                    assignments=tuple(Assignment(pid, *spans[pid]) for pid in range(n)),
+                    horizon_ms=sum(times),
+                    schedule_makespan_ms=makespan,
+                    wall_time_ms=0.0,
+                )
+                if validate_schedule(sch, w).ok:
+                    best.append(makespan)
+            return
+        for pid in unplaced:
+            floor = 0
+            for q in partners[pid]:
+                if spans[q] and spans[q][2] > floor:
+                    floor = spans[q][2]
+            rest = [q for q in unplaced if q != pid]
+            for k in range(m):
+                prev_end = ends[k]
+                start = max(prev_end, floor)
+                ends[k] = start + times[pid]
+                spans[pid] = (k, start, ends[k])
+                place(rest)
+                ends[k] = prev_end
+            spans[pid] = None
+
+    place(range(n))
+    return best[-1]
+
+
 def make_workload(times, pairs, m=2, attestor=False):
     return Workload(
         processes=tuple(Process(i, t, t * 10) for i, t in enumerate(times)),
@@ -85,6 +138,16 @@ class TestValidateSchedule:
         sch = make_schedule([(0, 0, 0, 4), (1, 0, 2, 6)])
         report = validate_schedule(sch, w)
         assert "C1" in [v.constraint for v in report.violations]
+
+    def test_c1_reports_each_interval_inside_a_longer_one(self):
+        # [3,4) starts after [1,2) ends, but [0,10) before both still runs
+        w = make_workload([10, 1, 1], [], m=1)
+        sch = make_schedule([(0, 0, 0, 10), (1, 0, 1, 2), (2, 0, 3, 4)])
+        report = validate_schedule(sch, w)
+        assert [(v.constraint, v.process_ids, v.detail) for v in report.violations] == [
+            ("C1", (0, 1), "processes 0 and 1 overlap on core 0"),
+            ("C1", (0, 2), "processes 0 and 2 overlap on core 0"),
+        ]
 
     def test_back_to_back_intervals_are_legal(self):
         w = make_workload([4, 4], [(0, 1)], m=2, attestor=True)
@@ -231,10 +294,9 @@ class TestExactOptimal:
                 n, rng.random(), model=ConflictModel.PAIRWISE, seed=700 + i,
                 cores=CoreProfile(rng.choice([2, 3])), attestor=bool(i % 2),
             )
-            pruned = exact_optimal(w, prune=True)
-            pure = exact_optimal(w, prune=False)
-            assert pure.optimal
-            assert pruned.makespan_ms == pure.makespan_ms
+            res = exact_optimal(w)
+            assert res.optimal
+            assert res.makespan_ms == pure_enumeration_optimum(w)
 
     def test_greedy_never_beats_oracle(self):
         rng = random.Random(23)
@@ -266,11 +328,12 @@ class TestExactOptimal:
         assert res.makespan_ms == res.schedule.schedule_makespan_ms
 
     def test_a_dive_deeper_than_the_recursion_limit(self):
-        # pure enumeration places one process per level on its first dive,
-        # so the first n nodes form one path of depth n
-        n = sys.getrecursionlimit() + 1
-        w = generate_workload(n, 0.0, seed=1, cores=CoreProfile(2))
-        res = exact_optimal(w, prune=False, node_budget=n)
+        # an odd count of conflict-free 10 ms processes on 2 cores: the load
+        # bound is 5 ms below the optimum, so the search runs, and its first
+        # dive goes about three quarters of n deep, well past the limit
+        n = 2 * sys.getrecursionlimit() + 3
+        w = make_workload([10] * n, [], m=2)
+        res = exact_optimal(w, node_budget=n)
         assert not res.optimal and res.nodes == n + 1
         assert validate_schedule(res.schedule, w).ok
 
@@ -281,10 +344,10 @@ class TestExactOptimal:
             exact_optimal(w, node_budget=budget)
         assert str(exc_info.value) == f"node_budget must be >= 1, got {budget}"
 
-    @pytest.mark.parametrize("prune,budget", [(True, 2_000_000), (False, 2)])
-    def test_builds_one_conflict_index_per_call(self, monkeypatch, prune, budget):
-        # the greedy incumbents reuse the workload's index, also when pure
-        # enumeration runs out of budget and returns one of them
+    @pytest.mark.parametrize("budget", [2_000_000, 2])
+    def test_builds_one_conflict_index_per_call(self, monkeypatch, budget):
+        # the greedy incumbents reuse the workload's index, also when the
+        # search runs out of budget and returns one of them
         calls = []
 
         def counted(w):
@@ -293,7 +356,8 @@ class TestExactOptimal:
 
         monkeypatch.setattr(conflictsched.model, "build_conflict_index", counted)
         w = generate_workload(10, 0.4, model=ConflictModel.PAIRWISE, seed=3, cores=CoreProfile(2))
-        res = exact_optimal(w, prune=prune, node_budget=budget)
+        res = exact_optimal(w, node_budget=budget)
+        assert res.optimal == (budget > 2)
         assert validate_schedule(res.schedule, w).ok
         assert len(calls) == 1
 
@@ -325,8 +389,7 @@ class TestExactOptimal:
             assert incumbent.schedule_makespan_ms == best.schedule_makespan_ms
             assert incumbent.assignments == best.assignments
 
-    @pytest.mark.parametrize("prune,budget", [(True, 20_000), (False, 2_000)])
-    def test_stopping_at_the_bound_changes_no_result(self, monkeypatch, prune, budget):
+    def test_stopping_at_the_bound_changes_no_result(self, monkeypatch):
         # the reference sweeps every distinct strategy with no stop; an
         # incumbent at a lower bound is already the shortest, so stopping
         # there moves neither the optimum, the verdict nor the node count
@@ -350,15 +413,35 @@ class TestExactOptimal:
         for base in bases:
             for attestor in (False, True):
                 w = base.with_attestor(attestor)
-                res = exact_optimal(w, prune=prune, node_budget=budget)
+                res = exact_optimal(w, node_budget=20_000)
                 with monkeypatch.context() as patch:
                     patch.setattr(conflictsched.oracle, "_incumbent", full_sweep)
-                    ref = exact_optimal(w, prune=prune, node_budget=budget)
+                    ref = exact_optimal(w, node_budget=20_000)
                 assert (res.makespan_ms, res.optimal, res.nodes) == (
                     ref.makespan_ms, ref.optimal, ref.nodes
                 )
                 assert validate_schedule(res.schedule, w).ok
                 assert validate_schedule(ref.schedule, w).ok
+
+    def test_a_schedule_at_the_static_bound_is_reported_optimal(self):
+        # the search ends at the first schedule that meets its bound, so no
+        # budget can leave a proven optimum undecided. A search that ends
+        # within its budget runs the same at every larger one.
+        rng = random.Random(61)
+        for i in range(200):
+            base = generate_workload(
+                rng.randint(1, 11), rng.random(), seed=1400 + i,
+                model=rng.choice(list(ConflictModel)), cores=CoreProfile(rng.randint(1, 3)),
+            )
+            for attestor in (False, True):
+                w = base.with_attestor(attestor)
+                static_lb = conflictsched.oracle._static_lower_bound(w)
+                for budget in range(1, 61):
+                    res = exact_optimal(w, node_budget=budget)
+                    if res.makespan_ms <= static_lb:
+                        assert res.optimal, (i, attestor, budget)
+                    if res.nodes <= budget:
+                        break
 
     def test_attestor_optimum_at_least_proposer_optimum(self):
         rng = random.Random(77)
@@ -436,11 +519,10 @@ class TestExactOptimal:
                 n, rng.random(), seed=1300 + i, model=rng.choice(list(ConflictModel)),
                 cores=CoreProfile(2 if n == 6 else rng.choice([2, 3])), attestor=bool(i % 2),
             )
-            pruned = exact_optimal(w)
-            pure = exact_optimal(w, prune=False)
-            assert pruned.optimal and pure.optimal
-            assert pruned.makespan_ms == pure.makespan_ms
-            assert validate_schedule(pruned.schedule, w).ok
+            res = exact_optimal(w)
+            assert res.optimal
+            assert res.makespan_ms == pure_enumeration_optimum(w)
+            assert validate_schedule(res.schedule, w).ok
 
 
 class TestStaticLowerBound:
