@@ -71,12 +71,21 @@ class ExperimentGrid:
         for mode in self.modes:
             if mode not in ("proposer", "attestor"):
                 raise ValueError(f"unknown mode {mode!r}")
-        # rows are keyed by label: two strategies with one label would
-        # merge their cells into one row
-        labels = [strat.label for strat in self.strategies]
-        for label in labels:
-            if labels.count(label) > 1:
-                raise ValueError(f"strategy {label} appears more than once")
+        # rows and columns are keyed by these values (a strategy by its
+        # label): a repeated one would merge cells into one row, repeat a
+        # column, or count one seed twice in a mean
+        axes = {
+            "process count": self.process_counts,
+            "conflict rate": self.conflict_rates,
+            "seed": self.seeds,
+            "core count": self.core_counts,
+            "strategy": [strat.label for strat in self.strategies],
+            "mode": self.modes,
+        }
+        for axis, values in axes.items():
+            for value in values:
+                if values.count(value) > 1:
+                    raise ValueError(f"{axis} {value} appears more than once")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bench import ExperimentGrid, run_grid
@@ -15,7 +14,6 @@ from .model import (
     ConflictModel,
     CoreProfile,
     TimeDistribution,
-    WorkloadValidationError,
     _json_text,
     generate_workload,
     load_schedule,
@@ -101,8 +99,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     params = BoundParams(n=args.n, mean_time_ms=args.mean_t, m=args.m, cr=args.cr)
-    print(f"UB-closed: {upper_bound_closed_form(params):.6g} ms")
-    print(f"UB-chromatic: {upper_bound_chromatic(params):.6g} ms")
+    # both before either is printed: an error leaves stdout empty
+    closed, chromatic = upper_bound_closed_form(params), upper_bound_chromatic(params)
+    print(f"UB-closed: {closed:.6g} ms")
+    print(f"UB-chromatic: {chromatic:.6g} ms")
     return 0
 
 
@@ -220,9 +220,11 @@ def cli(argv: list[str] | None = None) -> int:
     """Run one subcommand; returns the process exit status."""
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a bad file or flag value is a ValueError (WorkloadValidationError and
+    # json.JSONDecodeError among them); a bad path is an OSError
     try:
         return args.func(args)
-    except (WorkloadValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -58,6 +58,9 @@ class BoundParams:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0.0 <= self.cr <= 1.0:
             raise ValueError(f"cr must be in [0, 1], got {self.cr}")
+        # written so that nan fails it too
+        if not 0.0 < self.mean_time_ms < math.inf:
+            raise ValueError(f"mean_time_ms must be finite and > 0, got {self.mean_time_ms}")
 
 
 def compute_te(sch: Schedule) -> int:

@@ -244,10 +244,8 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
     best_assign = incumbent.assignments
     clique_w = None
     if best_ms > static_lb and n <= 16:
-        adj_mask = [0] * n
-        for a, b in w.conflicts:
-            adj_mask[a] |= 1 << b
-            adj_mask[b] |= 1 << a
+        # rows are distinct, so summing their bits sets each once
+        adj_mask = [sum(1 << q for q in row) for row in adjacency]
         clique_w = _clique_weight_table(times, adj_mask)
         # the whole set's clique weighs at least every pair in it
         static_lb = max(static_lb, clique_w[-1])
@@ -255,8 +253,8 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
     # larger processes first: finds tight schedules early, so bounds bite
     branch_order = sorted(range(n), key=lambda i: (-times[i], i))
     ends = [0] * m
-    finish_of: dict[int, int] = {}
-    core_of: dict[int, tuple[int, int, int]] = {}
+    # process id -> its assignment once placed, else None
+    slots: list[Assignment | None] = [None] * n
     visited: set = set()
     nodes = 0
 
@@ -267,13 +265,12 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
         for pid in branch_order:
             if not remaining_mask & (1 << pid):
                 continue
-            if attestor and any(q < pid and q not in finish_of for q in adjacency[pid]):
+            partners = adjacency[pid]
+            # short-circuits: most processes fail it, so none builds a list
+            if attestor and any(q < pid and slots[q] is None for q in partners):
                 continue
-            conflict_floor = 0
-            for q in adjacency[pid]:
-                f = finish_of.get(q)
-                if f is not None and f > conflict_floor:
-                    conflict_floor = f
+            # field 3 is finish_ms
+            conflict_floor = max([a[3] for a in map(slots.__getitem__, partners) if a], default=0)
             seen_empty = False
             for k in range(m):
                 if ends[k] == 0:
@@ -291,23 +288,16 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
                 # remaining work cannot be packed below this; a clique
                 # among the remaining processes must also serialize after
                 # the current earliest core end
-                consumed = sum(ends) - ends[k] + finish
-                bound = max(finish, max(ends), math.ceil((consumed + next_work) / m))
-                if clique_w is not None and next_mask:
-                    prev_end = ends[k]
-                    ends[k] = finish
-                    bound = max(bound, min(ends) + clique_w[next_mask])
-                    ends[k] = prev_end
-                if bound >= best_ms:
-                    continue
                 prev_end = ends[k]
                 ends[k] = finish
-                finish_of[pid] = finish
-                core_of[pid] = (k, start, finish)
-                yield next_mask, next_work
+                bound = max(max(ends), math.ceil((sum(ends) + next_work) / m))
+                if clique_w is not None and next_mask:
+                    bound = max(bound, min(ends) + clique_w[next_mask])
+                if bound < best_ms:
+                    slots[pid] = Assignment(pid, k, start, finish)
+                    yield next_mask, next_work
+                    slots[pid] = None
                 ends[k] = prev_end
-                del finish_of[pid]
-                del core_of[pid]
 
     # depth first over a stack of child generators; the root is the only
     # child of a node that places nothing. A schedule at the bound is
@@ -322,9 +312,11 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
         if not remaining_mask:
             if max(ends) < best_ms:
                 best_ms = max(ends)
-                best_assign = tuple(Assignment(pid, *core_of[pid]) for pid in range(n))
+                best_assign = tuple(slots)
             continue
-        key = (tuple(sorted(ends)), tuple(sorted(finish_of.items())))
+        # placements that leave the same core ends and finish times have
+        # the same completions; start and core do not matter
+        key = (tuple(sorted(ends)), tuple([a and a[3] for a in slots]))
         if key in visited:
             continue
         visited.add(key)

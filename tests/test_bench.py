@@ -142,6 +142,25 @@ def test_grid_rejects_two_strategies_with_one_label(strategies):
         ExperimentGrid(strategies=strategies)
 
 
+@pytest.mark.parametrize(
+    "field,values,message",
+    [
+        ("process_counts", (20, 30, 20), "process count 20"),
+        ("conflict_rates", (0.25, 0.25), "conflict rate 0.25"),
+        ("seeds", (1, 1), "seed 1"),
+        ("core_counts", (2, 4, 2), "core count 2"),
+        ("modes", ("proposer", "proposer"), "mode proposer"),
+    ],
+)
+def test_grid_rejects_a_value_repeated_on_any_axis(field, values, message):
+    # a repeated value merges cells into one row, repeats a markdown
+    # column, or counts one seed twice in a mean; the strategy axis is
+    # the test above
+    with pytest.raises(ValueError) as exc_info:
+        ExperimentGrid(**{field: values})
+    assert str(exc_info.value) == f"{message} appears more than once"
+
+
 def test_grid_rejects_one_process_with_a_fractional_rate(tmp_path):
     # the chromatic estimate of every row needs n >= 2 for 0 < rate < 1
     with pytest.raises(ValueError, match="needs n >= 2"):

@@ -125,6 +125,23 @@ def test_bound_zero_conflict_boundary(capsys):
     assert "UB-chromatic: 104 ms" in out
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--n", "50", "--mean-t", "nan"], "mean_time_ms must be finite and > 0, got nan"),
+        (["--n", "50", "--mean-t", "inf"], "mean_time_ms must be finite and > 0, got inf"),
+        (["--n", "50", "--mean-t", "-5"], "mean_time_ms must be finite and > 0, got -5.0"),
+        (["--n", "50", "--mean-t", "0"], "mean_time_ms must be finite and > 0, got 0.0"),
+        (["--n", "1", "--mean-t", "8"], "chromatic approximation needs n >= 2 for 0 < cr < 1"),
+    ],
+)
+def test_bound_rejects_bad_input_and_prints_nothing(capsys, flags, message):
+    status, out, err = run(["bound", *flags, "--m", "4", "--cr", "0.5"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_bench_deterministic_modulo_wall(tmp_path, capsys):
     args = ["bench", "--n-list", "20", "--rates", "0.2", "--seeds", "1",
             "--cores", "1,2", "--sorts", "MCDF"]
@@ -164,6 +181,29 @@ def test_bench_runs_each_distinct_label_once(tmp_path, capsys, monkeypatch, flag
     assert [line for line in markdown.split("\n") if line.startswith("## ")] == [
         f"## Strategy {name}" for name in labels
     ]
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--n-list", "20,20"], "process count 20"),
+        (["--rates", "0.2,0.2"], "conflict rate 0.2"),
+        (["--seeds", "1,1"], "seed 1"),
+        (["--cores", "2,2"], "core count 2"),
+        (["--modes", "proposer,proposer"], "mode proposer"),
+    ],
+)
+def test_bench_rejects_a_repeated_value(tmp_path, capsys, monkeypatch, flags, message):
+    calls = []
+    monkeypatch.setattr(conflictsched.bench, "schedule", lambda *args: calls.append(args))
+    out_dir = tmp_path / "out"
+    status, out, err = run(["bench", "--n-list", "20", "--rates", "0.2", "--seeds", "1",
+                            "--cores", "1", *flags, "--out-dir", str(out_dir)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == f"error: {message} appears more than once\n"
+    assert calls == []
+    assert not (out_dir / "results.csv").exists()
 
 
 def test_schedule_assign_event_validates(tmp_path, capsys):

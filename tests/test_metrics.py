@@ -202,3 +202,9 @@ class TestBoundParams:
             BoundParams(n=1, mean_time_ms=1, m=0, cr=0.5)
         with pytest.raises(ValueError):
             BoundParams(n=1, mean_time_ms=1, m=1, cr=1.5)
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf, -5.0, 0.0])
+    def test_rejects_a_mean_time_that_is_not_finite_and_positive(self, mean):
+        with pytest.raises(ValueError) as exc_info:
+            BoundParams(n=100, mean_time_ms=mean, m=4, cr=0.5)
+        assert str(exc_info.value) == f"mean_time_ms must be finite and > 0, got {mean}"

@@ -1,6 +1,7 @@
 """Schedule validator and the exact branch-and-bound solver."""
 
 import dataclasses
+import hashlib
 import random
 import sys
 
@@ -19,7 +20,7 @@ from conflictsched.model import (
     build_conflict_index,
     generate_workload,
 )
-from conflictsched.oracle import exact_optimal, validate_schedule
+from conflictsched.oracle import DEFAULT_NODE_BUDGET, exact_optimal, validate_schedule
 from conflictsched.scheduler import (
     AssignType,
     SortType,
@@ -523,6 +524,27 @@ class TestExactOptimal:
             assert res.optimal
             assert res.makespan_ms == pure_enumeration_optimum(w)
             assert validate_schedule(res.schedule, w).ok
+
+    @pytest.mark.parametrize("budget,digest", [
+        (DEFAULT_NODE_BUDGET, "35a53ddb334cd48c0be208c160e06721d79df5cb1c6af2dc9ae281fa2d294eaa"),
+        (50, "1898c36174616849a50d3ec9b1c3c963a1e4908451fc7e568ef217ceb1bc4537"),
+    ])
+    def test_search_outputs_are_pinned(self, budget, digest):
+        # the benchmark's 160 oracle-small instances (n 8/10, rate
+        # 0.25/0.45, 20 seeds each, 2 cores, both modes): a refactor of
+        # the search keeps every optimum, verdict, node count and witness.
+        # A change that means to move the node count updates the digest.
+        outputs = []
+        for k in range(80):
+            n, rate = (8, 10)[k // 40], (0.25, 0.45)[k // 20 % 2]
+            base = generate_workload(n, rate, seed=k, cores=CoreProfile(2))
+            for attestor in (False, True):
+                res = exact_optimal(base.with_attestor(attestor), node_budget=budget)
+                outputs.append((
+                    res.makespan_ms, res.optimal, res.nodes,
+                    tuple(map(tuple, res.schedule.assignments)),
+                ))
+        assert hashlib.sha256(repr(outputs).encode()).hexdigest() == digest
 
 
 class TestStaticLowerBound:
