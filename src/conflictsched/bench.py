@@ -64,6 +64,8 @@ class ExperimentGrid:
         for rate in self.conflict_rates:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"conflict rate {rate} outside [0, 1]")
+        if min(self.core_counts) < 1:
+            raise ValueError(f"core count must be >= 1, got {min(self.core_counts)}")
         # asked here, not when the rows are aggregated after every cell ran
         for n in self.process_counts:
             for rate in self.conflict_rates:
@@ -247,48 +249,22 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 def rows_to_markdown(rows: list[ResultRow], grid: ExperimentGrid) -> str:
     """Speedup matrices (one per strategy): groups as rows, cores as columns."""
+    # the rows cover the full grid, so every cell of every matrix is filled
+    columns = [(m, mode) for m in grid.core_counts for mode in grid.modes]
+    header = "| Group | n | conflict % |" + "".join(f" {m}c {mode} |" for m, mode in columns)
+    divider = "|---|---|---|" + "---|" * len(columns)
     out = ["# Benchmark speedups", ""]
-    core_counts = list(grid.core_counts)
     for strat in grid.strategies:
-        label = strat.label
-        strat_rows = [r for r in rows if r.strategy == label]
-        if not strat_rows:
-            continue
-        out.append(f"## Strategy {label}")
-        out.append("")
-        header = "| Group | n | conflict % |"
-        divider = "|---|---|---|"
-        for m in core_counts:
-            for mode in grid.modes:
-                header += f" {m}c {mode} |"
-                divider += "---|"
-        out.append(header)
-        out.append(divider)
-        by_group: dict[int, dict] = {}
-        for r in strat_rows:
-            by_group.setdefault(r.group, {"n": r.n, "rate": r.conflict_rate})[
-                (r.m, r.mode)
-            ] = r.speedup_mean
-        col_values: dict[tuple, list[float]] = {}
-        for group in sorted(by_group):
-            info = by_group[group]
-            line = f"| {group} | {info['n']} | {info['rate'] * 100:g} |"
-            for m in core_counts:
-                for mode in grid.modes:
-                    value = info.get((m, mode))
-                    if value is None:
-                        line += " - |"
-                    else:
-                        line += f" {value:.2f} |"
-                        col_values.setdefault((m, mode), []).append(value)
-            out.append(line)
-        avg_line = "| AVG | | |"
-        for m in core_counts:
-            for mode in grid.modes:
-                values = col_values.get((m, mode))
-                avg_line += f" {statistics.mean(values):.2f} |" if values else " - |"
-        out.append(avg_line)
-        out.append("")
+        cells: dict[tuple, dict[tuple, float]] = {}
+        for r in rows:
+            if r.strategy == strat.label:
+                cells.setdefault((r.group, r.n, r.conflict_rate), {})[r.m, r.mode] = r.speedup_mean
+        out += [f"## Strategy {strat.label}", "", header, divider]
+        for (group, n, rate), speedups in sorted(cells.items()):
+            values = "".join(f" {speedups[col]:.2f} |" for col in columns)
+            out.append(f"| {group} | {n} | {rate * 100:g} |{values}")
+        means = [statistics.mean(speedups[col] for speedups in cells.values()) for col in columns]
+        out += ["| AVG | | |" + "".join(f" {mean:.2f} |" for mean in means), ""]
     return "\n".join(out)
 
 

@@ -21,6 +21,7 @@ import copy
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, count, islice, repeat
@@ -219,8 +220,8 @@ class Workload:
     passes; the per-entry loops run only to name the first bad entry.
 
     A workload and its `with_cores`/`with_attestor` copies share one dict of
-    derived data, so `conflict_index`, `exec_times`, `attestor_order` and
-    `attestor_chain` are built once for all of them.
+    derived data, so `conflict_index`, `exec_times`, `attestor_order`,
+    `attestor_chain` and `predecessor_counts` are built once for all of them.
     """
 
     processes: tuple[Process, ...]
@@ -332,6 +333,21 @@ class Workload:
                     levels[a] = level
             chain = self._family["attestor_chain"] = tuple(levels)
         return chain
+
+    def predecessor_counts(self) -> tuple[int, ...]:
+        """Each process's number of lower-id partners, built on first use.
+
+        In attestor mode these must all finish before the process starts.
+        The count is also where the process's ascending adjacency row splits
+        into lower-id and higher-id partners. It depends only on the
+        conflict pairs, so the whole family shares it.
+        """
+        counts = self._family.get("predecessor_counts")
+        if counts is None:
+            counts = self._family["predecessor_counts"] = tuple(
+                map(bisect_left, self.conflict_index.adjacency, range(self.n))
+            )
+        return counts
 
     def with_cores(self, cores: CoreProfile) -> Workload:
         return self._derive("cores", cores)

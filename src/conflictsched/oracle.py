@@ -255,6 +255,15 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
     ends = [0] * m
     # process id -> its assignment once placed, else None
     slots: list[Assignment | None] = [None] * n
+    # attestor mode: each process's unplaced lower-id partners, counted
+    # down as they are placed; it may branch only at zero
+    if attestor:
+        splits = w.predecessor_counts()
+        waiting = list(splits)
+        successors = [row[split:] for row, split in zip(adjacency, splits)]
+    else:
+        waiting = [0] * n
+        successors = [()] * n
     visited: set = set()
     nodes = 0
 
@@ -263,12 +272,9 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
         # place, and undoes the placement when resumed
         nonlocal nodes
         for pid in branch_order:
-            if not remaining_mask & (1 << pid):
+            if waiting[pid] or not remaining_mask & (1 << pid):
                 continue
             partners = adjacency[pid]
-            # short-circuits: most processes fail it, so none builds a list
-            if attestor and any(q < pid and slots[q] is None for q in partners):
-                continue
             # field 3 is finish_ms
             conflict_floor = max([a[3] for a in map(slots.__getitem__, partners) if a], default=0)
             seen_empty = False
@@ -295,7 +301,11 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
                     bound = max(bound, min(ends) + clique_w[next_mask])
                 if bound < best_ms:
                     slots[pid] = Assignment(pid, k, start, finish)
+                    for q in successors[pid]:
+                        waiting[q] -= 1
                     yield next_mask, next_work
+                    for q in successors[pid]:
+                        waiting[q] += 1
                     slots[pid] = None
                 ends[k] = prev_end
 
@@ -310,13 +320,21 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
             continue
         remaining_mask, remaining_work = child
         if not remaining_mask:
-            if max(ends) < best_ms:
-                best_ms = max(ends)
-                best_assign = tuple(slots)
+            # a child is yielded only below best_ms, its bound includes
+            # max(ends), and nothing moves best_ms before it is taken here
+            best_ms = max(ends)
+            best_assign = tuple(slots)
             continue
-        # placements that leave the same core ends and finish times have
-        # the same completions; start and core do not matter
-        key = (tuple(sorted(ends)), tuple([a and a[3] for a in slots]))
+        # placements that leave the same core ends, the same processes to
+        # place and the same finish times above the earliest core end have
+        # the same completions: every later start is at or after a core
+        # end, so an earlier finish delays none; start and core do not matter
+        low = min(ends)
+        key = (
+            tuple(sorted(ends)),
+            remaining_mask,
+            tuple([(a[0], a[3]) for a in slots if a and a[3] > low]),
+        )
         if key in visited:
             continue
         visited.add(key)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -266,8 +265,8 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[tuple[Assignment, ...], int
     if attestor:
         priority = w.attestor_chain()
         # lower-id partners: a prefix of the ascending row
-        splits = list(map(bisect_left, adjacency, range(n)))
-        blocking = splits.copy()  # lower-id partners not yet finished
+        splits = w.predecessor_counts()
+        blocking = list(splits)  # lower-id partners not yet finished
     else:
         priority = list(map(add, times, idx.conflict_duration_ms))
         busy = [False] * n

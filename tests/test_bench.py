@@ -111,6 +111,27 @@ def test_results_csv_matches_reference_digest(tmp_path):
     )
 
 
+# cores out of order, attestor first, process counts descending, one
+# seed, and an EVENT and a STRICT strategy
+ODD = ExperimentGrid(
+    process_counts=(60, 20),
+    seeds=(5,),
+    core_counts=(4, 1, 2),
+    strategies=(Strategy(assign_type=AssignType.EVENT), Strategy(SortType.LCCF, AssignType.STRICT)),
+    modes=("attestor", "proposer"),
+)
+
+
+@pytest.mark.parametrize("grid,digest", [
+    (TINY, "fc8187b4da39eca5d1135518759ee8c89003413c30cf54c0ab30c72e288d9e2f"),
+    (ODD, "62ce9a187e12dcde2a1b961e780a7cf0b0b7d1472ddd82dd3ce9cd033bd4520d"),
+], ids=["tiny", "odd"])
+def test_results_md_matches_reference_digest(tmp_path, grid, digest):
+    # columns follow the grid's core and mode order, rows its group order
+    run_grid(grid, tmp_path)
+    assert hashlib.sha256((tmp_path / "results.md").read_bytes()).hexdigest() == digest
+
+
 def test_markdown_contains_speedup_matrix(tmp_path):
     run_grid(TINY, tmp_path)
     md = (tmp_path / "results.md").read_text()

@@ -206,6 +206,19 @@ def test_bench_rejects_a_repeated_value(tmp_path, capsys, monkeypatch, flags, me
     assert not (out_dir / "results.csv").exists()
 
 
+def test_bench_rejects_zero_cores_before_writing(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(conflictsched.bench, "generate_workload", lambda *a, **k: calls.append(a))
+    out_dir = tmp_path / "out"
+    status, out, err = run(["bench", "--n-list", "20", "--rates", "0.2", "--seeds", "1",
+                            "--cores", "0", "--out-dir", str(out_dir)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: core count must be >= 1, got 0\n"
+    assert calls == []
+    assert not out_dir.exists()
+
+
 def test_schedule_assign_event_validates(tmp_path, capsys):
     wpath, spath = tmp_path / "w.json", tmp_path / "s.json"
     run(["generate", "--n", "80", "--rate", "0.4", "--seed", "5", "--cores", "4", "--attestor",
@@ -343,6 +356,15 @@ EMPTY_WORKLOAD = {
 }
 
 
+def test_schedule_rejects_conflicts_that_are_not_an_array(tmp_path, capsys):
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps({**EMPTY_WORKLOAD, "conflicts": {}}))
+    status, out, err = run(["schedule", "--workload", str(wpath)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: conflicts must be an array\n"
+
+
 def test_schedule_empty_workload_to_file(tmp_path, capsys):
     # a zero makespan leaves the speedups undefined: they are left out
     wpath = tmp_path / "w.json"
@@ -367,6 +389,16 @@ def test_schedule_empty_workload_to_stdout(tmp_path, capsys):
     assert json.loads(text)["assignments"] == []
     assert summary.startswith("makespan=0ms horizon=0ms pce=0 wall=")
     assert "speedup" not in summary
+
+
+def test_generate_constant_time_distribution(tmp_path, capsys):
+    wpath = tmp_path / "w.json"
+    status, _, err = run(["generate", "--n", "12", "--rate", "0.3", "--seed", "1",
+                          "--dist", "constant", "--t-const", "6", "--out", str(wpath)], capsys)
+    assert status == 0, err
+    payload = json.loads(wpath.read_text())
+    assert [p["execTimeMs"] for p in payload["processes"]] == [6] * 12
+    assert payload["meta"]["timeDist"] == "constant[6]"
 
 
 @pytest.mark.parametrize(

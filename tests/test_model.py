@@ -631,3 +631,11 @@ class TestWorkloadInvariants:
         rebuilt = dataclasses.replace(base, processes=slower)
         assert rebuilt.exec_times() == tuple(t + 1 for t in times)
         assert base.exec_times() is times
+
+    def test_predecessor_counts_split_each_adjacency_row(self):
+        base = generate_workload(40, 0.4, model=ConflictModel.PAIRWISE, seed=3)
+        counts = base.predecessor_counts()
+        assert counts == tuple(sum(1 for a, b in base.conflicts if b == i) for i in range(40))
+        for i, (row, split) in enumerate(zip(base.conflict_index.adjacency, counts)):
+            assert all(q < i for q in row[:split]) and all(q > i for q in row[split:])
+        assert base.with_cores(CoreProfile(5)).with_attestor(True).predecessor_counts() is counts

@@ -526,7 +526,7 @@ class TestExactOptimal:
             assert validate_schedule(res.schedule, w).ok
 
     @pytest.mark.parametrize("budget,digest", [
-        (DEFAULT_NODE_BUDGET, "35a53ddb334cd48c0be208c160e06721d79df5cb1c6af2dc9ae281fa2d294eaa"),
+        (DEFAULT_NODE_BUDGET, "ffb783348c7d8e0eaae3233eb3c4ce56cd07613b5022300a90a5cfc0ea2f0cae"),
         (50, "1898c36174616849a50d3ec9b1c3c963a1e4908451fc7e568ef217ceb1bc4537"),
     ])
     def test_search_outputs_are_pinned(self, budget, digest):
