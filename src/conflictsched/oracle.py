@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .model import Assignment, Schedule, Workload
 from .scheduler import AssignType, SortType, Strategy, schedule
@@ -49,6 +49,9 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
+_VALID = ValidationReport(True, ())
+
+
 def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
     """Check COMPLETENESS, C1, C2, and (in attestor mode) C3.
 
@@ -62,7 +65,58 @@ def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
     across cores. C3: a conflicting pair must finish in original order when
     the workload is attestor-mode. Intervals are half-open, so
     back-to-back placement is legal.
+
+    A schedule listed in id order, as the scheduler, the oracle and
+    `load_schedule` emit one, is checked in whole-column passes; the
+    per-entry pass runs only when those fail, to name the violations.
     """
+    if _proves_valid(sch, w):
+        return _VALID
+    return _report(sch, w)
+
+
+def _proves_valid(sch: Schedule, w: Workload) -> bool:
+    """True only for a schedule that `_report` finds valid.
+
+    Reads the assignments as columns; False for any schedule not listed in
+    id order, whatever its validity.
+    """
+    times = w.exec_times()
+    n = len(times)
+    if not n or len(sch.assignments) != n:
+        return False
+    pids, core_ids, starts, finishes = zip(*sch.assignments)
+    if pids != tuple(range(n)):
+        return False
+    if min(core_ids) < 0 or max(core_ids) >= w.cores.core_count:
+        return False
+    if tuple(map(add, starts, times)) != finishes:
+        return False
+    if sch.schedule_makespan_ms != max(finishes) or sch.horizon_ms != sum(times):
+        return False
+    # C1: in start order, each interval starts at or after the last finish
+    # on its core; ties go to the lower id, as in `_report`. Each core is
+    # free from 0, so a negative start fails here too.
+    last = [0] * w.cores.core_count
+    for pid in sorted(range(n), key=starts.__getitem__):
+        k = core_ids[pid]
+        if starts[pid] < last[k]:
+            return False
+        last[k] = finishes[pid]
+    if w.attestor:
+        # C3, and with it C2: each pair's lower id finishes first
+        for a, b in w.conflicts:
+            if finishes[a] > starts[b]:
+                return False
+    else:
+        for a, b in w.conflicts:
+            if starts[a] < finishes[b] and starts[b] < finishes[a]:
+                return False
+    return True
+
+
+def _report(sch: Schedule, w: Workload) -> ValidationReport:
+    """`validate_schedule` one entry at a time, naming every violation."""
     violations: list[Violation] = []
     n = w.n
     m = w.cores.core_count
@@ -232,18 +286,44 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
     t0 = time.perf_counter()
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
+    static_lb = _static_lower_bound(w)
+    incumbent = _incumbent(w, static_lb)
+    best_ms = incumbent.schedule_makespan_ms
+    best_assign = incumbent.assignments
+    nodes = 0
+    if best_ms > static_lb:
+        best_ms, best_assign, nodes = _search(w, static_lb, best_ms, best_assign, node_budget)
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    witness = Schedule(
+        assignments=best_assign,
+        horizon_ms=sum(w.exec_times()),
+        schedule_makespan_ms=best_ms,
+        wall_time_ms=wall_ms,
+    )
+    return OracleResult(
+        makespan_ms=best_ms,
+        schedule=witness,
+        optimal=nodes <= node_budget,
+        nodes=nodes,
+    )
+
+
+def _search(
+    w: Workload,
+    static_lb: int,
+    best_ms: int,
+    best_assign: tuple[Assignment, ...],
+    node_budget: int,
+) -> tuple[int, tuple[Assignment, ...], int]:
+    # the branch and bound below an incumbent that misses the static
+    # bound: returns the best makespan, its assignments and the node count
     n = w.n
     m = w.cores.core_count
     times = w.exec_times()
     adjacency = w.conflict_index.adjacency
     attestor = w.attestor
-
-    static_lb = _static_lower_bound(w)
-    incumbent = _incumbent(w, static_lb)
-    best_ms = incumbent.schedule_makespan_ms
-    best_assign = incumbent.assignments
     clique_w = None
-    if best_ms > static_lb and n <= 16:
+    if n <= 16:
         # rows are distinct, so summing their bits sets each once
         adj_mask = [sum(1 << q for q in row) for row in adjacency]
         clique_w = _clique_weight_table(times, adj_mask)
@@ -339,17 +419,4 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
             continue
         visited.add(key)
         stack.append(children(remaining_mask, remaining_work))
-
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    witness = Schedule(
-        assignments=best_assign,
-        horizon_ms=sum(times),
-        schedule_makespan_ms=best_ms,
-        wall_time_ms=wall_ms,
-    )
-    return OracleResult(
-        makespan_ms=best_ms,
-        schedule=witness,
-        optimal=nodes <= node_budget,
-        nodes=nodes,
-    )
+    return best_ms, best_assign, nodes

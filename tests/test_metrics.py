@@ -1,5 +1,7 @@
 """Objective metrics, energy accounting, speedups, and analytic bounds."""
 
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -18,6 +20,7 @@ from conflictsched.metrics import (
 )
 from conflictsched.model import (
     Assignment,
+    ConflictModel,
     ConflictPair,
     CoreProfile,
     Process,
@@ -192,6 +195,31 @@ class TestMetricsReport:
         assert report.energy_per_core == (0.0, 0.0, 0.0)
         assert report.pce == 0.0 and report.weighted_objective == 0.0
         assert report.speedup_makespan_only is None and report.speedup_total is None
+
+    def test_reports_are_pinned(self):
+        # every field of every report, floats to the last bit: seeded
+        # workloads of both models with nonzero energy costs, 1 to 5
+        # cores, both modes, EVENT and the 10 greedy strategies, with a
+        # fixed wall time. A change to how a report is computed keeps it.
+        strategies = [Strategy(assign_type=AssignType.EVENT)] + [
+            Strategy(sort, assign, 3)
+            for sort in SortType
+            for assign in (AssignType.LOOSE, AssignType.STRICT)
+        ]
+        reports = []
+        for seed in range(12):
+            base = generate_workload(
+                20 + 7 * seed, (0.05, 0.2, 0.45)[seed % 3], seed=seed,
+                model=list(ConflictModel)[seed % 2],
+                cores=CoreProfile(1 + seed % 5, 0.0013 * (seed + 1), 0.37 + seed / 7),
+            )
+            for attestor in (False, True):
+                w = base.with_attestor(attestor)
+                for strat in strategies:
+                    sch = dataclasses.replace(schedule(w, strat), wall_time_ms=0.125 * (seed + 1))
+                    reports.append(metrics_report(sch, w, Weights(0.3)))
+        digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+        assert digest == "fb258e85760ed010ad3a52cc60951d67f2d40bda0d36cd73a3472aee9c007692"
 
 
 class TestBoundParams:

@@ -6,6 +6,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conflictsched.model
 import conflictsched.oracle
@@ -19,6 +21,8 @@ from conflictsched.model import (
     Workload,
     build_conflict_index,
     generate_workload,
+    load_schedule,
+    save_schedule,
 )
 from conflictsched.oracle import DEFAULT_NODE_BUDGET, exact_optimal, validate_schedule
 from conflictsched.scheduler import (
@@ -107,6 +111,65 @@ def make_schedule(assignments, horizon=None):
         schedule_makespan_ms=makespan,
         wall_time_ms=0.0,
     )
+
+
+# a mutation of one schedule: (kind, entry, other entry, amount). "onto"
+# moves the entry onto the other entry's core, near its start; "after"
+# moves it near the other entry's finish on its own core
+MUTATIONS = [
+    "shift", "onto", "after", "recore", "finish", "swap", "duplicate", "drop",
+    "makespan", "horizon",
+]
+
+
+def mutate(sch, kind, i, j, delta):
+    asg = list(sch.assignments)
+    if kind == "makespan":
+        return dataclasses.replace(sch, schedule_makespan_ms=sch.schedule_makespan_ms + delta)
+    if kind == "horizon":
+        return dataclasses.replace(sch, horizon_ms=sch.horizon_ms + delta)
+    if not asg:
+        return sch
+    i, j = i % len(asg), j % len(asg)
+    pid, core_id, start, finish = asg[i]
+    if kind == "shift":
+        asg[i] = Assignment(pid, core_id, start + delta, finish + delta)
+    elif kind == "onto":
+        to = asg[j].start_ms + delta
+        asg[i] = Assignment(pid, asg[j].core_id, to, to + finish - start)
+    elif kind == "after":
+        to = asg[j].finish_ms + delta
+        asg[i] = Assignment(pid, core_id, to, to + finish - start)
+    elif kind == "recore":
+        asg[i] = Assignment(pid, core_id + delta, start, finish)
+    elif kind == "finish":
+        asg[i] = Assignment(pid, core_id, start, finish + delta)
+    elif kind == "swap":
+        asg[i], asg[j] = asg[j], asg[i]
+    elif kind == "duplicate":
+        asg.insert(j, asg[i])
+    else:
+        del asg[i]
+    return dataclasses.replace(sch, assignments=tuple(asg))
+
+
+def restated(sch):
+    return dataclasses.replace(
+        sch, schedule_makespan_ms=max((a.finish_ms for a in sch.assignments), default=0)
+    )
+
+
+def library_schedule(w, source):
+    if source == "oracle":
+        return exact_optimal(w, node_budget=200).schedule
+    return schedule(w, Strategy(assign_type=AssignType[source.upper()]))
+
+
+def outcome(check, sch, w):
+    try:
+        return check(sch, w)
+    except Exception as exc:  # the error, if any, must match too
+        return type(exc), str(exc)
 
 
 class TestValidateSchedule:
@@ -243,6 +306,111 @@ class TestValidateSchedule:
             ("C3", (0, 2), "conflicting process 2 starts at 3 before predecessor 0 finishes at 4"),
             ("C3", (1, 3), "conflicting process 3 starts at -1 before predecessor 1 finishes at 6"),
         ]
+
+    def test_entries_out_of_id_order_are_checked_by_id(self):
+        # listed 1 then 0, with equal times: read by position, the
+        # intervals would keep the id order
+        w = make_workload([4, 4], [(0, 1)], m=2, attestor=True)
+        sch = make_schedule([(1, 0, 0, 4), (0, 1, 5, 9)])
+        report = validate_schedule(sch, w)
+        assert [(v.constraint, v.process_ids) for v in report.violations] == [("C3", (0, 1))]
+
+    @given(
+        n=st.integers(1, 10),
+        rate=st.floats(0, 0.6),
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2_000),
+        attestor=st.booleans(),
+        model=st.sampled_from(list(ConflictModel)),
+        source=st.sampled_from(["loose", "strict", "event", "oracle"]),
+        mutations=st.lists(
+            st.tuples(
+                st.sampled_from(MUTATIONS), st.integers(0, 99), st.integers(0, 99),
+                st.integers(-6, 6),
+            ),
+            max_size=3,
+        ),
+        restate=st.booleans(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_per_entry_report(
+        self, n, rate, m, seed, attestor, model, source, mutations, restate
+    ):
+        # the whole-column proof may only skip the per-entry report when
+        # the report finds nothing: on library schedules, valid or mutated,
+        # both give the same report, or raise the same error. Restating
+        # the makespan lets a mutation reach the interval checks.
+        w = generate_workload(
+            n, rate, model=model, seed=seed, cores=CoreProfile(m), attestor=attestor
+        )
+        sch = library_schedule(w, source)
+        for mutation in mutations:
+            sch = mutate(sch, *mutation)
+        if restate:
+            sch = restated(sch)
+        assert outcome(validate_schedule, sch, w) == outcome(conflictsched.oracle._report, sch, w)
+
+    def test_equals_the_per_entry_report_at_every_edge(self):
+        # each check one unit either side of its edge: for each conflict
+        # pair and each pair of adjacent ids (p, q), q moved to start one
+        # unit before, at, or one unit after p's finish, on its own core or
+        # on p's; core ids -1 and m; start -1
+        kinds = set()
+        for seed in range(8):
+            base = generate_workload(
+                12, 0.3, model=list(ConflictModel)[seed % 2], seed=seed,
+                cores=CoreProfile(2 + seed % 3),
+            )
+            m = base.cores.core_count
+            for attestor in (False, True):
+                w = base.with_attestor(attestor)
+                for source in ("loose", "event", "oracle"):
+                    sch = library_schedule(w, source)
+                    asg = sch.assignments
+                    edges = [
+                        (q, asg[p].core_id if onto else asg[q].core_id, asg[p].finish_ms + d)
+                        for p, q in (w.conflicts + tuple(zip(range(w.n), range(1, w.n))))
+                        for onto in (False, True)
+                        for d in (-1, 0, 1)
+                    ]
+                    edges += [(q, core_id, asg[q].start_ms) for q in range(w.n) for core_id in (-1, m)]
+                    edges += [(q, asg[q].core_id, -1) for q in range(w.n)]
+                    for q, core_id, to in edges:
+                        moved = list(asg)
+                        moved[q] = Assignment(q, core_id, to, to + w.processes[q].exec_time_ms)
+                        mutant = restated(dataclasses.replace(sch, assignments=tuple(moved)))
+                        report = conflictsched.oracle._report(mutant, w)
+                        assert validate_schedule(mutant, w) == report
+                        kinds.update(v.constraint for v in report.violations)
+                        kinds.add(report.ok)
+        assert kinds == {True, False, "COMPLETENESS", "C1", "C2", "C3"}
+
+    def test_every_library_schedule_takes_the_proof(self, monkeypatch, tmp_path):
+        # every strategy, the oracle's witness (from the root and from the
+        # search) and a saved and reloaded schedule list their processes
+        # in id order, so none of them needs the per-entry report
+        def unexpected(sch, w):
+            raise AssertionError("a valid library schedule reached the per-entry report")
+
+        monkeypatch.setattr(conflictsched.oracle, "_report", unexpected)
+        searched = 0
+        for seed in range(12):
+            base = generate_workload(
+                6 + seed, (0.1, 0.3, 0.5)[seed % 3], seed=seed,
+                model=list(ConflictModel)[seed % 2], cores=CoreProfile(1 + seed % 4),
+            )
+            for attestor in (False, True):
+                w = base.with_attestor(attestor)
+                made = [schedule(w, strat) for strat in DISTINCT_STRATEGIES]
+                res = exact_optimal(w, node_budget=2_000)
+                searched += res.nodes > 0
+                made.append(res.schedule)
+                save_schedule(made[0], tmp_path / "s.json")
+                made.append(load_schedule(tmp_path / "s.json"))
+                for sch in made:
+                    assert validate_schedule(sch, w) == conflictsched.oracle._VALID
+        assert searched
+
 
 
 class TestExactOptimal:
@@ -512,6 +680,29 @@ class TestExactOptimal:
                 assert len(tables) == 1
         assert by_event and by_greedy and missed
 
+    def test_a_root_certificate_builds_no_search_state(self, monkeypatch):
+        # an incumbent at the static bound is returned before the search
+        # builds its order, placement record, memo or stack
+        real = conflictsched.oracle._search
+        searches = []
+
+        def counted(w, *args):
+            searches.append(w)
+            return real(w, *args)
+
+        monkeypatch.setattr(conflictsched.oracle, "_search", counted)
+        at_root = 0
+        for seed in range(40):
+            w = generate_workload(10, 0.45, seed=seed, cores=CoreProfile(2), attestor=bool(seed % 2))
+            cheap = conflictsched.oracle._static_lower_bound(w)
+            at_bound = conflictsched.oracle._incumbent(w, cheap).schedule_makespan_ms <= cheap
+            searches.clear()
+            res = exact_optimal(w)
+            assert res.optimal
+            assert len(searches) == (not at_bound)
+            at_root += at_bound
+        assert 0 < at_root < 40
+
     def test_optima_equal_pure_enumeration_up_to_six_processes(self):
         rng = random.Random(17)
         for i in range(24):
@@ -526,8 +717,14 @@ class TestExactOptimal:
             assert validate_schedule(res.schedule, w).ok
 
     @pytest.mark.parametrize("budget,digest", [
-        (DEFAULT_NODE_BUDGET, "ffb783348c7d8e0eaae3233eb3c4ce56cd07613b5022300a90a5cfc0ea2f0cae"),
-        (50, "1898c36174616849a50d3ec9b1c3c963a1e4908451fc7e568ef217ceb1bc4537"),
+        pytest.param(
+            DEFAULT_NODE_BUDGET,
+            "ffb783348c7d8e0eaae3233eb3c4ce56cd07613b5022300a90a5cfc0ea2f0cae",
+            id="default-budget",
+        ),
+        pytest.param(
+            50, "1898c36174616849a50d3ec9b1c3c963a1e4908451fc7e568ef217ceb1bc4537", id="50-nodes"
+        ),
     ])
     def test_search_outputs_are_pinned(self, budget, digest):
         # the benchmark's 160 oracle-small instances (n 8/10, rate
