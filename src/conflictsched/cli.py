@@ -44,6 +44,10 @@ def _add_dist_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-const", type=int, default=8, help="constant value, ms (default 8)")
 
 
+# the `--model` choices of `generate` and `bench`
+_MODEL_NAMES = [model.value.lower() for model in ConflictModel]
+
+
 def _joined(values) -> str:
     return ",".join(map(str, values))
 
@@ -155,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a synthetic workload file")
     p.add_argument("--n", type=int, required=True, help="process count")
     p.add_argument("--rate", type=float, required=True, help="conflict rate in [0, 1]")
-    p.add_argument("--model", choices=["pairwise", "participation"],
+    p.add_argument("--model", choices=_MODEL_NAMES,
                    default=DEFAULT_CONFLICT_MODEL.value.lower(),
                    help="conflict model (default %(default)s)")
     p.add_argument("--seed", type=int, required=True, help="generator seed")
@@ -203,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=DEFAULT_STRATEGY.assign_type.value)
     p.add_argument("--rounds", type=int, default=DEFAULT_STRATEGY.loose_review_round)
     p.add_argument("--modes", default=_joined(grid.modes))
-    p.add_argument("--model", choices=["pairwise", "participation"],
+    p.add_argument("--model", choices=_MODEL_NAMES,
                    default=grid.conflict_model.value.lower())
     _add_dist_flags(p)
     p.set_defaults(func=_cmd_bench)

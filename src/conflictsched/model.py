@@ -137,6 +137,7 @@ class CoreProfile:
     cost_per_idle_ms: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_int(self.core_count, "cores.count")
         if self.core_count < 1:
             raise WorkloadValidationError(f"cores.count must be >= 1, got {self.core_count}")
         # NaN passes a "< 0" test, so finiteness is checked on its own
@@ -216,8 +217,10 @@ class Workload:
     The process list order is canonical: ``processes[i].id == i``, and that
     index is the original block position used by attestor-mode ordering.
     Conflict pairs must be canonical (a < b, both known ids); they are
-    deduplicated and sorted at construction. The checks run as whole-list
-    passes; the per-entry loops run only to name the first bad entry.
+    deduplicated and sorted at construction. Process fields and the ids of
+    plain-tuple pairs must be integers, not bools. The checks run as
+    whole-list passes; the per-entry loops run only to name the first bad
+    entry.
 
     A workload and its `with_cores`/`with_attestor` copies share one dict of
     derived data, so `conflict_index`, `exec_times`, `attestor_order`,
@@ -239,6 +242,14 @@ class Workload:
                         f"processes[{position}].id is {proc.id}; ids must be 0..n-1 in order"
                     )
             raise AssertionError("process id check rejected valid ids")
+        # a float or bool equal to an int passes the check above and
+        # `Process`'s, but the scheduler indexes by ids and ranges over times
+        fields = attrgetter("id", "exec_time_ms", "op_count")
+        if not _all_ints(chain.from_iterable(map(fields, self.processes))):
+            for position, proc in enumerate(self.processes):
+                for key, value in zip(("id", "execTimeMs", "opCount"), fields(proc)):
+                    _require_int(value, f"processes[{position}].{key}")
+            raise AssertionError("process field check rejected integer fields")
         pairs = tuple(self.conflicts)
         # `_all_instances` by hand, keeping the type set: generated and
         # loaded pairs are all ConflictPairs, which have two fields; other
@@ -251,6 +262,9 @@ class Workload:
         if plain and set(map(len, pairs)) - {2}:
             bad = next(pair for pair in pairs if len(pair) != 2)
             raise WorkloadValidationError(f"conflict pair {bad!r} does not have two ids")
+        if plain and not _all_ints(chain.from_iterable(pairs)):
+            bad = next(pair for pair in pairs if not _all_ints(pair))
+            raise WorkloadValidationError(f"conflict pair {bad!r} must hold two integer ids")
         # a loaded file lists its pairs in strictly ascending order, which
         # one pass proves; other pairs are sorted, so the smallest `a` comes
         # first, and deduplicated (hashed) in that order
@@ -450,13 +464,14 @@ def estimate_exec_time(gas_estimate: int, model: GasTimeModel) -> int:
     return max(1, _round_half_up(model.slope * gas_estimate + model.intercept))
 
 
-def _pairwise_conflicts(n: int, rate: float, rng: random.Random) -> list[ConflictPair]:
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < rate:
-                pairs.append(ConflictPair(i, j))
-    return pairs
+def _random_pairs(ids, rate: float, rng: random.Random) -> list[ConflictPair]:
+    """Each pair of the ascending ``ids``, in order, kept with probability ``rate``."""
+    return [
+        ConflictPair(a, b)
+        for k, a in enumerate(ids)
+        for b in ids[k + 1:]
+        if rng.random() < rate
+    ]
 
 
 def _participation_conflicts(n: int, rate: float, rng: random.Random) -> list[ConflictPair]:
@@ -465,20 +480,13 @@ def _participation_conflicts(n: int, rate: float, rng: random.Random) -> list[Co
         # a single participant cannot form a pair; treat as conflict-free
         return []
     participants = rng.sample(range(n), target)
-    edges = set()
     # perfect-matching pass guarantees every participant has a conflict
-    for k in range(0, target - 1, 2):
-        edges.add(ConflictPair.of(participants[k], participants[k + 1]))
+    pairs = [ConflictPair.of(participants[k], participants[k + 1]) for k in range(0, target - 1, 2)]
     if target % 2 == 1:
-        lone = participants[-1]
-        edges.add(ConflictPair.of(lone, rng.choice(participants[:-1])))
-    # extra edges densify the participant subgraph; non-participants stay clean
-    ordered = sorted(participants)
-    for i_pos in range(len(ordered)):
-        for j_pos in range(i_pos + 1, len(ordered)):
-            if rng.random() < PARTICIPANT_EXTRA_EDGE_RATE:
-                edges.add(ConflictPair(ordered[i_pos], ordered[j_pos]))
-    return list(edges)
+        pairs.append(ConflictPair.of(participants[-1], rng.choice(participants[:-1])))
+    # extra edges densify the participant subgraph; non-participants stay
+    # clean. `Workload` drops an extra edge that repeats a matching pair.
+    return pairs + _random_pairs(sorted(participants), PARTICIPANT_EXTRA_EDGE_RATE, rng)
 
 
 def generate_workload(
@@ -490,14 +498,14 @@ def generate_workload(
     cores: CoreProfile | None = None,
     attestor: bool = False,
     time_dist: TimeDistribution = DEFAULT_TIME_DIST,
-    ops_per_ms: int = OPS_PER_MS,
 ) -> Workload:
     """Generate a synthetic benchmark workload, deterministic in ``seed``.
 
     PAIRWISE draws every unordered pair independently at ``conflict_rate``.
     PARTICIPATION makes exactly round(n * conflict_rate) processes conflict
     participants (a random matching plus extra random edges among them);
-    everything else is conflict-free.
+    everything else is conflict-free. Each process has `OPS_PER_MS` ops per
+    millisecond of execution time.
     """
     if n < 1:
         raise WorkloadValidationError(f"n must be >= 1, got {n}")
@@ -509,11 +517,11 @@ def generate_workload(
     rng = random.Random(seed)
     times = [time_dist.draw(rng) for _ in range(n)]
     processes = tuple(
-        Process(id=i, exec_time_ms=t, op_count=t * ops_per_ms)
+        Process(id=i, exec_time_ms=t, op_count=t * OPS_PER_MS)
         for i, t in enumerate(times)
     )
     if model is ConflictModel.PAIRWISE:
-        pairs = _pairwise_conflicts(n, conflict_rate, rng)
+        pairs = _random_pairs(range(n), conflict_rate, rng)
     else:
         pairs = _participation_conflicts(n, conflict_rate, rng)
     meta = {
@@ -521,7 +529,7 @@ def generate_workload(
         "conflictRate": conflict_rate,
         "conflictModel": model.value,
         "timeDist": time_dist.describe(),
-        "opsPerMs": ops_per_ms,
+        "opsPerMs": OPS_PER_MS,
     }
     return Workload(
         processes=processes,

@@ -9,7 +9,13 @@ import conflictsched.bench
 import conflictsched.cli
 from conflictsched.bench import ExperimentGrid
 from conflictsched.cli import cli
-from conflictsched.model import DEFAULT_CONFLICT_MODEL, DEFAULT_CORE_COUNT, generate_workload
+from conflictsched.model import (
+    DEFAULT_CONFLICT_MODEL,
+    DEFAULT_CORE_COUNT,
+    ConflictModel,
+    generate_workload,
+    save_workload,
+)
 from conflictsched.oracle import DEFAULT_NODE_BUDGET, exact_optimal
 from conflictsched.scheduler import DEFAULT_STRATEGY
 
@@ -452,3 +458,29 @@ def test_generate_and_oracle_defaults_are_the_library_defaults(tmp_path, capsys,
     assert inspect.signature(exact_optimal).parameters["node_budget"].default == budget
     assert inspect.signature(generate_workload).parameters["model"].default is kwargs["model"]
     assert generate_workload(5, 0.2, seed=1).cores.core_count == DEFAULT_CORE_COUNT
+
+
+@pytest.mark.parametrize("model", list(ConflictModel))
+def test_model_flag_accepts_each_conflict_model(tmp_path, capsys, monkeypatch, model):
+    name = model.value.lower()
+    wpath, expected = tmp_path / "w.json", tmp_path / "expected.json"
+    assert run(["generate", "--n", "30", "--rate", "0.3", "--seed", "4", "--model", name,
+                "--out", str(wpath)], capsys)[0] == 0
+    save_workload(generate_workload(30, 0.3, model=model, seed=4), expected)
+    assert wpath.read_bytes() == expected.read_bytes()
+    grids = []
+    monkeypatch.setattr(conflictsched.cli, "run_grid", lambda grid, out_dir: grids.append(grid) or [])
+    assert run(["bench", "--out-dir", str(tmp_path / "b"), "--model", name], capsys)[0] == 0
+    assert grids[0].conflict_model is model
+
+
+@pytest.mark.parametrize("command", ["generate", "bench"])
+def test_model_flag_lists_the_conflict_models(capsys, command):
+    with pytest.raises(SystemExit) as exc_info:
+        cli([command, "--help"])
+    assert exc_info.value.code == 0
+    assert "--model {pairwise,participation}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc_info:
+        cli([command, "--model", "PAIRWISE"])
+    assert exc_info.value.code == 2
+    assert "invalid choice: 'PAIRWISE'" in capsys.readouterr().err

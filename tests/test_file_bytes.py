@@ -102,11 +102,13 @@ def test_saved_workload_and_schedule_bytes_equal_json_dumps(tmp_path_factory, w)
 def test_a_record_field_that_is_not_a_plain_int_is_written_as_json_dumps(
     tmp_path_factory, times, fields, wall
 ):
-    # Process and Assignment do not check field types, so a bool, a float or
-    # an int subclass reaches the writer; a bool or a float must not be
-    # written as an int
+    # Assignment does not check field types, so a bool, a float or an int
+    # subclass reaches the writer. `Workload` refuses a bool or a float in a
+    # process, so those records are set past its checks. A bool or a float
+    # must not be written as an int
     directory = tmp_path_factory.mktemp("fallback")
-    w = Workload(processes=(Process(0, 1, 1), Process(1, *times)), conflicts=((0, 1),), cores=CoreProfile(2))
+    w = Workload(processes=(Process(0, 1, 1), Process(1, 1, 1)), conflicts=((0, 1),), cores=CoreProfile(2))
+    object.__setattr__(w, "processes", (Process(0, 1, 1), Process(1, *times)))
     save_workload(w, directory / "w.json")
     assert (directory / "w.json").read_bytes() == dumped(_workload_to_dict(w))
     sch = Schedule((Assignment(0, 0, 0, 1), Assignment(1, *fields)), 3, 4, wall)

@@ -1,6 +1,7 @@
 """Workload types, file I/O, generator, and the gas-to-time estimator."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conflictsched.model import (
+    OPS_PER_MS,
     ConflictModel,
     ConflictPair,
     CoreProfile,
@@ -344,6 +346,32 @@ class TestGenerator:
         save_workload(b, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_generated_files_are_pinned(self, tmp_path):
+        # The files of a fixed set of seeded workloads: both models; n = 1
+        # and 2 (no participant pair at low rates), 3 and 7 (a lone
+        # participant), 50 and 200; every rate from empty to complete; both
+        # time distributions; and the two n = 2 000 files that CI writes.
+        # A change that means to alter generated workloads updates the digest.
+        cases = [
+            dict(n=n, conflict_rate=rate, model=model, seed=seed, time_dist=dist)
+            for model in ConflictModel
+            for n in (1, 2, 3, 7, 50, 200)
+            for rate in (0.0, 0.01, 0.15, 0.45, 0.9, 1.0)
+            for seed in range(3)
+            for dist in (TimeDistribution.uniform(1, 15), TimeDistribution.constant(8))
+        ]
+        cases += [
+            dict(n=2000, conflict_rate=rate, model=model, seed=0, cores=CoreProfile(16))
+            for model, rate in ((ConflictModel.PARTICIPATION, 0.45), (ConflictModel.PAIRWISE, 0.02))
+        ]
+        h = hashlib.sha256()
+        path = tmp_path / "w.json"
+        for kwargs in cases:
+            save_workload(generate_workload(**kwargs), path)
+            h.update(path.read_bytes())
+        assert len(cases) == 434
+        assert h.hexdigest() == "55bf09d58e5493f0d88f156ec133d48bb5e568b2cc1fd28062b77ad11dab90f0"
+
     def test_pairwise_empirical_frequency(self):
         # mean pair frequency over many seeds stays within 3 points of the rate
         rate, n, seeds = 0.25, 100, 120
@@ -362,8 +390,13 @@ class TestGenerator:
         assert all(p.exec_time_ms == 8 for p in w.processes)
 
     def test_op_count_tracks_time(self):
-        w = generate_workload(40, 0.2, seed=2, ops_per_ms=500)
-        assert all(p.op_count == p.exec_time_ms * 500 for p in w.processes)
+        w = generate_workload(40, 0.2, seed=2)
+        assert all(p.op_count == p.exec_time_ms * OPS_PER_MS for p in w.processes)
+        assert w.meta["opsPerMs"] == OPS_PER_MS
+
+    def test_ops_rate_is_not_a_parameter(self):
+        with pytest.raises(TypeError, match="ops_per_ms"):
+            generate_workload(40, 0.2, seed=2, ops_per_ms=500)
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(WorkloadValidationError, match="conflictRate"):
@@ -596,6 +629,39 @@ class TestWorkloadInvariants:
     def test_core_profile_validation(self):
         with pytest.raises(WorkloadValidationError, match="cores.count"):
             CoreProfile(0)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True])
+    def test_core_profile_refuses_a_non_integer_count(self, count):
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            CoreProfile(count)
+        assert str(exc_info.value) == f"cores.count must be an integer, got {count!r}"
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("exec_time_ms", 2.5, "processes[1].execTimeMs must be an integer, got 2.5"),
+            ("op_count", True, "processes[1].opCount must be an integer, got True"),
+            ("id", 1.0, "processes[1].id must be an integer, got 1.0"),
+        ],
+        ids=["float-time", "bool-ops", "float-id"],
+    )
+    def test_a_non_integer_process_field_is_named(self, field, value, message):
+        # `Process` compares its fields, so these pass its own checks
+        procs = [Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)]
+        procs[1] = dataclasses.replace(procs[1], **{field: value})
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            Workload(processes=tuple(procs), conflicts=(), cores=CoreProfile(2))
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("pair", [(0.0, 1.0), (0, 2.0), (False, 1)], ids=["floats", "one-float", "bool"])
+    def test_a_plain_pair_with_a_non_integer_id_is_named(self, pair):
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            Workload(
+                processes=(Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)),
+                conflicts=((1, 2), pair),
+                cores=CoreProfile(2),
+            )
+        assert str(exc_info.value) == f"conflict pair {pair!r} must hold two integer ids"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_core_profile_rejects_non_finite_costs(self, value):
