@@ -7,110 +7,18 @@ execution; attestor mode additionally preserves the original order of
 conflicting pairs. Includes workload generation and I/O,
 schedule validation, an exact small-instance solver, objective metrics with
 the paper's analytic makespan estimates, and a benchmark harness.
+
+Every name in a library module's ``__all__`` is importable from here. The
+CLI is not imported, so importing the package does not load ``argparse``.
 """
 
-from .bench import (
-    CellResult,
-    ExperimentGrid,
-    ResultRow,
-    aggregate_cells,
-    run_cells,
-    run_grid,
-)
-from .metrics import (
-    BoundParams,
-    MetricsReport,
-    compute_idle_and_energy,
-    compute_speedups,
-    compute_te,
-    metrics_report,
-    upper_bound_chromatic,
-    upper_bound_closed_form,
-    weighted_objective,
-)
-from .model import (
-    Assignment,
-    ConflictIndex,
-    ConflictModel,
-    ConflictPair,
-    CoreProfile,
-    GasTimeModel,
-    Process,
-    Schedule,
-    TimeDistribution,
-    Weights,
-    Workload,
-    WorkloadValidationError,
-    build_conflict_index,
-    conflicts_with,
-    estimate_exec_time,
-    generate_workload,
-    load_schedule,
-    load_workload,
-    save_schedule,
-    save_workload,
-)
-from .oracle import OracleResult, ValidationReport, Violation, exact_optimal, validate_schedule
-from .scheduler import (
-    AssignType,
-    Plan,
-    SortType,
-    Strategy,
-    assign_loosely,
-    assign_strictly,
-    schedule,
-    sort_processes,
-)
+from . import bench, metrics, model, oracle, scheduler
+from .bench import *
+from .metrics import *
+from .model import *
+from .oracle import *
+from .scheduler import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "AssignType",
-    "BoundParams",
-    "CellResult",
-    "ConflictIndex",
-    "ConflictModel",
-    "ConflictPair",
-    "CoreProfile",
-    "ExperimentGrid",
-    "GasTimeModel",
-    "MetricsReport",
-    "OracleResult",
-    "Plan",
-    "Process",
-    "ResultRow",
-    "Schedule",
-    "SortType",
-    "Strategy",
-    "TimeDistribution",
-    "ValidationReport",
-    "Violation",
-    "Weights",
-    "Workload",
-    "WorkloadValidationError",
-    "aggregate_cells",
-    "assign_loosely",
-    "assign_strictly",
-    "build_conflict_index",
-    "compute_idle_and_energy",
-    "compute_speedups",
-    "compute_te",
-    "conflicts_with",
-    "estimate_exec_time",
-    "exact_optimal",
-    "generate_workload",
-    "load_schedule",
-    "load_workload",
-    "metrics_report",
-    "run_cells",
-    "run_grid",
-    "save_schedule",
-    "save_workload",
-    "schedule",
-    "sort_processes",
-    "upper_bound_chromatic",
-    "upper_bound_closed_form",
-    "validate_schedule",
-    "weighted_objective",
-]
+__all__ = [*bench.__all__, *metrics.__all__, *model.__all__, *oracle.__all__, *scheduler.__all__]

@@ -71,6 +71,12 @@ class WorkloadValidationError(ValueError):
     """A workload value or file violates an invariant; names the field."""
 
 
+def _require_int(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise WorkloadValidationError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 class ConflictModel(str, Enum):
     """How the generator turns a conflict rate into conflict pairs.
 
@@ -179,6 +185,8 @@ class TimeDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "constant"):
             raise WorkloadValidationError(f"unknown time distribution {self.kind!r}")
+        _require_int(self.low, "time distribution low")
+        _require_int(self.high, "time distribution high")
         if self.low < 1:
             raise WorkloadValidationError("time distribution low must be >= 1")
         if self.high < self.low:
@@ -507,6 +515,7 @@ def generate_workload(
     everything else is conflict-free. Each process has `OPS_PER_MS` ops per
     millisecond of execution time.
     """
+    _require_int(n, "n")
     if n < 1:
         raise WorkloadValidationError(f"n must be >= 1, got {n}")
     if not 0.0 <= conflict_rate <= 1.0:
@@ -582,21 +591,15 @@ def _require_object(value, keys, where: str, subject: str | None = None) -> None
         raise WorkloadValidationError(f"{where} is missing keys: {sorted(missing)}")
 
 
-def _require_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise WorkloadValidationError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise WorkloadValidationError(f"{where} must be a number, got {value!r}")
     return float(value)
 
 
-# Whole-list forms of the checks above: each is one pass in C over a list,
-# so a file with tens of thousands of entries is not checked by a Python
-# call per entry. Each accepts exactly what its per-entry form accepts.
+# Whole-list forms of the `_require_*` checks: each is one C pass over a
+# list, so a file with tens of thousands of entries is not checked by a
+# Python call per entry. Each accepts exactly what its per-entry form accepts.
 
 
 def _all_instances(values, cls: type) -> bool:

@@ -277,11 +277,13 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
     EVENT wins a tie. An incumbent at the bound is optimal, and is returned
     without a search and without the O(2^n) clique table. Otherwise the
     search skips children by admissible lower bounds (with the clique table
-    up to n = 16), core symmetry and dominance memoization. It replaces the
-    incumbent only with a shorter schedule, and ends as soon as one meets
-    the bound. If the node budget is exhausted first, the best schedule
-    found so far is returned with ``optimal=False``. Raises ``ValueError``
-    for a node budget below 1.
+    up to n = 16) and dominance memoization. The memo key holds the sorted
+    core ends, so it also catches a placement on an empty core that one on
+    another empty core already covered. It replaces the incumbent only with
+    a shorter schedule, and ends as soon as one meets the bound. If the
+    node budget is exhausted first, the best schedule found so far is
+    returned with ``optimal=False``. Raises ``ValueError`` for a node
+    budget below 1.
     """
     t0 = time.perf_counter()
     if node_budget < 1:
@@ -357,12 +359,7 @@ def _search(
             partners = adjacency[pid]
             # field 3 is finish_ms
             conflict_floor = max([a[3] for a in map(slots.__getitem__, partners) if a], default=0)
-            seen_empty = False
             for k in range(m):
-                if ends[k] == 0:
-                    if seen_empty:
-                        continue  # empty cores are interchangeable
-                    seen_empty = True
                 nodes += 1
                 if nodes > node_budget:
                     return
@@ -408,7 +405,8 @@ def _search(
         # placements that leave the same core ends, the same processes to
         # place and the same finish times above the earliest core end have
         # the same completions: every later start is at or after a core
-        # end, so an earlier finish delays none; start and core do not matter
+        # end, so an earlier finish delays none; start and core do not
+        # matter, nor which of several empty cores took the last process
         low = min(ends)
         key = (
             tuple(sorted(ends)),

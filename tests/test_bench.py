@@ -11,6 +11,7 @@ import conflictsched.model
 from conflictsched.bench import (
     CSV_COLUMNS,
     DEFAULT_STRATEGIES,
+    BenchValidationError,
     ExperimentGrid,
     aggregate_cells,
     rows_to_csv,
@@ -221,3 +222,27 @@ def test_default_grid_validates_each_distinct_schedule_once(monkeypatch):
     assert len(cells) == 2880
     assert len(validated) == 1728
 
+
+def test_an_invalid_schedule_stops_the_grid_before_it_writes(tmp_path, monkeypatch):
+    # process 0's finish off by one: the error names the cell, the
+    # strategy and the violation, and no results file is written
+    real = conflictsched.bench.schedule
+
+    def off_by_one(w, strat):
+        sch = real(w, strat)
+        first, *rest = sch.assignments
+        moved = first._replace(finish_ms=first.finish_ms + 1)
+        return dataclasses.replace(sch, assignments=(moved, *rest))
+
+    monkeypatch.setattr(conflictsched.bench, "schedule", off_by_one)
+    grid = ExperimentGrid(
+        process_counts=(20,), conflict_rates=(0.2,), seeds=(1,), core_counts=(4,),
+        modes=("attestor",), strategies=(Strategy(SortType.MCDF, AssignType.LOOSE, 3),),
+    )
+    message = (
+        r"invalid schedule for n=20 rate=0\.2 seed=1 m=4 mode=attestor strategy=MCDF-LOOSE-3: "
+        r"process 0 finish \d+ != start \d+ \+ time \d+$"
+    )
+    with pytest.raises(BenchValidationError, match=message):
+        run_grid(grid, tmp_path)
+    assert not (tmp_path / "results.csv").exists()

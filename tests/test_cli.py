@@ -102,8 +102,9 @@ def test_validate_exits_one_on_false_horizon(tmp_path, capsys):
     [
         (lambda payload: payload.pop("assignments"), "assignments"),
         (lambda payload: payload["assignments"][0].update(startMs="0"), "assignments[0].startMs"),
+        (lambda payload: payload.update(wallTimeMs=None), "wallTimeMs must be a number, got None"),
     ],
-    ids=["missing-assignments", "string-startMs"],
+    ids=["missing-assignments", "string-startMs", "null-wallTimeMs"],
 )
 def test_validate_malformed_schedule_exits_two(tmp_path, capsys, corrupt, field):
     wpath = tmp_path / "w.json"
@@ -369,6 +370,17 @@ def test_schedule_rejects_conflicts_that_are_not_an_array(tmp_path, capsys):
     assert status == 2
     assert out == ""
     assert err == "error: conflicts must be an array\n"
+
+
+@pytest.mark.parametrize("cost", ["1", True], ids=["string", "bool"])
+def test_schedule_names_a_cost_that_is_not_a_number(tmp_path, capsys, cost):
+    wpath = tmp_path / "w.json"
+    cores = {**EMPTY_WORKLOAD["cores"], "costPerOp": cost}
+    wpath.write_text(json.dumps({**EMPTY_WORKLOAD, "cores": cores}))
+    status, out, err = run(["schedule", "--workload", str(wpath)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == f"error: cores.costPerOp must be a number, got {cost!r}\n"
 
 
 def test_schedule_empty_workload_to_file(tmp_path, capsys):

@@ -408,6 +408,27 @@ class TestGenerator:
         with pytest.raises(WorkloadValidationError, match="n must be"):
             generate_workload(0, 0.5, seed=0)
 
+    def test_a_non_integer_n_is_named(self):
+        with pytest.raises(WorkloadValidationError, match="^n must be an integer, got 5.0$"):
+            generate_workload(5.0, 0.2)
+
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda: TimeDistribution.uniform(1.5, 3), "low must be an integer, got 1.5"),
+            (lambda: TimeDistribution.constant(2.5), "low must be an integer, got 2.5"),
+            (lambda: TimeDistribution.uniform(1, 3.0), "high must be an integer, got 3.0"),
+        ],
+        ids=["uniform-low", "constant", "uniform-high"],
+    )
+    def test_a_non_integer_time_bound_is_named(self, make, message):
+        with pytest.raises(WorkloadValidationError, match=f"^time distribution {message}$"):
+            make()
+
+    def test_an_unknown_time_distribution_is_named(self):
+        with pytest.raises(WorkloadValidationError, match="^unknown time distribution 'gaussian'$"):
+            TimeDistribution("gaussian", 1, 2)
+
     @given(
         n=st.integers(1, 60),
         rate=st.floats(0, 1),

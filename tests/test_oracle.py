@@ -719,7 +719,7 @@ class TestExactOptimal:
     @pytest.mark.parametrize("budget,digest", [
         pytest.param(
             DEFAULT_NODE_BUDGET,
-            "ffb783348c7d8e0eaae3233eb3c4ce56cd07613b5022300a90a5cfc0ea2f0cae",
+            "52bc64644b3129e2f101d58891f7ecded08f53d64fa1ca54c835f3b172101d37",
             id="default-budget",
         ),
         pytest.param(
