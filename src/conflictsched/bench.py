@@ -31,6 +31,7 @@ from .oracle import validate_schedule
 from .scheduler import SortType, Strategy, schedule
 
 __all__ = [
+    "BenchValidationError",
     "CSV_COLUMNS",
     "CellResult",
     "DEFAULT_STRATEGIES",

@@ -10,6 +10,18 @@ records core occupancy only as a heap of ``(occupied_until_ms, core_id)``
 pairs, so picking the least occupied core is O(1) and committing a
 placement is O(log m).
 
+Beside the plan, `schedule` keeps two per-process arrays: ``release``, the
+latest finish of any placed partner, and in attestor mode ``waiting``, the
+number of lower-id partners not yet placed. Placing a process pushes its
+finish into its partners' entries once, so every later attempt is decided
+from these two numbers in O(1), without reading the partners again. That is
+exact because loose starts never pass the heap top: every loose placement
+starts at the heap top, which never decreases, so every placed partner of a
+loose candidate starts no later than the candidate, and the two overlap
+exactly when the partner finishes after the candidate starts. In attestor
+mode no process is placed while a predecessor waits, so placing one pushes
+only the higher-id part of its row: the lower-id partners are all placed.
+
 * Loose placement refuses any placement that would need idle time; refused
   processes are retried in the next round (core ends advance between
   rounds, so earlier refusals often become placeable).
@@ -43,7 +55,7 @@ from enum import Enum
 from functools import partial
 from itertools import compress
 from operator import add, not_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, MutableMapping, MutableSequence, Sequence
 
 from .model import Assignment, ConflictIndex, Process, Schedule, Workload
 
@@ -113,6 +125,11 @@ class Plan:
     ``ends`` holds one ``(occupied_until_ms, core_id)`` pair per core: the
     finish of the last process placed there. It is kept as a heap, so
     ``ends[0]`` is the least occupied core, ties to the lowest id.
+
+    The plan holds no ``release`` or ``waiting``: `schedule` keeps those
+    beside it for one call, and `assign_loosely`/`assign_strictly` read
+    one process's pair off ``assigned``. So any plan, hand-built ones
+    included, can be passed to them.
     """
 
     ends: list[tuple[int, int]]
@@ -154,56 +171,111 @@ def sort_processes(
 
 def _place(
     plan: Plan,
-    idx: ConflictIndex,
-    procs: Sequence[Process] | Mapping[int, Process],
     pids: Iterable[int],
-    is_attestor: bool,
     loose: bool,
+    times: Sequence[int] | Mapping[int, int],
+    adjacency: Sequence[Sequence[int]] | Mapping[int, Sequence[int]],
+    release: MutableSequence[int] | MutableMapping[int, int],
+    waiting: MutableSequence[int] | MutableMapping[int, int] | None,
+    splits: Sequence[int] | Mapping[int, int] | None,
 ) -> list[int]:
     """Place ``pids`` in order, each on the least occupied core (the heap top).
 
     The one placement kernel: a loose round and the strict fallback are
-    each one call. One pass over a process's already placed partners
-    applies both rules. In attestor mode an unplaced lower-id partner (a
-    predecessor) refuses a loose placement and raises `AttestorOrderError`
-    for a strict one. A placed partner that finishes after the candidate
-    start refuses a loose placement when the two would overlap, or in
-    attestor mode always, since the process may not start before a
-    predecessor finishes; a strict placement instead starts after the
-    latest such finish. Returns the refused ids, leaving the plan untouched
-    for them; a strict call refuses none.
+    each one call. It decides each attempt from two numbers, without
+    reading the partners: ``release[pid]``, the latest finish of a placed
+    partner that bars the candidate slot, and in attestor mode
+    ``waiting[pid]``, the number of lower-id partners (predecessors) not
+    yet placed. A loose attempt is refused while a predecessor waits or the
+    release passes the start. A strict one raises `AttestorOrderError`
+    while a predecessor waits, and otherwise starts at the release if that
+    is later. In `schedule` loose starts never pass the heap top, so a
+    placed partner that finishes after a loose candidate starts overlaps it.
+
+    Placing a process walks its row once, raising each partner's release to
+    the new finish. In proposer mode (``waiting`` and ``splits`` None) that
+    is all of ``adjacency[pid]``. In attestor mode it is the higher-id part
+    ``adjacency[pid][splits[pid]:]``, and each of those partners also
+    counts one predecessor fewer. Returns the refused ids, leaving the plan
+    untouched for them; a strict call refuses none.
     """
     ends = plan.ends
     heapreplace = heapq.heapreplace
     assigned = plan.assigned
-    placed = assigned.get
-    adjacency = idx.adjacency
+    attestor = waiting is not None
     refused = []
     for pid in pids:
         start, core_id = ends[0]
-        exec_ms = procs[pid].exec_time_ms
-        finish = start + exec_ms
-        for partner in adjacency[pid]:
-            a = placed(partner)
-            if a is None:
-                if is_attestor and partner < pid:
-                    if loose:
-                        break
-                    raise AttestorOrderError(
-                        f"process {pid} assigned before conflicting predecessor {partner}"
-                    )
-            elif a[3] > start:
-                if not loose:
-                    start = a[3]
-                elif is_attestor or a[2] < finish:
-                    break
-        else:
-            finish = start + exec_ms
-            heapreplace(ends, (finish, core_id))
-            assigned[pid] = _new_assignment((pid, core_id, start, finish))
+        if attestor and waiting[pid]:
+            if loose:
+                refused.append(pid)
+                continue
+            first = next(q for q in adjacency[pid] if q < pid and q not in assigned)
+            raise AttestorOrderError(
+                f"process {pid} assigned before conflicting predecessor {first}"
+            )
+        ready = release[pid]
+        if ready > start:
+            if loose:
+                refused.append(pid)
+                continue
+            start = ready
+        finish = start + times[pid]
+        heapreplace(ends, (finish, core_id))
+        assigned[pid] = _new_assignment((pid, core_id, start, finish))
+        row = adjacency[pid]
+        if not row:
             continue
-        refused.append(pid)
+        if attestor:
+            for partner in row[splits[pid]:]:
+                waiting[partner] -= 1
+                if release[partner] < finish:
+                    release[partner] = finish
+        else:
+            for partner in row:
+                if release[partner] < finish:
+                    release[partner] = finish
     return refused
+
+
+def _place_one(
+    proc: Process, plan: Plan, idx: ConflictIndex, is_attestor: bool, loose: bool
+) -> list[int]:
+    """Run the kernel on one process of any plan, returning what it refused.
+
+    The process's release and waiting are read off ``plan.assigned`` with
+    the per-partner rules written out, since a hand-built plan need not
+    keep `schedule`'s invariant: in loose proposer mode only a partner that
+    overlaps the candidate slot counts. The row is read only until the
+    outcome is settled: one waiting predecessor refuses or raises, and in a
+    loose call so does one release past the start. The kernel pushes
+    nothing, since the next call reads the plan again: in attestor mode the
+    split is the row's end (its length, ``idx.conflict_count``), in proposer
+    mode the row it is given is empty.
+    """
+    pid = proc.id
+    row = idx.adjacency[pid]
+    exec_ms = proc.exec_time_ms
+    start = plan.ends[0][0]
+    finish = start + exec_ms
+    placed = plan.assigned.get
+    release = waiting = 0
+    for partner in row:
+        a = placed(partner)
+        if a is None:
+            if is_attestor and partner < pid:
+                waiting = 1
+                break
+        elif a[3] > release and (is_attestor or not loose or a[2] < finish):
+            release = a[3]
+            if loose and release > start:
+                break
+    if is_attestor:
+        return _place(
+            plan, (pid,), loose, {pid: exec_ms}, idx.adjacency, {pid: release},
+            {pid: waiting}, idx.conflict_count,
+        )
+    return _place(plan, (pid,), loose, {pid: exec_ms}, {pid: ()}, {pid: release}, None, None)
 
 
 def assign_strictly(
@@ -215,7 +287,7 @@ def assign_strictly(
     conflicting partner, so the placement never violates conflict freedom;
     in attestor mode every conflicting predecessor must already be placed.
     """
-    _place(plan, idx, {proc.id: proc}, (proc.id,), is_attestor, False)
+    _place_one(proc, plan, idx, is_attestor, False)
     return plan.assigned[proc.id]
 
 
@@ -231,7 +303,7 @@ def assign_loosely(
     time is inserted; later review rounds or the strict fallback recover
     refused processes.
     """
-    if _place(plan, idx, {proc.id: proc}, (proc.id,), is_attestor, True):
+    if _place_one(proc, plan, idx, is_attestor, True):
         return None
     return plan.assigned[proc.id]
 
@@ -334,17 +406,24 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
     else:
         pending = sort_processes(w, idx, strategy.sort_type, w.attestor)
         plan = Plan.empty(w)
-        procs = w.processes
+        times = w.exec_times()
+        n = len(times)
+        adjacency = idx.adjacency
+        release = [0] * n
+        splits = waiting = None
+        if w.attestor:
+            splits = w.predecessor_counts()
+            waiting = list(splits)
 
         if strategy.assign_type is AssignType.LOOSE:
             for _ in range(strategy.loose_review_round + 1):
-                refused = _place(plan, idx, procs, pending, w.attestor, True)
+                refused = _place(plan, pending, True, times, adjacency, release, waiting, splits)
                 if len(refused) == len(pending):
                     break
                 pending = refused
-        _place(plan, idx, procs, pending, w.attestor, False)
+        _place(plan, pending, False, times, adjacency, release, waiting, splits)
 
-        assignments = tuple(map(plan.assigned.__getitem__, range(w.n)))
+        assignments = tuple(map(plan.assigned.__getitem__, range(n)))
         makespan = max(plan.ends)[0]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return Schedule(

@@ -8,10 +8,10 @@ import pytest
 
 import conflictsched.bench
 import conflictsched.model
+from conflictsched import BenchValidationError
 from conflictsched.bench import (
     CSV_COLUMNS,
     DEFAULT_STRATEGIES,
-    BenchValidationError,
     ExperimentGrid,
     aggregate_cells,
     rows_to_csv,

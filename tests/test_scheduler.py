@@ -1,6 +1,7 @@
 """Greedy scheduler: sorting, strict/loose placement, and full runs."""
 
 import hashlib
+import inspect
 import statistics
 from unittest import mock
 
@@ -159,6 +160,32 @@ class TestAssignLoosely:
         assert list(plan.assigned) == [0]
 
 
+class TestHandBuiltPlans:
+    # a hand-built plan need not keep schedule()'s invariant that no placed
+    # process starts after the heap top; the per-process functions apply
+    # the per-partner rules to it all the same
+
+    def test_loose_proposer_counts_only_overlapping_partners(self):
+        w = make_workload([2, 2], [(0, 1)], m=2)
+        idx = build_conflict_index(w)
+
+        def plan():
+            return Plan([(3, 0), (12, 1)], {0: Assignment(0, 1, 10, 12)})
+
+        # [3, 5) is disjoint from the partner's later [10, 12): a rule on
+        # the partner's finish alone would refuse it
+        assert assign_loosely(w.processes[1], plan(), idx, False) == Assignment(1, 0, 3, 5)
+        assert assign_strictly(w.processes[1], plan(), idx, False) == Assignment(1, 0, 12, 14)
+
+    def test_attestor_loose_refuses_a_later_partner_placed_past_the_heap_top(self):
+        w = make_workload([4, 4], [(0, 1)], m=2, attestor=True)
+        idx = build_conflict_index(w)
+        plan = Plan([(0, 0), (104, 1)], {1: Assignment(1, 1, 100, 104)})
+        assert assign_loosely(w.processes[0], plan, idx, True) is None
+        assert sorted(plan.ends) == [(0, 0), (104, 1)]
+        assert list(plan.assigned) == [1]
+
+
 class TestCorePick:
     def test_plan_from_busy_cores_picks_least_occupied(self):
         # cores 1 and 3 tie at 4: the lower id goes first, then core 3
@@ -189,7 +216,7 @@ class TestCorePick:
         )
         commits = []
 
-        def check(plan, before, a):
+        def check(place, plan, before, a):
             if a is None:
                 assert plan.ends == before
                 return
@@ -203,13 +230,41 @@ class TestCorePick:
         replay(w, Strategy(SortType.MCDF, assign, rounds), check)
         assert len(commits) == n
 
+    @given(
+        n=st.integers(1, 40),
+        rate=st.floats(0, 0.6),
+        m=st.integers(1, 8),
+        seed=st.integers(0, 2_000),
+        sort_type=st.sampled_from(list(SortType)),
+        rounds=st.integers(0, 3),
+        attestor=st.booleans(),
+        model=st.sampled_from(list(ConflictModel)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_loose_starts_never_pass_the_heap_top(
+        self, n, rate, m, seed, sort_type, rounds, attestor, model
+    ):
+        # what lets schedule() decide a loose attempt from the latest
+        # partner finish alone: every placed partner starts no later than
+        # the candidate
+        w = generate_workload(
+            n, rate, model=model, seed=seed, cores=CoreProfile(m), attestor=attestor
+        )
 
-def replay(w, strategy, observe=lambda plan, before, a: None):
+        def check(place, plan, before, a):
+            if place is assign_loosely:
+                assert a is None or a.start_ms == before[0][0]
+                assert all(p.start_ms <= plan.ends[0][0] for p in plan.assigned.values())
+
+        replay(w, Strategy(sort_type, AssignType.LOOSE, rounds), check)
+
+
+def replay(w, strategy, observe=lambda place, plan, before, a: None):
     """schedule() rebuilt from its public parts, one placement call at a time.
 
     Runs every loose round, even one with nothing left to place, then the
-    strict fallback; ``observe`` sees the plan, a copy of its heap from
-    before the call, and the call's result.
+    strict fallback; ``observe`` sees the placement function, the plan, a
+    copy of its heap from before the call, and the call's result.
     """
     idx = w.conflict_index
     order = sort_processes(w, idx, strategy.sort_type, w.attestor)
@@ -219,7 +274,7 @@ def replay(w, strategy, observe=lambda plan, before, a: None):
     for place in calls + [assign_strictly]:
         for pid in [pid for pid in order if pid not in plan.assigned]:
             before = list(plan.ends)
-            observe(plan, before, place(w.processes[pid], plan, idx, w.attestor))
+            observe(place, plan, before, place(w.processes[pid], plan, idx, w.attestor))
     return tuple(plan.assigned[pid] for pid in range(w.n))
 
 
@@ -289,11 +344,13 @@ class TestSchedule:
     def test_loose_rounds_stop_once_one_places_nothing(self, attestor):
         w = generate_workload(30, 0.6, seed=4, cores=CoreProfile(3), attestor=attestor)
         real_place = scheduler._place
+        bind = inspect.signature(real_place).bind
         calls = []  # (loose, offered, refused) per kernel call
 
-        def counted(plan, idx, procs, pids, is_attestor, loose):
-            refused = real_place(plan, idx, procs, pids, is_attestor, loose)
-            calls.append((loose, len(pids), len(refused)))
+        def counted(*args):
+            refused = real_place(*args)
+            call = bind(*args).arguments
+            calls.append((call["loose"], len(call["pids"]), len(refused)))
             return refused
 
         with mock.patch.object(scheduler, "_place", counted):
@@ -362,6 +419,27 @@ class TestSchedule:
                                 )
                                 h.update(repr(rows).encode())
         assert h.hexdigest() == "a5ffaeb7545620185fff0d82384fd978e439b1c17fb34b8f84fb68872f6140d6"
+
+    def test_block_file_assignments_match_reference_digest(self):
+        # the greedy at the size where its placement rounds run longest:
+        # both conflict models' n = 2 000 blocks as the block-file benchmark
+        # generates them, on 16 and 64 cores, in both modes
+        h = hashlib.sha256()
+        models = [(ConflictModel.PARTICIPATION, 0.45), (ConflictModel.PAIRWISE, 0.02)]
+        for seed, (model, rate) in enumerate(models):
+            base = generate_workload(2000, rate, model=model, seed=seed)
+            for m in (16, 64):
+                for attestor in (False, True):
+                    w = base.with_cores(CoreProfile(m)).with_attestor(attestor)
+                    for sort_type in SortType:
+                        for assign, rounds in ((AssignType.LOOSE, 0), (AssignType.LOOSE, 3), (AssignType.STRICT, 0)):
+                            sch = schedule(w, Strategy(sort_type, assign, rounds))
+                            rows = tuple(
+                                (a.process_id, a.core_id, a.start_ms, a.finish_ms)
+                                for a in sch.assignments
+                            )
+                            h.update(repr(rows).encode())
+        assert h.hexdigest() == "a4c39289679d94fecb25ccf1b920c6bb16e9c742972466811d9fbb9106b80f88"
 
     def test_constant_times_loose_equals_horizon_over_m(self):
         w = generate_workload(
