@@ -438,7 +438,9 @@ class Schedule:
     ``horizon_ms`` is the serial-execution makespan (sum of all execution
     times) and the baseline for speedups. ``wall_time_ms`` is the measured
     duration of the scheduling call's sort and placement, not of the
-    schedule; the conflict index it reads is workload data, prepared once
+    schedule. A placement order is sorted on the first call per workload
+    family and sort key and reused after that, so only that call pays for
+    the sort. The conflict index it reads is workload data, prepared once
     per workload like the paper's offline conflict repository.
     """
 

@@ -5,22 +5,24 @@ Processes are sorted by a pluggable priority key, then placed one at a time
 on the least occupied core: loose rounds, then strict placement of whatever
 they refused. One kernel, `_place`, does all placement: `schedule` calls it
 once per loose round and once for the strict fallback, and
-`assign_loosely`/`assign_strictly` are its one-process case. The `Plan`
-records core occupancy only as a heap of ``(occupied_until_ms, core_id)``
-pairs, so picking the least occupied core is O(1) and committing a
-placement is O(log m).
+`assign_loosely`/`assign_strictly` are its one-process case. Core occupancy
+is a heap of ``(occupied_until_ms, core_id)`` pairs, so picking the least
+occupied core is O(1) and committing a placement is O(log m).
 
-Beside the plan, `schedule` keeps two per-process arrays: ``release``, the
-latest finish of any placed partner, and in attestor mode ``waiting``, the
-number of lower-id partners not yet placed. Placing a process pushes its
-finish into its partners' entries once, so every later attempt is decided
-from these two numbers in O(1), without reading the partners again. That is
-exact because loose starts never pass the heap top: every loose placement
-starts at the heap top, which never decreases, so every placed partner of a
-loose candidate starts no later than the candidate, and the two overlap
-exactly when the partner finishes after the candidate starts. In attestor
-mode no process is placed while a predecessor waits, so placing one pushes
-only the higher-id part of its row: the lower-id partners are all placed.
+`schedule` keeps its per-call state as flat per-process columns: ``core_of``
+and ``start_of``, which the kernel writes on each placement (a start of -1
+marks a process not yet placed), ``release``, the latest finish of any
+placed partner, and in attestor mode ``waiting``, the number of lower-id
+partners not yet placed. It builds the `Assignment` tuple from the columns
+once, at the end. Placing a process pushes its finish into its partners'
+entries once, so every later attempt is decided from ``release`` and
+``waiting`` in O(1), without reading the partners again. That is exact
+because loose starts never pass the heap top: every loose placement starts
+at the heap top, which never decreases, so every placed partner of a loose
+candidate starts no later than the candidate, and the two overlap exactly
+when the partner finishes after the candidate starts. In attestor mode no
+process is placed while a predecessor waits, so placing one pushes only the
+higher-id part of its row: the lower-id partners are all placed.
 
 * Loose placement refuses any placement that would need idle time; refused
   processes are retried in the next round (core ends advance between
@@ -34,7 +36,9 @@ that places nothing; STRICT strategies run zero.
 In attestor mode, conflicting pairs must additionally finish in their
 original block order; both placement methods respect that, and the sort
 phase puts all conflict participants first in original order so the gate
-can always be satisfied.
+can always be satisfied. A placement order depends only on the conflict
+index, so each one is sorted once per workload family and shared by every
+`with_cores`/`with_attestor` copy.
 
 EVENT strategies skip all of the above and run `_event`, a list scheduler
 (Graham 1969): a clock that jumps from one completion to the next, starting
@@ -53,7 +57,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import compress
+from itertools import compress, repeat
 from operator import add, not_
 from typing import Iterable, Mapping, MutableMapping, MutableSequence, Sequence
 
@@ -120,16 +124,17 @@ _new_assignment = partial(tuple.__new__, Assignment)
 
 @dataclass
 class Plan:
-    """Mutable working state shared by the placement methods.
+    """The placement state of `assign_loosely` and `assign_strictly`.
 
     ``ends`` holds one ``(occupied_until_ms, core_id)`` pair per core: the
     finish of the last process placed there. It is kept as a heap, so
     ``ends[0]`` is the least occupied core, ties to the lowest id.
+    ``assigned`` maps each placed process to its `Assignment`.
 
-    The plan holds no ``release`` or ``waiting``: `schedule` keeps those
-    beside it for one call, and `assign_loosely`/`assign_strictly` read
-    one process's pair off ``assigned``. So any plan, hand-built ones
-    included, can be passed to them.
+    `schedule` builds no plan: it keeps its state in per-call columns. The
+    per-process calls read a process's release and waiting off
+    ``assigned``, so any plan, hand-built ones included, can be passed to
+    them.
     """
 
     ends: list[tuple[int, int]]
@@ -146,7 +151,7 @@ class Plan:
 def sort_processes(
     w: Workload, idx: ConflictIndex, sort_type: SortType, is_attestor: bool
 ) -> list[int]:
-    """Order process ids for placement.
+    """Order process ids for placement, as a fresh list.
 
     Proposer mode applies the strategy's sort key with ties broken by
     original id (stable). Attestor mode ignores the key: conflict
@@ -169,8 +174,27 @@ def sort_processes(
     return sorted(ids, key=stats.__getitem__, reverse=most_first)
 
 
+def _placement_order(w: Workload, idx: ConflictIndex, sort_type: SortType) -> tuple[int, ...]:
+    """`sort_processes`'s order for ``w``, sorted on first use per family.
+
+    The order depends only on the conflict index, which the workload's
+    whole `with_cores`/`with_attestor` family shares. So, like
+    `Workload.attestor_order`, a proposer order is kept in the family's
+    cache, under its sort key.
+    """
+    if w.attestor:
+        return w.attestor_order()
+    family = w._family
+    order = family.get(sort_type)
+    if order is None:
+        order = family[sort_type] = tuple(sort_processes(w, idx, sort_type, False))
+    return order
+
+
 def _place(
-    plan: Plan,
+    ends: list[tuple[int, int]],
+    core_of: MutableSequence[int] | MutableMapping[int, int],
+    start_of: MutableSequence[int] | MutableMapping[int, int],
     pids: Iterable[int],
     loose: bool,
     times: Sequence[int] | Mapping[int, int],
@@ -182,26 +206,28 @@ def _place(
     """Place ``pids`` in order, each on the least occupied core (the heap top).
 
     The one placement kernel: a loose round and the strict fallback are
-    each one call. It decides each attempt from two numbers, without
-    reading the partners: ``release[pid]``, the latest finish of a placed
-    partner that bars the candidate slot, and in attestor mode
-    ``waiting[pid]``, the number of lower-id partners (predecessors) not
-    yet placed. A loose attempt is refused while a predecessor waits or the
-    release passes the start. A strict one raises `AttestorOrderError`
-    while a predecessor waits, and otherwise starts at the release if that
-    is later. In `schedule` loose starts never pass the heap top, so a
-    placed partner that finishes after a loose candidate starts overlaps it.
+    each one call. ``ends`` is the core heap; a placement writes the
+    process's core and start into ``core_of`` and ``start_of``, where a
+    start below 0 marks a process not yet placed. The kernel decides each
+    attempt from two numbers, without reading the partners:
+    ``release[pid]``, the latest finish of a placed partner that bars the
+    candidate slot, and in attestor mode ``waiting[pid]``, the number of
+    lower-id partners (predecessors) not yet placed. A loose attempt is
+    refused while a predecessor waits or the release passes the start. A
+    strict one raises `AttestorOrderError`, naming the first predecessor
+    whose start is below 0, while a predecessor waits, and otherwise starts
+    at the release if that is later. In `schedule` loose starts never pass
+    the heap top, so a placed partner that finishes after a loose candidate
+    starts overlaps it.
 
     Placing a process walks its row once, raising each partner's release to
     the new finish. In proposer mode (``waiting`` and ``splits`` None) that
     is all of ``adjacency[pid]``. In attestor mode it is the higher-id part
     ``adjacency[pid][splits[pid]:]``, and each of those partners also
-    counts one predecessor fewer. Returns the refused ids, leaving the plan
-    untouched for them; a strict call refuses none.
+    counts one predecessor fewer. Returns the refused ids, leaving every
+    argument untouched for them; a strict call refuses none.
     """
-    ends = plan.ends
     heapreplace = heapq.heapreplace
-    assigned = plan.assigned
     attestor = waiting is not None
     refused = []
     for pid in pids:
@@ -210,7 +236,7 @@ def _place(
             if loose:
                 refused.append(pid)
                 continue
-            first = next(q for q in adjacency[pid] if q < pid and q not in assigned)
+            first = next(q for q in adjacency[pid] if q < pid and start_of[q] < 0)
             raise AttestorOrderError(
                 f"process {pid} assigned before conflicting predecessor {first}"
             )
@@ -222,7 +248,8 @@ def _place(
             start = ready
         finish = start + times[pid]
         heapreplace(ends, (finish, core_id))
-        assigned[pid] = _new_assignment((pid, core_id, start, finish))
+        core_of[pid] = core_id
+        start_of[pid] = start
         row = adjacency[pid]
         if not row:
             continue
@@ -240,18 +267,19 @@ def _place(
 
 def _place_one(
     proc: Process, plan: Plan, idx: ConflictIndex, is_attestor: bool, loose: bool
-) -> list[int]:
-    """Run the kernel on one process of any plan, returning what it refused.
+) -> bool:
+    """Run the kernel on one process of any plan; True if it was placed.
 
     The process's release and waiting are read off ``plan.assigned`` with
     the per-partner rules written out, since a hand-built plan need not
     keep `schedule`'s invariant: in loose proposer mode only a partner that
     overlaps the candidate slot counts. The row is read only until the
     outcome is settled: one waiting predecessor refuses or raises, and in a
-    loose call so does one release past the start. The kernel pushes
-    nothing, since the next call reads the plan again: in attestor mode the
-    split is the row's end (its length, ``idx.conflict_count``), in proposer
-    mode the row it is given is empty.
+    loose call so does one release past the start. The kernel gets
+    one-entry columns and pushes nothing, since the next call reads the
+    plan again: in attestor mode the split is the row's end (its length,
+    ``idx.conflict_count``), in proposer mode the row it is given is empty.
+    A placement is then written into ``plan.assigned``.
     """
     pid = proc.id
     row = idx.adjacency[pid]
@@ -270,12 +298,23 @@ def _place_one(
             release = a[3]
             if loose and release > start:
                 break
+    core_of: dict[int, int] = {}
+    start_of = {pid: -1}
+    if waiting and not loose:
+        # the kernel raises, naming the first predecessor whose start reads -1
+        start_of.update((q, -1 if placed(q) is None else 0) for q in row)
     if is_attestor:
-        return _place(
-            plan, (pid,), loose, {pid: exec_ms}, idx.adjacency, {pid: release},
-            {pid: waiting}, idx.conflict_count,
-        )
-    return _place(plan, (pid,), loose, {pid: exec_ms}, {pid: ()}, {pid: release}, None, None)
+        adjacency, waits, splits = idx.adjacency, {pid: waiting}, idx.conflict_count
+    else:
+        adjacency, waits, splits = {pid: ()}, None, None
+    if _place(
+        plan.ends, core_of, start_of, (pid,), loose, {pid: exec_ms}, adjacency,
+        {pid: release}, waits, splits,
+    ):
+        return False
+    start = start_of[pid]
+    plan.assigned[pid] = _new_assignment((pid, core_of[pid], start, start + exec_ms))
+    return True
 
 
 def assign_strictly(
@@ -304,8 +343,8 @@ def assign_loosely(
     refused processes.
     """
     if _place_one(proc, plan, idx, is_attestor, True):
-        return None
-    return plan.assigned[proc.id]
+        return plan.assigned[proc.id]
+    return None
 
 
 def _event(w: Workload, idx: ConflictIndex) -> tuple[tuple[Assignment, ...], int]:
@@ -396,35 +435,45 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
     processes in sorted order; STRICT strategies run none. The rounds stop
     early once one places nothing: the plan did not change, so every later
     round would refuse the same processes. Whatever is still pending is
-    then placed strictly, in order. The conflict index is workload data,
-    read before the wall clock starts.
+    then placed strictly, in order, and the assignments are built from the
+    placement columns in one pass. The conflict index is workload data,
+    read before the wall clock starts; the placement order is sorted on
+    the first call per workload family and sort key, and reused after that.
     """
     idx = w.conflict_index
     t0 = time.perf_counter()
     if strategy.assign_type is AssignType.EVENT:
         assignments, makespan = _event(w, idx)
     else:
-        pending = sort_processes(w, idx, strategy.sort_type, w.attestor)
-        plan = Plan.empty(w)
+        pending = _placement_order(w, idx, strategy.sort_type)
         times = w.exec_times()
         n = len(times)
+        # [(0, k) for k in range(m)] is already a heap
+        ends = [(0, k) for k in range(w.cores.core_count)]
+        core_of = [0] * n
+        start_of = [-1] * n
         adjacency = idx.adjacency
         release = [0] * n
         splits = waiting = None
         if w.attestor:
             splits = w.predecessor_counts()
             waiting = list(splits)
+        place = partial(_place, ends, core_of, start_of)
 
         if strategy.assign_type is AssignType.LOOSE:
             for _ in range(strategy.loose_review_round + 1):
-                refused = _place(plan, pending, True, times, adjacency, release, waiting, splits)
+                refused = place(pending, True, times, adjacency, release, waiting, splits)
                 if len(refused) == len(pending):
                     break
                 pending = refused
-        _place(plan, pending, False, times, adjacency, release, waiting, splits)
+        place(pending, False, times, adjacency, release, waiting, splits)
 
-        assignments = tuple(map(plan.assigned.__getitem__, range(n)))
-        makespan = max(plan.ends)[0]
+        # built in C from the columns, skipping the named tuple's __new__
+        assignments = tuple(map(
+            tuple.__new__, repeat(Assignment),
+            zip(range(n), core_of, start_of, map(add, start_of, times)),
+        ))
+        makespan = max(ends)[0]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return Schedule(
         assignments=assignments,

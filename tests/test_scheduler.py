@@ -94,6 +94,51 @@ class TestSortProcesses:
         assert all(sort_processes(v, idx, SortType.FIFO, True) == [1, 3, 0, 2] for v in family)
         assert all(v.attestor_order() is w.attestor_order() == (1, 3, 0, 2) for v in family)
 
+    def test_proposer_orders_are_sorted_once_per_family_and_shared(self):
+        w = generate_workload(40, 0.3, model=ConflictModel.PAIRWISE, seed=9, cores=CoreProfile(2))
+        family = (
+            w,
+            w.with_cores(CoreProfile(3)),
+            w.with_attestor(True).with_attestor(False),
+            w.with_cores(CoreProfile(5)),
+        )
+        real_sort = scheduler.sort_processes
+        sorted_keys = []
+
+        def counted(v, idx, sort_type, is_attestor):
+            sorted_keys.append(sort_type)
+            return real_sort(v, idx, sort_type, is_attestor)
+
+        with mock.patch.object(scheduler, "sort_processes", counted):
+            for _ in range(2):
+                for sort_type in SortType:
+                    for v in family:
+                        schedule(v, Strategy(sort_type, AssignType.LOOSE, 3))
+                        schedule(v, Strategy(sort_type, AssignType.STRICT))
+        # each key once, on its first call in the family
+        assert sorted_keys == list(SortType)
+        idx = w.conflict_index
+        for sort_type in SortType:
+            order = scheduler._placement_order(w, idx, sort_type)
+            assert order == tuple(sort_processes(w, idx, sort_type, False))
+            assert all(scheduler._placement_order(v, idx, sort_type) is order for v in family)
+
+    @pytest.mark.parametrize("attestor", [False, True])
+    def test_mutating_a_sorted_order_changes_no_later_schedule(self, attestor):
+        def block():
+            return generate_workload(60, 0.35, seed=21, cores=CoreProfile(3), attestor=attestor)
+
+        w = block()
+        idx = w.conflict_index
+        strategies = [Strategy(s, a, 2) for s in SortType for a in (AssignType.LOOSE, AssignType.STRICT)]
+        # once before the family caches an order, once after
+        for _ in range(2):
+            for strategy in strategies:
+                order = sort_processes(w, idx, strategy.sort_type, attestor)
+                order.reverse()
+                order.append(order.pop(0))
+                assert schedule(w, strategy).assignments == schedule(block(), strategy).assignments
+
 
 class TestAssignStrictly:
     def test_hand_traced_example(self):
@@ -123,6 +168,16 @@ class TestAssignStrictly:
         with pytest.raises(AttestorOrderError, match="^process 1 assigned before conflicting predecessor 0$"):
             assign_strictly(w.processes[1], plan, idx, True)
         assert plan.assigned == {} and sorted(plan.ends) == [(0, 0), (0, 1)]
+
+    def test_attestor_order_violation_names_the_first_unplaced_predecessor(self):
+        w = make_workload([2, 3, 4, 1], [(0, 3), (1, 3), (2, 3)], m=2, attestor=True)
+        idx = w.conflict_index
+        plan = Plan.empty(w)
+        assign_strictly(w.processes[0], plan, idx, True)
+        before = (list(plan.ends), dict(plan.assigned))
+        with pytest.raises(AttestorOrderError, match="^process 3 assigned before conflicting predecessor 1$"):
+            assign_strictly(w.processes[3], plan, idx, True)
+        assert (plan.ends, plan.assigned) == before
 
 
 class TestAssignLoosely:
@@ -184,6 +239,43 @@ class TestHandBuiltPlans:
         assert assign_loosely(w.processes[0], plan, idx, True) is None
         assert sorted(plan.ends) == [(0, 0), (104, 1)]
         assert list(plan.assigned) == [1]
+
+
+class TestKernel:
+    def test_schedule_builds_no_plan(self):
+        w = generate_workload(40, 0.4, seed=2, cores=CoreProfile(3))
+        with mock.patch.object(Plan, "__init__", side_effect=AssertionError("schedule built a Plan")):
+            with pytest.raises(AssertionError, match="schedule built a Plan"):
+                Plan.empty(w)
+            for v in (w, w.with_attestor(True)):
+                for assign in AssignType:
+                    sch = schedule(v, Strategy(SortType.MCDF, assign, 3))
+                    assert validate_schedule(sch, v).ok
+
+    def test_strict_attestor_names_the_first_unplaced_predecessor(self):
+        # 2 waits for 0 and 1; 1 is placed on core 0, 0 is not, so a test
+        # of 0 against the core ids would take it for placed
+        w = make_workload([2, 3, 4], [(0, 2), (1, 2)], m=2, attestor=True)
+        idx = w.conflict_index
+        times = w.exec_times()
+        ends = [(0, 0), (0, 1)]
+        core_of = [0] * 3
+        start_of = [-1] * 3
+        release = [0] * 3
+        splits = w.predecessor_counts()
+        waiting = list(splits)
+
+        def place(pids):
+            return scheduler._place(
+                ends, core_of, start_of, pids, False, times, idx.adjacency, release, waiting, splits
+            )
+
+        assert place([1]) == []
+        state = (list(ends), list(core_of), list(start_of), list(release), list(waiting))
+        assert state == ([(0, 1), (3, 0)], [0, 0, 0], [-1, 0, -1], [0, 0, 3], [0, 0, 1])
+        with pytest.raises(AttestorOrderError, match="^process 2 assigned before conflicting predecessor 0$"):
+            place([2])
+        assert (ends, core_of, start_of, release, waiting) == state
 
 
 class TestCorePick:
@@ -346,15 +438,23 @@ class TestSchedule:
         real_place = scheduler._place
         bind = inspect.signature(real_place).bind
         calls = []  # (loose, offered, refused) per kernel call
+        columns = []  # the (ends, core_of, start_of) objects of each call
 
         def counted(*args):
             refused = real_place(*args)
             call = bind(*args).arguments
             calls.append((call["loose"], len(call["pids"]), len(refused)))
+            columns.append((call["ends"], call["core_of"], call["start_of"]))
             return refused
 
         with mock.patch.object(scheduler, "_place", counted):
             sch = schedule(w, Strategy(SortType.MCDF, AssignType.LOOSE, 10**9))
+        # every call wrote the same columns, and the schedule is read off them
+        ends, core_of, start_of = columns[0]
+        assert all(c[0] is ends and c[1] is core_of and c[2] is start_of for c in columns)
+        assert core_of == [a.core_id for a in sch.assignments]
+        assert start_of == [a.start_ms for a in sch.assignments]
+        assert max(ends)[0] == sch.schedule_makespan_ms
         *rounds, strict = calls
         # every loose round but the last placed something, the last placed
         # nothing, and one strict call placed what was left
