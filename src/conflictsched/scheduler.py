@@ -3,9 +3,10 @@
 The data it reads and returns, and their files, live in `model`.
 Processes are sorted by a pluggable priority key, then placed one at a time
 on the least occupied core: loose rounds, then strict placement of whatever
-they refused. One kernel, `_place`, does all placement: `schedule` calls it
-once per loose round and once for the strict fallback, and
-`assign_loosely`/`assign_strictly` are its one-process case. Core occupancy
+they refused. `schedule` places through one column kernel, `_place`, called
+once per loose round and once for the strict fallback. The paper's
+per-process procedures, `assign_loosely`/`assign_strictly`, place one
+process on a `Plan` by the same rules, read off the plan. Core occupancy
 is a heap of ``(occupied_until_ms, core_id)`` pairs, so picking the least
 occupied core is O(1) and committing a placement is O(log m).
 
@@ -59,7 +60,7 @@ from enum import Enum
 from functools import partial
 from itertools import compress, repeat
 from operator import add, not_
-from typing import Iterable, Mapping, MutableMapping, MutableSequence, Sequence
+from typing import Sequence
 
 from .model import Assignment, ConflictIndex, Process, Schedule, Workload
 
@@ -103,7 +104,14 @@ class Strategy:
     loose_review_round: int = 3
 
     def __post_init__(self) -> None:
-        if self.loose_review_round < 0:
+        if not isinstance(self.sort_type, SortType):
+            raise ValueError(f"sort_type must be a SortType, got {self.sort_type!r}")
+        if not isinstance(self.assign_type, AssignType):
+            raise ValueError(f"assign_type must be an AssignType, got {self.assign_type!r}")
+        rounds = self.loose_review_round
+        if isinstance(rounds, bool) or not isinstance(rounds, int):
+            raise ValueError(f"loose_review_round must be an int, got {rounds!r}")
+        if rounds < 0:
             raise ValueError("looseReviewRound must be >= 0")
 
     @property
@@ -132,8 +140,8 @@ class Plan:
     ``assigned`` maps each placed process to its `Assignment`.
 
     `schedule` builds no plan: it keeps its state in per-call columns. The
-    per-process calls read a process's release and waiting off
-    ``assigned``, so any plan, hand-built ones included, can be passed to
+    per-process calls read the process's placed partners off ``assigned``
+    on each call, so any plan, hand-built ones included, can be passed to
     them.
     """
 
@@ -174,7 +182,7 @@ def sort_processes(
     return sorted(ids, key=stats.__getitem__, reverse=most_first)
 
 
-def _placement_order(w: Workload, idx: ConflictIndex, sort_type: SortType) -> tuple[int, ...]:
+def _placement_order(w: Workload, sort_type: SortType) -> tuple[int, ...]:
     """`sort_processes`'s order for ``w``, sorted on first use per family.
 
     The order depends only on the conflict index, which the workload's
@@ -187,38 +195,37 @@ def _placement_order(w: Workload, idx: ConflictIndex, sort_type: SortType) -> tu
     family = w._family
     order = family.get(sort_type)
     if order is None:
-        order = family[sort_type] = tuple(sort_processes(w, idx, sort_type, False))
+        order = family[sort_type] = tuple(sort_processes(w, w.conflict_index, sort_type, False))
     return order
 
 
 def _place(
     ends: list[tuple[int, int]],
-    core_of: MutableSequence[int] | MutableMapping[int, int],
-    start_of: MutableSequence[int] | MutableMapping[int, int],
-    pids: Iterable[int],
+    core_of: list[int],
+    start_of: list[int],
+    pids: Sequence[int],
     loose: bool,
-    times: Sequence[int] | Mapping[int, int],
-    adjacency: Sequence[Sequence[int]] | Mapping[int, Sequence[int]],
-    release: MutableSequence[int] | MutableMapping[int, int],
-    waiting: MutableSequence[int] | MutableMapping[int, int] | None,
-    splits: Sequence[int] | Mapping[int, int] | None,
+    times: Sequence[int],
+    adjacency: Sequence[Sequence[int]],
+    release: list[int],
+    waiting: list[int] | None,
+    splits: Sequence[int] | None,
 ) -> list[int]:
     """Place ``pids`` in order, each on the least occupied core (the heap top).
 
-    The one placement kernel: a loose round and the strict fallback are
-    each one call. ``ends`` is the core heap; a placement writes the
+    `schedule`'s placement kernel: a loose round and the strict fallback
+    are each one call. ``ends`` is the core heap; a placement writes the
     process's core and start into ``core_of`` and ``start_of``, where a
     start below 0 marks a process not yet placed. The kernel decides each
     attempt from two numbers, without reading the partners:
-    ``release[pid]``, the latest finish of a placed partner that bars the
-    candidate slot, and in attestor mode ``waiting[pid]``, the number of
-    lower-id partners (predecessors) not yet placed. A loose attempt is
-    refused while a predecessor waits or the release passes the start. A
-    strict one raises `AttestorOrderError`, naming the first predecessor
-    whose start is below 0, while a predecessor waits, and otherwise starts
-    at the release if that is later. In `schedule` loose starts never pass
-    the heap top, so a placed partner that finishes after a loose candidate
-    starts overlaps it.
+    ``release[pid]``, the latest finish of a placed partner, and in
+    attestor mode ``waiting[pid]``, the number of lower-id partners
+    (predecessors) not yet placed. A loose attempt is refused while a
+    predecessor waits or the release passes the start. A strict one raises
+    `AttestorOrderError`, naming the first predecessor whose start is below
+    0, while a predecessor waits, and otherwise starts at the release if
+    that is later. Loose starts never pass the heap top, so a placed
+    partner that finishes after a loose candidate starts overlaps it.
 
     Placing a process walks its row once, raising each partner's release to
     the new finish. In proposer mode (``waiting`` and ``splits`` None) that
@@ -268,52 +275,39 @@ def _place(
 def _place_one(
     proc: Process, plan: Plan, idx: ConflictIndex, is_attestor: bool, loose: bool
 ) -> bool:
-    """Run the kernel on one process of any plan; True if it was placed.
+    """Place one process on the least occupied core of any plan; True if placed.
 
-    The process's release and waiting are read off ``plan.assigned`` with
-    the per-partner rules written out, since a hand-built plan need not
-    keep `schedule`'s invariant: in loose proposer mode only a partner that
-    overlaps the candidate slot counts. The row is read only until the
-    outcome is settled: one waiting predecessor refuses or raises, and in a
-    loose call so does one release past the start. The kernel gets
-    one-entry columns and pushes nothing, since the next call reads the
-    plan again: in attestor mode the split is the row's end (its length,
-    ``idx.conflict_count``), in proposer mode the row it is given is empty.
-    A placement is then written into ``plan.assigned``.
+    A hand-built plan need not keep `schedule`'s invariants, so the
+    process's row is read off ``plan.assigned`` with the per-partner rules
+    written out, and only until the outcome is settled. In attestor mode an
+    unplaced predecessor refuses a loose call and raises in a strict one. A
+    placed partner bars the slot until it finishes, but in loose proposer
+    mode only if it overlaps the slot. A loose call is refused if a bar
+    lasts past the heap top; a strict one starts at the latest bar's
+    finish if that is later.
     """
     pid = proc.id
-    row = idx.adjacency[pid]
     exec_ms = proc.exec_time_ms
-    start = plan.ends[0][0]
+    start, core_id = plan.ends[0]
     finish = start + exec_ms
     placed = plan.assigned.get
-    release = waiting = 0
-    for partner in row:
+    for partner in idx.adjacency[pid]:
         a = placed(partner)
         if a is None:
             if is_attestor and partner < pid:
-                waiting = 1
-                break
-        elif a[3] > release and (is_attestor or not loose or a[2] < finish):
-            release = a[3]
-            if loose and release > start:
-                break
-    core_of: dict[int, int] = {}
-    start_of = {pid: -1}
-    if waiting and not loose:
-        # the kernel raises, naming the first predecessor whose start reads -1
-        start_of.update((q, -1 if placed(q) is None else 0) for q in row)
-    if is_attestor:
-        adjacency, waits, splits = idx.adjacency, {pid: waiting}, idx.conflict_count
-    else:
-        adjacency, waits, splits = {pid: ()}, None, None
-    if _place(
-        plan.ends, core_of, start_of, (pid,), loose, {pid: exec_ms}, adjacency,
-        {pid: release}, waits, splits,
-    ):
-        return False
-    start = start_of[pid]
-    plan.assigned[pid] = _new_assignment((pid, core_of[pid], start, start + exec_ms))
+                if loose:
+                    return False
+                raise AttestorOrderError(
+                    f"process {pid} assigned before conflicting predecessor {partner}"
+                )
+        # only a loose call reads the finish, and it never moves the start
+        elif a[3] > start and (is_attestor or not loose or a[2] < finish):
+            if loose:
+                return False
+            start = a[3]
+    finish = start + exec_ms
+    heapq.heapreplace(plan.ends, (finish, core_id))
+    plan.assigned[pid] = _new_assignment((pid, core_id, start, finish))
     return True
 
 
@@ -445,7 +439,7 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
     if strategy.assign_type is AssignType.EVENT:
         assignments, makespan = _event(w, idx)
     else:
-        pending = _placement_order(w, idx, strategy.sort_type)
+        pending = _placement_order(w, strategy.sort_type)
         times = w.exec_times()
         n = len(times)
         # [(0, k) for k in range(m)] is already a heap

@@ -1,7 +1,9 @@
 """Greedy scheduler: sorting, strict/loose placement, and full runs."""
 
 import hashlib
+import heapq
 import inspect
+import random
 import statistics
 from unittest import mock
 
@@ -119,9 +121,9 @@ class TestSortProcesses:
         assert sorted_keys == list(SortType)
         idx = w.conflict_index
         for sort_type in SortType:
-            order = scheduler._placement_order(w, idx, sort_type)
+            order = scheduler._placement_order(w, sort_type)
             assert order == tuple(sort_processes(w, idx, sort_type, False))
-            assert all(scheduler._placement_order(v, idx, sort_type) is order for v in family)
+            assert all(scheduler._placement_order(v, sort_type) is order for v in family)
 
     @pytest.mark.parametrize("attestor", [False, True])
     def test_mutating_a_sorted_order_changes_no_later_schedule(self, attestor):
@@ -239,6 +241,66 @@ class TestHandBuiltPlans:
         assert assign_loosely(w.processes[0], plan, idx, True) is None
         assert sorted(plan.ends) == [(0, 0), (104, 1)]
         assert list(plan.assigned) == [1]
+
+    @pytest.mark.parametrize("attestor", [False, True])
+    @pytest.mark.parametrize("model", list(ConflictModel))
+    def test_per_process_calls_follow_the_per_partner_rules(self, model, attestor):
+        # 300 seeded plans per cell, 1 200 in all: about half the processes
+        # placed at random starts, the cores given random ends
+        rng = random.Random(f"{model.value}-{attestor}")
+        for seed in range(300):
+            m = rng.randint(1, 3)
+            w = generate_workload(
+                rng.randint(1, 9), rng.uniform(0, 0.9), model=model, seed=seed,
+                cores=CoreProfile(m), attestor=attestor,
+            )
+            assigned = {}
+            for p in w.processes:
+                if rng.random() < 0.5:
+                    start = rng.randint(0, 20)
+                    assigned[p.id] = Assignment(p.id, rng.randrange(m), start, start + p.exec_time_ms)
+            ends = [(rng.randint(0, 20), k) for k in range(m)]
+            for p in w.processes:
+                if p.id in assigned:
+                    continue
+                for place, loose in ((assign_loosely, True), (assign_strictly, False)):
+                    expected = per_partner_placement(w, Plan(list(ends), dict(assigned)), p.id, loose)
+                    plan = Plan(list(ends), dict(assigned))
+                    try:
+                        got = place(p, plan, w.conflict_index, attestor)
+                    except AttestorOrderError as e:
+                        got = str(e)
+                    assert (got, plan.ends, plan.assigned) == expected
+
+
+def per_partner_placement(w, plan, pid, loose):
+    """What placing ``pid`` on ``plan`` gives: (result, ends, assigned).
+
+    The result is the new `Assignment`, None for a refusal, or the
+    `AttestorOrderError` message. Written out partner by partner from the
+    conflict pairs, with no state carried between partners.
+    """
+    unchanged = (list(plan.ends), dict(plan.assigned))
+    partners = sorted({a if b == pid else b for a, b in w.conflicts if pid in (a, b)})
+    waiting = [q for q in partners if w.attestor and q < pid and q not in plan.assigned]
+    if waiting:
+        if loose:
+            return (None, *unchanged)
+        return (f"process {pid} assigned before conflicting predecessor {waiting[0]}", *unchanged)
+    start, core_id = min(plan.ends)
+    exec_ms = w.processes[pid].exec_time_ms
+    finish = start + exec_ms
+    placed = [plan.assigned[q] for q in partners if q in plan.assigned]
+    if loose:
+        # in loose proposer mode only a partner that overlaps the slot counts
+        if any(a.finish_ms > start and (w.attestor or a.start_ms < finish) for a in placed):
+            return (None, *unchanged)
+    else:
+        start = max([start] + [a.finish_ms for a in placed])
+    new = Assignment(pid, core_id, start, start + exec_ms)
+    ends = list(plan.ends)
+    heapq.heapreplace(ends, (new.finish_ms, core_id))
+    return new, ends, {**plan.assigned, pid: new}
 
 
 class TestKernel:
@@ -565,6 +627,23 @@ class TestStrategy:
     def test_labels(self):
         assert Strategy(SortType.MCDF, AssignType.LOOSE, 3).label == "MCDF-LOOSE-3"
         assert Strategy(SortType.FIFO, AssignType.STRICT).label == "FIFO-STRICT"
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (("FIFO",), "sort_type"),
+            ((AssignType.STRICT,), "sort_type"),
+            ((None,), "sort_type"),
+            ((SortType.MCDF, "STRICT"), "assign_type"),
+            ((SortType.MCDF, SortType.FIFO), "assign_type"),
+            ((SortType.MCDF, AssignType.LOOSE, 1.5), "loose_review_round"),
+            ((SortType.MCDF, AssignType.LOOSE, True), "loose_review_round"),
+            ((SortType.MCDF, AssignType.LOOSE, "3"), "loose_review_round"),
+        ],
+    )
+    def test_bad_field_values_rejected(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Strategy(*args)
 
 
 ASSIGNMENT_KEYS = ("processId", "coreId", "startMs", "finishMs")
