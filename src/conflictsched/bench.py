@@ -168,7 +168,8 @@ def run_cells(grid: ExperimentGrid) -> Iterator[CellResult]:
                         validated = set()
                         for strat in grid.strategies:
                             sch = schedule(w, strat)
-                            key = (sch.assignments, sch.schedule_makespan_ms)
+                            # the columns, hashed as they are: no records
+                            key = (sch.assignments.columns, sch.schedule_makespan_ms)
                             if key not in validated:
                                 report = validate_schedule(sch, w)
                                 if not report.ok:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .model import Schedule, Weights, Workload
 
@@ -66,8 +65,7 @@ class BoundParams:
 
 def compute_te(sch: Schedule) -> int:
     """Makespan: the latest finish time across all cores (0 when empty)."""
-    # field 3 is finish_ms; a C-level pass, cheaper than named field reads
-    return max(map(itemgetter(3), sch.assignments), default=0)
+    return max(sch.assignments.finishes, default=0)
 
 
 def compute_idle_and_energy(
@@ -91,7 +89,7 @@ def _idle_and_energy(
     busy = [0] * m
     ops = [0] * m
     processes = w.processes
-    for pid, core_id, start, finish in sch.assignments:
+    for pid, core_id, start, finish in zip(*sch.assignments.columns):
         busy[core_id] += finish - start
         ops[core_id] += processes[pid].op_count
     idle = tuple(te - b for b in busy)

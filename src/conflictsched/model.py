@@ -4,7 +4,9 @@ A workload is the scheduler's complete input: an ordered list of processes
 (one per transaction), the set of pairwise conflicts between them, a core
 profile, and the attestor flag. Workloads are immutable values; the
 generator is a pure function of its arguments, so a fixed seed always
-reproduces the same workload byte for byte. A schedule is its output.
+reproduces the same workload byte for byte. A schedule is its output; it
+keeps its placements as columns (`AssignmentColumns`) and builds an
+`Assignment` record only when one is read.
 
 Workload files are JSON (UTF-8) with the top-level keys ``processes``,
 ``conflicts``, ``cores``, ``attestor``, and ``meta``; schedule files are
@@ -22,6 +24,7 @@ import json
 import math
 import random
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, count, islice, repeat
@@ -32,6 +35,7 @@ from typing import NamedTuple
 __all__ = [
     "OPS_PER_MS",
     "Assignment",
+    "AssignmentColumns",
     "ConflictIndex",
     "ConflictModel",
     "ConflictPair",
@@ -225,14 +229,14 @@ class Workload:
     The process list order is canonical: ``processes[i].id == i``, and that
     index is the original block position used by attestor-mode ordering.
     Conflict pairs must be canonical (a < b, both known ids); they are
-    deduplicated and sorted at construction. Process fields and the ids of
-    plain-tuple pairs must be integers, not bools. The checks run as
-    whole-list passes; the per-entry loops run only to name the first bad
-    entry.
+    deduplicated and sorted at construction. Process fields and pair ids
+    must be integers, not bools. The checks run as whole-list passes; the
+    per-entry loops run only to name the first bad entry.
 
     A workload and its `with_cores`/`with_attestor` copies share one dict of
-    derived data, so `conflict_index`, `exec_times`, `attestor_order`,
-    `attestor_chain` and `predecessor_counts` are built once for all of them.
+    derived data, so `conflict_index`, `process_ids`, `exec_times`,
+    `attestor_order`, `attestor_chain` and `predecessor_counts` are built
+    once for all of them.
     """
 
     processes: tuple[Process, ...]
@@ -270,18 +274,21 @@ class Workload:
         if plain and set(map(len, pairs)) - {2}:
             bad = next(pair for pair in pairs if len(pair) != 2)
             raise WorkloadValidationError(f"conflict pair {bad!r} does not have two ids")
-        if plain and not _all_ints(chain.from_iterable(pairs)):
+        # the ids of every pair, ConflictPairs built by hand included, are
+        # checked before any pair is compared
+        firsts = list(map(itemgetter(0), pairs))
+        seconds = list(map(itemgetter(1), pairs))
+        if not _all_ints(chain(firsts, seconds)):
             bad = next(pair for pair in pairs if not _all_ints(pair))
             raise WorkloadValidationError(f"conflict pair {bad!r} must hold two integer ids")
         # a loaded file lists its pairs in strictly ascending order, which
-        # one pass proves; other pairs are sorted, so the smallest `a` comes
-        # first, and deduplicated (hashed) in that order
+        # one pass proves, and then the smallest `a` comes first
         ascending = all(map(lt, pairs, islice(pairs, 1, None)))
-        if not ascending:
-            pairs = sorted(pairs)
-        firsts = list(map(itemgetter(0), pairs))
-        seconds = list(map(itemgetter(1), pairs))
-        if pairs and (any(map(ge, firsts, seconds)) or firsts[0] < 0 or max(seconds) >= n):
+        if pairs and (
+            any(map(ge, firsts, seconds))
+            or (firsts[0] if ascending else min(firsts)) < 0
+            or max(seconds) >= n
+        ):
             for a, b in self.conflicts:
                 if a >= b:
                     raise WorkloadValidationError(
@@ -292,8 +299,9 @@ class Workload:
                         f"conflict pair ({a}, {b}) references unknown process id {a if a < 0 else b}"
                     )
             raise AssertionError("conflict pair check rejected valid pairs")
+        # other pairs are sorted, and deduplicated (hashed) in that order
         if not ascending:
-            pairs = dict.fromkeys(pairs)
+            pairs = dict.fromkeys(sorted(pairs))
         if plain:
             # built in C, as the loader builds its pairs
             pairs = map(tuple.__new__, repeat(ConflictPair), pairs)
@@ -311,6 +319,13 @@ class Workload:
         if idx is None:
             idx = self._family["conflict_index"] = build_conflict_index(self)
         return idx
+
+    def process_ids(self) -> tuple[int, ...]:
+        """The ids ``0..n-1`` as a tuple, built on first use."""
+        ids = self._family.get("process_ids")
+        if ids is None:
+            ids = self._family["process_ids"] = tuple(range(self.n))
+        return ids
 
     def exec_times(self) -> tuple[int, ...]:
         """Each process's execution time, in id order, built on first use."""
@@ -431,10 +446,92 @@ class Assignment(NamedTuple):
     finish_ms: int
 
 
+class AssignmentColumns(Sequence):
+    """A schedule's assignments as four columns; records are built when read.
+
+    ``process_ids``, ``core_ids``, ``starts`` and ``finishes`` are tuples of
+    one length, and entry i of the four is one `Assignment`. The library
+    reads the columns (``columns`` holds all four). Indexing and iteration
+    build `Assignment` records in C, one per entry read, and a slice is
+    the column sequence of the sliced columns. A column sequence equals the
+    tuple of its records, in either direction, and has that tuple's hash
+    and repr; two column sequences compare by their columns. `of` builds
+    one from any sequence of 4-tuples.
+    """
+
+    __slots__ = ("process_ids", "core_ids", "starts", "finishes")
+
+    def __init__(self, process_ids=(), core_ids=(), starts=(), finishes=()) -> None:
+        put = object.__setattr__
+        put(self, "process_ids", tuple(process_ids))
+        put(self, "core_ids", tuple(core_ids))
+        put(self, "starts", tuple(starts))
+        put(self, "finishes", tuple(finishes))
+        if not len(self.process_ids) == len(self.core_ids) == len(self.starts) == len(self.finishes):
+            lengths = list(map(len, self.columns))
+            raise ValueError(f"assignment columns differ in length: {lengths}")
+
+    @classmethod
+    def of(cls, records) -> AssignmentColumns:
+        """The columns of (process id, core id, start, finish) records, in order."""
+        records = tuple(records)
+        if set(map(len, records)) - {4}:
+            bad = next(record for record in records if len(record) != 4)
+            raise ValueError(f"assignment {bad!r} does not have four fields")
+        return cls(*zip(*records)) if records else cls()
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """``(process_ids, core_ids, starts, finishes)``."""
+        return self.process_ids, self.core_ids, self.starts, self.finishes
+
+    @staticmethod
+    def _records(rows):
+        # every record is built here, in C, skipping the named tuple's
+        # Python-level __new__
+        return map(tuple.__new__, repeat(Assignment), rows)
+
+    def __len__(self) -> int:
+        return len(self.process_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return AssignmentColumns(*(column[index] for column in self.columns))
+        return next(self._records([tuple(column[index] for column in self.columns)]))
+
+    def __iter__(self):
+        return self._records(zip(*self.columns))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, AssignmentColumns):
+            return self.columns == other.columns
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return AssignmentColumns, self.columns
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Scheduler output: one assignment per process plus summary times.
 
+    ``assignments`` is an `AssignmentColumns`: the placements are kept as
+    columns, and an `Assignment` record is built only when one is read.
+    Any other sequence of 4-tuples passed in is turned into columns.
     ``horizon_ms`` is the serial-execution makespan (sum of all execution
     times) and the baseline for speedups. ``wall_time_ms`` is the measured
     duration of the scheduling call's sort and placement, not of the
@@ -444,10 +541,14 @@ class Schedule:
     per workload like the paper's offline conflict repository.
     """
 
-    assignments: tuple[Assignment, ...]
+    assignments: AssignmentColumns
     horizon_ms: int
     schedule_makespan_ms: int
     wall_time_ms: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.assignments, AssignmentColumns):
+            object.__setattr__(self, "assignments", AssignmentColumns.of(self.assignments))
 
 
 @dataclass(frozen=True, slots=True)
@@ -690,12 +791,13 @@ def _write_json(path: str | Path, value) -> None:
     Path(path).write_text(_json_text(value) + "\n", encoding="utf-8")
 
 
-def _load_records(raw: dict, name: str, keys: tuple[str, ...], cls) -> list:
-    """Build ``cls(*values)`` from each object of the array ``raw[name]``.
+def _load_columns(raw: dict, name: str, keys: tuple[str, ...], cls) -> list[list]:
+    """The columns of the array ``raw[name]``: one list per key, in ``keys`` order.
 
-    Each entry has exactly ``keys``, all integers, passed in that order;
-    ``cls`` checks their values. The per-entry loop runs only when the
-    whole-list passes fail, to name the first bad entry.
+    Each entry has exactly ``keys``, all integers. ``cls`` checks their
+    values: the caller builds ``cls(*values)`` from the columns, and it
+    fails on the first entry with a bad value. The per-entry loop runs
+    only when the whole-list passes fail, to name the first bad entry.
     """
     entries = raw[name]
     if not isinstance(entries, list):
@@ -704,8 +806,7 @@ def _load_records(raw: dict, name: str, keys: tuple[str, ...], cls) -> list:
     if _all_instances(entries, dict) and _all_keys(entries, key_set):
         columns = [list(map(itemgetter(key), entries)) for key in keys]
         if _all_ints(chain.from_iterable(columns)):
-            # cls fails on the first entry with a bad value
-            return list(map(cls, *columns))
+            return columns
     for pos, entry in enumerate(entries):
         where = f"{name}[{pos}]"
         _require_object(entry, key_set, where)
@@ -744,14 +845,15 @@ def load_workload(path: str | Path) -> Workload:
     Raises ``json.JSONDecodeError`` on malformed JSON and
     `WorkloadValidationError` (naming the offending field) on JSON nested
     too deeply to parse and on schema or invariant violations. The process
-    list is read as `load_schedule` reads the assignments (`_load_records`).
+    list is read as `load_schedule` reads the assignments (`_load_columns`).
     Conflict pairs are canonicalized on load, so the file may list them in
     either order.
     """
     raw = _read_json(path, "workload")
     keys = {"processes", "conflicts", "cores", "attestor", "meta"}
     _require_object(raw, keys, "workload", "top-level value")
-    processes = _load_records(raw, "processes", ("id", "execTimeMs", "opCount"), Process)
+    process_keys = ("id", "execTimeMs", "opCount")
+    processes = tuple(map(Process, *_load_columns(raw, "processes", process_keys, Process)))
 
     if not isinstance(raw["conflicts"], list):
         raise WorkloadValidationError("conflicts must be an array")
@@ -770,7 +872,7 @@ def load_workload(path: str | Path) -> Workload:
         raise WorkloadValidationError("meta must be an object")
 
     return Workload(
-        processes=tuple(processes),
+        processes=processes,
         conflicts=tuple(pairs),
         cores=cores,
         attestor=raw["attestor"],
@@ -781,13 +883,8 @@ def load_workload(path: str | Path) -> Workload:
 def schedule_to_dict(sch: Schedule) -> dict:
     return {
         "assignments": [
-            {
-                "processId": a.process_id,
-                "coreId": a.core_id,
-                "startMs": a.start_ms,
-                "finishMs": a.finish_ms,
-            }
-            for a in sch.assignments
+            {"processId": pid, "coreId": core_id, "startMs": start, "finishMs": finish}
+            for pid, core_id, start, finish in zip(*sch.assignments.columns)
         ],
         "horizonMs": sch.horizon_ms,
         "scheduleMakespanMs": sch.schedule_makespan_ms,
@@ -801,13 +898,14 @@ def schedule_from_dict(raw: dict) -> Schedule:
     Raises a field-named `WorkloadValidationError`; `validate_schedule`
     checks whether the schedule is legal for a workload, its stated
     makespan and horizon included. The assignments go through the reader
-    that `load_workload` uses for the process list.
+    that `load_workload` uses for the process list, and their columns
+    become the schedule's columns as they are.
     """
     keys = {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}
     _require_object(raw, keys, "schedule", "top-level value")
     assignment_keys = ("processId", "coreId", "startMs", "finishMs")
     return Schedule(
-        assignments=tuple(_load_records(raw, "assignments", assignment_keys, Assignment)),
+        assignments=AssignmentColumns(*_load_columns(raw, "assignments", assignment_keys, Assignment)),
         horizon_ms=_require_int(raw["horizonMs"], "horizonMs"),
         schedule_makespan_ms=_require_int(raw["scheduleMakespanMs"], "scheduleMakespanMs"),
         wall_time_ms=_require_number(raw["wallTimeMs"], "wallTimeMs"),

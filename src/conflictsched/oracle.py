@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import add
+from typing import Sequence
 
-from .model import Assignment, Schedule, Workload
+from .model import Schedule, Workload
 from .scheduler import AssignType, SortType, Strategy, schedule
 
 __all__ = [
@@ -78,15 +79,13 @@ def validate_schedule(sch: Schedule, w: Workload) -> ValidationReport:
 def _proves_valid(sch: Schedule, w: Workload) -> bool:
     """True only for a schedule that `_report` finds valid.
 
-    Reads the assignments as columns; False for any schedule not listed in
-    id order, whatever its validity.
+    Reads the assignments' columns; False for any schedule not listed in id
+    order, whatever its validity.
     """
     times = w.exec_times()
     n = len(times)
-    if not n or len(sch.assignments) != n:
-        return False
-    pids, core_ids, starts, finishes = zip(*sch.assignments)
-    if pids != tuple(range(n)):
+    pids, core_ids, starts, finishes = sch.assignments.columns
+    if not n or pids != w.process_ids():
         return False
     if min(core_ids) < 0 or max(core_ids) >= w.cores.core_count:
         return False
@@ -126,7 +125,7 @@ def _report(sch: Schedule, w: Workload) -> ValidationReport:
     spans: dict[int, tuple[int, int]] = {}
     per_core: dict[int, list[tuple[int, int, int]]] = {}
 
-    for pid, core_id, start, finish in sch.assignments:
+    for pid, core_id, start, finish in zip(*sch.assignments.columns):
         if pid < 0 or pid >= n:
             violations.append(Violation("COMPLETENESS", (pid,), f"unknown process id {pid}"))
             continue
@@ -158,8 +157,7 @@ def _report(sch: Schedule, w: Workload) -> ValidationReport:
         for pid in range(n):
             if pid not in spans:
                 violations.append(Violation("COMPLETENESS", (pid,), f"process {pid} is unassigned"))
-    # field 3 is finish_ms; a C-level pass, cheaper than named field reads
-    latest = max(map(itemgetter(3), sch.assignments), default=0)
+    latest = max(sch.assignments.finishes, default=0)
     if sch.schedule_makespan_ms != latest:
         detail = f"schedule makespan {sch.schedule_makespan_ms} != latest finish {latest}"
         violations.append(Violation("COMPLETENESS", (), detail))
@@ -314,9 +312,9 @@ def _search(
     w: Workload,
     static_lb: int,
     best_ms: int,
-    best_assign: tuple[Assignment, ...],
+    best_assign: Sequence[tuple[int, int, int, int]],
     node_budget: int,
-) -> tuple[int, tuple[Assignment, ...], int]:
+) -> tuple[int, Sequence[tuple[int, int, int, int]], int]:
     # the branch and bound below an incumbent that misses the static
     # bound: returns the best makespan, its assignments and the node count
     n = w.n
@@ -335,8 +333,9 @@ def _search(
     # larger processes first: finds tight schedules early, so bounds bite
     branch_order = sorted(range(n), key=lambda i: (-times[i], i))
     ends = [0] * m
-    # process id -> its assignment once placed, else None
-    slots: list[Assignment | None] = [None] * n
+    # process id -> its (process id, core id, start, finish) once placed,
+    # else None; the witness `Schedule` turns them into columns
+    slots: list[tuple[int, int, int, int] | None] = [None] * n
     # attestor mode: each process's unplaced lower-id partners, counted
     # down as they are placed; it may branch only at zero
     if attestor:
@@ -357,7 +356,7 @@ def _search(
             if waiting[pid] or not remaining_mask & (1 << pid):
                 continue
             partners = adjacency[pid]
-            # field 3 is finish_ms
+            # field 3 is the finish
             conflict_floor = max([a[3] for a in map(slots.__getitem__, partners) if a], default=0)
             for k in range(m):
                 nodes += 1
@@ -377,7 +376,7 @@ def _search(
                 if clique_w is not None and next_mask:
                     bound = max(bound, min(ends) + clique_w[next_mask])
                 if bound < best_ms:
-                    slots[pid] = Assignment(pid, k, start, finish)
+                    slots[pid] = (pid, k, start, finish)
                     for q in successors[pid]:
                         waiting[q] -= 1
                     yield next_mask, next_work

@@ -10,20 +10,22 @@ process on a `Plan` by the same rules, read off the plan. Core occupancy
 is a heap of ``(occupied_until_ms, core_id)`` pairs, so picking the least
 occupied core is O(1) and committing a placement is O(log m).
 
-`schedule` keeps its per-call state as flat per-process columns: ``core_of``
-and ``start_of``, which the kernel writes on each placement (a start of -1
-marks a process not yet placed), ``release``, the latest finish of any
-placed partner, and in attestor mode ``waiting``, the number of lower-id
-partners not yet placed. It builds the `Assignment` tuple from the columns
-once, at the end. Placing a process pushes its finish into its partners'
-entries once, so every later attempt is decided from ``release`` and
-``waiting`` in O(1), without reading the partners again. That is exact
-because loose starts never pass the heap top: every loose placement starts
-at the heap top, which never decreases, so every placed partner of a loose
-candidate starts no later than the candidate, and the two overlap exactly
-when the partner finishes after the candidate starts. In attestor mode no
-process is placed while a predecessor waits, so placing one pushes only the
-higher-id part of its row: the lower-id partners are all placed.
+`schedule` keeps its per-call state as flat per-process columns:
+``core_of`` and ``start_of``, which the kernel writes on each placement (a
+start of -1 marks a process not yet placed), ``release``, the latest
+finish of any placed partner, and in attestor mode ``waiting``, the number
+of lower-id partners not yet placed. ``core_of`` and ``start_of`` become
+columns of the returned schedule's `AssignmentColumns`, so an `Assignment`
+record is built only when a caller reads one. Placing a process pushes its
+finish into its partners' entries once, so every later attempt is decided
+from ``release`` and ``waiting`` in O(1), without reading the partners
+again. That is exact because loose starts never pass the heap top: every
+loose placement starts at the heap top, which never decreases, so every
+placed partner of a loose candidate starts no later than the candidate,
+and the two overlap exactly when the partner finishes after the candidate
+starts. In attestor mode no process is placed while a predecessor waits,
+so placing one pushes only the higher-id part of its row: the lower-id
+partners are all placed.
 
 * Loose placement refuses any placement that would need idle time; refused
   processes are retried in the next round (core ends advance between
@@ -58,11 +60,11 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress
 from operator import add, not_
 from typing import Sequence
 
-from .model import Assignment, ConflictIndex, Process, Schedule, Workload
+from .model import Assignment, AssignmentColumns, ConflictIndex, Process, Schedule, Workload
 
 __all__ = [
     "AssignType",
@@ -341,8 +343,8 @@ def assign_loosely(
     return None
 
 
-def _event(w: Workload, idx: ConflictIndex) -> tuple[tuple[Assignment, ...], int]:
-    """Event-driven list scheduling: the assignments in id order and the makespan.
+def _event(w: Workload, idx: ConflictIndex) -> tuple[list[int], list[int], int]:
+    """Event-driven list scheduling: each process's core and start, and the makespan.
 
     The clock jumps from one completion to the next. After each, while a
     core is free, the ready process with the highest priority starts on the
@@ -385,7 +387,8 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[tuple[Assignment, ...], int
     free = list(range(m))  # ascending, so already a heap
     running: list[int] = []
     on_core = [0] * m
-    slots: list = [None] * n
+    core_of = [0] * n
+    start_of = [0] * n
     now = 0
     while True:
         while ready and free:
@@ -400,7 +403,8 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[tuple[Assignment, ...], int
             finish = now + times[pid]
             heappush(running, finish * m + core)
             on_core[core] = pid
-            slots[pid] = _new_assignment((pid, core, now, finish))
+            core_of[pid] = core
+            start_of[pid] = now
         if not running:
             break
         now = running[0] // m
@@ -418,7 +422,7 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[tuple[Assignment, ...], int
                 busy[pid] = False
                 for waiter in waiters.pop(pid, ()):
                     heappush(ready, keys[waiter])
-    return tuple(slots), now
+    return core_of, start_of, now
 
 
 def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
@@ -429,19 +433,20 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
     processes in sorted order; STRICT strategies run none. The rounds stop
     early once one places nothing: the plan did not change, so every later
     round would refuse the same processes. Whatever is still pending is
-    then placed strictly, in order, and the assignments are built from the
-    placement columns in one pass. The conflict index is workload data,
+    then placed strictly, in order. Either way the schedule keeps the
+    placement columns as its `AssignmentColumns`, so no `Assignment` record
+    is built unless a caller reads one. The conflict index is workload data,
     read before the wall clock starts; the placement order is sorted on
     the first call per workload family and sort key, and reused after that.
     """
     idx = w.conflict_index
     t0 = time.perf_counter()
+    times = w.exec_times()
+    n = len(times)
     if strategy.assign_type is AssignType.EVENT:
-        assignments, makespan = _event(w, idx)
+        core_of, start_of, makespan = _event(w, idx)
     else:
         pending = _placement_order(w, strategy.sort_type)
-        times = w.exec_times()
-        n = len(times)
         # [(0, k) for k in range(m)] is already a heap
         ends = [(0, k) for k in range(w.cores.core_count)]
         core_of = [0] * n
@@ -461,18 +466,12 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
                     break
                 pending = refused
         place(pending, False, times, adjacency, release, waiting, splits)
-
-        # built in C from the columns, skipping the named tuple's __new__
-        assignments = tuple(map(
-            tuple.__new__, repeat(Assignment),
-            zip(range(n), core_of, start_of, map(add, start_of, times)),
-        ))
         makespan = max(ends)[0]
+    assignments = AssignmentColumns(w.process_ids(), core_of, start_of, map(add, start_of, times))
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return Schedule(
         assignments=assignments,
-        horizon_ms=sum(w.exec_times()),
+        horizon_ms=sum(times),
         schedule_makespan_ms=makespan,
         wall_time_ms=wall_ms,
     )
-

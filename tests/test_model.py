@@ -684,6 +684,22 @@ class TestWorkloadInvariants:
             )
         assert str(exc_info.value) == f"conflict pair {pair!r} must hold two integer ids"
 
+    @pytest.mark.parametrize(
+        "pair",
+        [ConflictPair(0.0, 1.0), ConflictPair(0, 2.0), ConflictPair(True, 2), ConflictPair("0", "1")],
+        ids=["floats", "one-float", "bool", "strings"],
+    )
+    def test_a_conflict_pair_with_a_non_integer_id_is_named(self, pair):
+        # a ConflictPair built by hand skips the plain-tuple checks, and
+        # `schedule` indexes lists by its ids
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            Workload(
+                processes=(Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)),
+                conflicts=(ConflictPair(1, 2), pair),
+                cores=CoreProfile(2),
+            )
+        assert str(exc_info.value) == f"conflict pair {pair!r} must hold two integer ids"
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_core_profile_rejects_non_finite_costs(self, value):
         with pytest.raises(WorkloadValidationError, match="cores.costPerOp must be finite"):
@@ -718,6 +734,12 @@ class TestWorkloadInvariants:
         rebuilt = dataclasses.replace(base, processes=slower)
         assert rebuilt.exec_times() == tuple(t + 1 for t in times)
         assert base.exec_times() is times
+
+    def test_process_ids_are_built_once_per_family(self):
+        base = generate_workload(30, 0.3, seed=8, cores=CoreProfile(2))
+        ids = base.process_ids()
+        assert ids == tuple(range(30))
+        assert base.with_cores(CoreProfile(5)).with_attestor(True).process_ids() is ids
 
     def test_predecessor_counts_split_each_adjacency_row(self):
         base = generate_workload(40, 0.4, model=ConflictModel.PAIRWISE, seed=3)
