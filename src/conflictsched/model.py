@@ -4,9 +4,10 @@ A workload is the scheduler's complete input: an ordered list of processes
 (one per transaction), the set of pairwise conflicts between them, a core
 profile, and the attestor flag. Workloads are immutable values; the
 generator is a pure function of its arguments, so a fixed seed always
-reproduces the same workload byte for byte. A schedule is its output; it
-keeps its placements as columns (`AssignmentColumns`) and builds an
-`Assignment` record only when one is read.
+reproduces the same workload byte for byte. A workload keeps its conflict
+pairs as two id columns (`ConflictColumns`), and a schedule, its output,
+keeps its placements as columns (`AssignmentColumns`); each builds a
+record (`ConflictPair`, `Assignment`) only when one is read.
 
 Workload files are JSON (UTF-8) with the top-level keys ``processes``,
 ``conflicts``, ``cores``, ``attestor``, and ``meta``; schedule files are
@@ -27,7 +28,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from operator import attrgetter, eq, ge, gt, itemgetter, lt
 from pathlib import Path
 from typing import NamedTuple
@@ -36,6 +37,7 @@ __all__ = [
     "OPS_PER_MS",
     "Assignment",
     "AssignmentColumns",
+    "ConflictColumns",
     "ConflictIndex",
     "ConflictModel",
     "ConflictPair",
@@ -123,8 +125,9 @@ class Process:
 class ConflictPair(NamedTuple):
     """An unordered conflict between two processes, stored as a < b.
 
-    A plain int tuple, so sorting and deduplicating pairs runs in C;
-    `Workload` rejects pairs that are not canonical.
+    A plain int tuple. A workload keeps its pairs as `ConflictColumns` and
+    builds one of these only when a pair is read; `Workload` rejects pairs
+    that are not canonical.
     """
 
     a: int
@@ -136,6 +139,129 @@ class ConflictPair(NamedTuple):
         if i == j:
             raise WorkloadValidationError(f"conflict pair ({i}, {j}) is self-referential")
         return cls(min(i, j), max(i, j))
+
+
+class _ColumnSequence(Sequence):
+    """An immutable sequence of records kept as int tuple columns of one length.
+
+    A subclass sets its columns, named in ``__slots__``, when it is built,
+    returns them in that order from ``columns``, and names its record type
+    in ``_record``. Entry i of the columns is one record. Indexing and
+    iteration build records in C, one per entry read, and a slice is the
+    column sequence of the sliced columns. A column sequence equals the
+    tuple of its records, in either direction, and has that tuple's hash
+    and repr; two column sequences compare by their columns.
+    """
+
+    __slots__ = ()
+    _record: type
+    columns: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def _records(cls, rows):
+        # every record is built here, in C, skipping the named tuple's
+        # Python-level __new__
+        return map(tuple.__new__, repeat(cls._record), rows)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(*(column[index] for column in self.columns))
+        return next(self._records([tuple(column[index] for column in self.columns)]))
+
+    def __iter__(self):
+        return self._records(zip(*self.columns))
+
+    def __reversed__(self):
+        return self._records(zip(*map(reversed, self.columns)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _ColumnSequence):
+            return self.columns == other.columns
+        if isinstance(other, tuple):
+            # a record equals the plain tuple of its fields
+            return len(other) == len(self) and tuple(zip(*self.columns)) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(zip(*self.columns)))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return type(self), self.columns
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class ConflictColumns(_ColumnSequence):
+    """A workload's conflict pairs as two id columns; records are built when read.
+
+    ``firsts`` and ``seconds`` are int tuples of one length, and entry i of
+    the two is one `ConflictPair`. The library reads the columns
+    (``columns`` holds both); iteration and indexing build `ConflictPair`
+    records. Building refuses an id that is not an integer (a bool is
+    not), naming its pair; whether the pairs are canonical, known and in
+    order is `Workload`'s check. `of` builds one from any sequence of
+    pairs.
+    """
+
+    __slots__ = ("firsts", "seconds")
+    _record = ConflictPair
+
+    def __init__(self, firsts=(), seconds=()) -> None:
+        self._put(firsts, seconds)
+        if not _all_ints(chain(self.firsts, self.seconds)):
+            bad = next(pair for pair in self if not _all_ints(pair))
+            raise WorkloadValidationError(f"conflict pair {bad!r} must hold two integer ids")
+
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """``(firsts, seconds)``."""
+        return self.firsts, self.seconds
+
+    @classmethod
+    def of(cls, pairs) -> ConflictColumns:
+        """The columns of (a, b) pairs, in the order given.
+
+        Names the first pair that is not a tuple, does not hold two ids, or
+        holds an id that is not an integer, as it was given.
+        """
+        pairs = tuple(pairs)
+        if not _all_instances(pairs, tuple):
+            bad = next(pair for pair in pairs if not isinstance(pair, tuple))
+            raise WorkloadValidationError(f"conflict pair {bad!r} is not a tuple")
+        if set(map(len, pairs)) - {2}:
+            bad = next(pair for pair in pairs if len(pair) != 2)
+            raise WorkloadValidationError(f"conflict pair {bad!r} does not have two ids")
+        firsts = tuple(map(itemgetter(0), pairs))
+        seconds = tuple(map(itemgetter(1), pairs))
+        if not _all_ints(chain(firsts, seconds)):
+            bad = next(pair for pair in pairs if not _all_ints(pair))
+            raise WorkloadValidationError(f"conflict pair {bad!r} must hold two integer ids")
+        return cls._of_ints(firsts, seconds)
+
+    @classmethod
+    def _of_ints(cls, firsts, seconds) -> ConflictColumns:
+        """Columns of ids that the caller has already proved integers."""
+        columns = object.__new__(cls)
+        columns._put(firsts, seconds)
+        return columns
+
+    def _put(self, firsts, seconds) -> None:
+        put = object.__setattr__
+        put(self, "firsts", tuple(firsts))
+        put(self, "seconds", tuple(seconds))
+        if len(self.firsts) != len(self.seconds):
+            lengths = [len(self.firsts), len(self.seconds)]
+            raise ValueError(f"conflict columns differ in length: {lengths}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,10 +354,14 @@ class Workload:
 
     The process list order is canonical: ``processes[i].id == i``, and that
     index is the original block position used by attestor-mode ordering.
-    Conflict pairs must be canonical (a < b, both known ids); they are
-    deduplicated and sorted at construction. Process fields and pair ids
-    must be integers, not bools. The checks run as whole-list passes; the
-    per-entry loops run only to name the first bad entry.
+    ``conflicts`` is a `ConflictColumns`: the pairs are kept as two id
+    columns, and a `ConflictPair` record is built only when one is read.
+    Any other sequence of pairs passed in is turned into columns. Conflict
+    pairs must be canonical (a < b, both known ids); they are deduplicated
+    and sorted at construction, and columns already strictly ascending are
+    kept as they are. Process fields and pair ids must be integers, not
+    bools. The checks run as whole-list passes; the per-entry loops run
+    only to name the first bad entry.
 
     A workload and its `with_cores`/`with_attestor` copies share one dict of
     derived data, so `conflict_index`, `process_ids`, `exec_times`,
@@ -240,7 +370,7 @@ class Workload:
     """
 
     processes: tuple[Process, ...]
-    conflicts: tuple[ConflictPair, ...]
+    conflicts: ConflictColumns
     cores: CoreProfile
     attestor: bool = False
     meta: dict = field(default_factory=dict)
@@ -262,34 +392,21 @@ class Workload:
                 for key, value in zip(("id", "execTimeMs", "opCount"), fields(proc)):
                     _require_int(value, f"processes[{position}].{key}")
             raise AssertionError("process field check rejected integer fields")
-        pairs = tuple(self.conflicts)
-        # `_all_instances` by hand, keeping the type set: generated and
-        # loaded pairs are all ConflictPairs, which have two fields; other
-        # pairs are checked for two ids and rebuilt as ConflictPairs
-        pair_types = set(map(type, pairs))
-        plain = pair_types != {ConflictPair}
-        if not all(issubclass(t, tuple) for t in pair_types):
-            bad = next(pair for pair in pairs if not isinstance(pair, tuple))
-            raise WorkloadValidationError(f"conflict pair {bad!r} is not a tuple")
-        if plain and set(map(len, pairs)) - {2}:
-            bad = next(pair for pair in pairs if len(pair) != 2)
-            raise WorkloadValidationError(f"conflict pair {bad!r} does not have two ids")
-        # the ids of every pair, ConflictPairs built by hand included, are
-        # checked before any pair is compared
-        firsts = list(map(itemgetter(0), pairs))
-        seconds = list(map(itemgetter(1), pairs))
-        if not _all_ints(chain(firsts, seconds)):
-            bad = next(pair for pair in pairs if not _all_ints(pair))
-            raise WorkloadValidationError(f"conflict pair {bad!r} must hold two integer ids")
+        conflicts = self.conflicts
+        if not isinstance(conflicts, ConflictColumns):
+            conflicts = ConflictColumns.of(conflicts)
+        firsts, seconds = conflicts.columns
         # a loaded file lists its pairs in strictly ascending order, which
         # one pass proves, and then the smallest `a` comes first
-        ascending = all(map(lt, pairs, islice(pairs, 1, None)))
-        if pairs and (
+        later = zip(firsts, seconds)
+        next(later, None)
+        ascending = all(map(lt, zip(firsts, seconds), later))
+        if firsts and (
             any(map(ge, firsts, seconds))
             or (firsts[0] if ascending else min(firsts)) < 0
             or max(seconds) >= n
         ):
-            for a, b in self.conflicts:
+            for a, b in zip(firsts, seconds):
                 if a >= b:
                     raise WorkloadValidationError(
                         f"conflict pair ({a}, {b}) is not canonical (need a < b)"
@@ -301,11 +418,8 @@ class Workload:
             raise AssertionError("conflict pair check rejected valid pairs")
         # other pairs are sorted, and deduplicated (hashed) in that order
         if not ascending:
-            pairs = dict.fromkeys(sorted(pairs))
-        if plain:
-            # built in C, as the loader builds its pairs
-            pairs = map(tuple.__new__, repeat(ConflictPair), pairs)
-        object.__setattr__(self, "conflicts", tuple(pairs))
+            conflicts = ConflictColumns._of_ints(*zip(*dict.fromkeys(sorted(zip(firsts, seconds)))))
+        object.__setattr__(self, "conflicts", conflicts)
         object.__setattr__(self, "_family", {})
 
     @property
@@ -364,7 +478,8 @@ class Workload:
             levels = list(times)
             # the pairs are sorted, so reversed they visit `a` in descending
             # order, and levels[b] is final before any (a, b) reads it
-            for a, b in reversed(self.conflicts):
+            pairs = self.conflicts
+            for a, b in zip(reversed(pairs.firsts), reversed(pairs.seconds)):
                 level = times[a] + levels[b]
                 if level > levels[a]:
                     levels[a] = level
@@ -417,12 +532,16 @@ class ConflictIndex:
 
 
 def build_conflict_index(w: Workload) -> ConflictIndex:
-    """Build the symmetric adjacency index; each row is an ascending tuple."""
+    """Build the symmetric adjacency index; each row is an ascending tuple.
+
+    Reads the workload's two conflict columns pair by pair and builds no
+    `ConflictPair`.
+    """
     times = w.exec_times()
     neighbors: list[list[int]] = [[] for _ in range(w.n)]
     durations = [0] * w.n
     # the Workload's pairs are sorted and distinct, so rows come out ascending
-    for a, b in w.conflicts:
+    for a, b in zip(w.conflicts.firsts, w.conflicts.seconds):
         neighbors[a].append(b)
         neighbors[b].append(a)
         durations[a] += times[b]
@@ -446,7 +565,7 @@ class Assignment(NamedTuple):
     finish_ms: int
 
 
-class AssignmentColumns(Sequence):
+class AssignmentColumns(_ColumnSequence):
     """A schedule's assignments as four columns; records are built when read.
 
     ``process_ids``, ``core_ids``, ``starts`` and ``finishes`` are tuples of
@@ -460,6 +579,7 @@ class AssignmentColumns(Sequence):
     """
 
     __slots__ = ("process_ids", "core_ids", "starts", "finishes")
+    _record = Assignment
 
     def __init__(self, process_ids=(), core_ids=(), starts=(), finishes=()) -> None:
         put = object.__setattr__
@@ -471,6 +591,11 @@ class AssignmentColumns(Sequence):
             lengths = list(map(len, self.columns))
             raise ValueError(f"assignment columns differ in length: {lengths}")
 
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """``(process_ids, core_ids, starts, finishes)``."""
+        return self.process_ids, self.core_ids, self.starts, self.finishes
+
     @classmethod
     def of(cls, records) -> AssignmentColumns:
         """The columns of (process id, core id, start, finish) records, in order."""
@@ -479,50 +604,6 @@ class AssignmentColumns(Sequence):
             bad = next(record for record in records if len(record) != 4)
             raise ValueError(f"assignment {bad!r} does not have four fields")
         return cls(*zip(*records)) if records else cls()
-
-    @property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """``(process_ids, core_ids, starts, finishes)``."""
-        return self.process_ids, self.core_ids, self.starts, self.finishes
-
-    @staticmethod
-    def _records(rows):
-        # every record is built here, in C, skipping the named tuple's
-        # Python-level __new__
-        return map(tuple.__new__, repeat(Assignment), rows)
-
-    def __len__(self) -> int:
-        return len(self.process_ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return AssignmentColumns(*(column[index] for column in self.columns))
-        return next(self._records([tuple(column[index] for column in self.columns)]))
-
-    def __iter__(self):
-        return self._records(zip(*self.columns))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, AssignmentColumns):
-            return self.columns == other.columns
-        if isinstance(other, tuple):
-            return len(other) == len(self) and tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-    def __reduce__(self):
-        return AssignmentColumns, self.columns
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 @dataclass(frozen=True)
@@ -575,17 +656,17 @@ def estimate_exec_time(gas_estimate: int, model: GasTimeModel) -> int:
     return max(1, _round_half_up(model.slope * gas_estimate + model.intercept))
 
 
-def _random_pairs(ids, rate: float, rng: random.Random) -> list[ConflictPair]:
+def _random_pairs(ids, rate: float, rng: random.Random) -> list[tuple[int, int]]:
     """Each pair of the ascending ``ids``, in order, kept with probability ``rate``."""
     return [
-        ConflictPair(a, b)
+        (a, b)
         for k, a in enumerate(ids)
         for b in ids[k + 1:]
         if rng.random() < rate
     ]
 
 
-def _participation_conflicts(n: int, rate: float, rng: random.Random) -> list[ConflictPair]:
+def _participation_conflicts(n: int, rate: float, rng: random.Random) -> list[tuple[int, int]]:
     target = min(n, _round_half_up(n * rate))
     if target < 2:
         # a single participant cannot form a pair; treat as conflict-free
@@ -658,7 +739,7 @@ def _workload_to_dict(w: Workload) -> dict:
             {"id": p.id, "execTimeMs": p.exec_time_ms, "opCount": p.op_count}
             for p in w.processes
         ],
-        "conflicts": [[a, b] for a, b in w.conflicts],
+        "conflicts": list(map(list, zip(w.conflicts.firsts, w.conflicts.seconds))),
         "cores": {
             "count": w.cores.core_count,
             "costPerOp": w.cores.cost_per_op,
@@ -814,19 +895,18 @@ def _load_columns(raw: dict, name: str, keys: tuple[str, ...], cls) -> list[list
     raise AssertionError(f"whole-list {name} check rejected a valid list")
 
 
-def _load_conflicts(entries: list) -> list[ConflictPair]:
+def _load_conflicts(entries: list) -> ConflictColumns:
     if _all_instances(entries, list) and set(map(len, entries)) <= {2}:
         firsts = list(map(itemgetter(0), entries))
         seconds = list(map(itemgetter(1), entries))
+        # the ids' one integer check: `Workload` trusts a ConflictColumns
         if _all_ints(chain(firsts, seconds)) and not any(map(eq, firsts, seconds)):
             # canonicalize: only reversed pairs cost a Python step
             for pos in list(compress(count(), map(gt, firsts, seconds))):
                 firsts[pos], seconds[pos] = seconds[pos], firsts[pos]
             # every a < b now, so the smallest a is the smallest id
             if min(firsts, default=0) >= 0:
-                # tuple.__new__ builds each pair in C; calling ConflictPair
-                # would run its Python-level __new__ once per pair
-                return list(map(tuple.__new__, repeat(ConflictPair), zip(firsts, seconds)))
+                return ConflictColumns._of_ints(firsts, seconds)
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 2:
             raise WorkloadValidationError(f"conflicts[{pos}] must be a pair [a, b]")
@@ -847,7 +927,8 @@ def load_workload(path: str | Path) -> Workload:
     too deeply to parse and on schema or invariant violations. The process
     list is read as `load_schedule` reads the assignments (`_load_columns`).
     Conflict pairs are canonicalized on load, so the file may list them in
-    either order.
+    either order; their two id columns become the workload's
+    `ConflictColumns` as they are, and no `ConflictPair` is built.
     """
     raw = _read_json(path, "workload")
     keys = {"processes", "conflicts", "cores", "attestor", "meta"}
@@ -857,7 +938,7 @@ def load_workload(path: str | Path) -> Workload:
 
     if not isinstance(raw["conflicts"], list):
         raise WorkloadValidationError("conflicts must be an array")
-    pairs = _load_conflicts(raw["conflicts"])
+    conflicts = _load_conflicts(raw["conflicts"])
 
     _require_object(raw["cores"], {"count", "costPerOp", "costPerIdleMs"}, "cores")
     cores = CoreProfile(
@@ -873,7 +954,7 @@ def load_workload(path: str | Path) -> Workload:
 
     return Workload(
         processes=processes,
-        conflicts=tuple(pairs),
+        conflicts=conflicts,
         cores=cores,
         attestor=raw["attestor"],
         meta=raw["meta"],

@@ -102,13 +102,14 @@ def _proves_valid(sch: Schedule, w: Workload) -> bool:
         if starts[pid] < last[k]:
             return False
         last[k] = finishes[pid]
+    pairs = zip(w.conflicts.firsts, w.conflicts.seconds)
     if w.attestor:
         # C3, and with it C2: each pair's lower id finishes first
-        for a, b in w.conflicts:
+        for a, b in pairs:
             if finishes[a] > starts[b]:
                 return False
     else:
-        for a, b in w.conflicts:
+        for a, b in pairs:
             if starts[a] < finishes[b] and starts[b] < finishes[a]:
                 return False
     return True
@@ -183,7 +184,7 @@ def _report(sch: Schedule, w: Workload) -> ValidationReport:
                 last_pid, last_finish = pid, finish
 
     attestor = w.attestor
-    for a, b in w.conflicts:
+    for a, b in zip(w.conflicts.firsts, w.conflicts.seconds):
         span_a, span_b = spans.get(a), spans.get(b)
         if span_a is None or span_b is None:
             continue
@@ -235,7 +236,7 @@ def _static_lower_bound(w: Workload) -> int:
     times = w.exec_times()
     m = w.cores.core_count
     lb = math.ceil(sum(times) / m)
-    for a, b in w.conflicts:
+    for a, b in zip(w.conflicts.firsts, w.conflicts.seconds):
         lb = max(lb, times[a] + times[b])
     for t, hood in zip(times, w.conflict_index.conflict_duration_ms):
         if hood:

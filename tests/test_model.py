@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conflictsched.model import (
     OPS_PER_MS,
+    ConflictColumns,
     ConflictModel,
     ConflictPair,
     CoreProfile,
@@ -570,7 +571,7 @@ class TestWorkloadInvariants:
                 conflicts=conflicts,
                 cores=CoreProfile(2),
             )
-            assert type(w.conflicts) is tuple
+            assert type(w.conflicts) is ConflictColumns
             assert w.conflicts == tuple(sorted(set(pairs)))
 
     def test_ascending_list_pairs_are_still_hashed(self):

@@ -369,7 +369,7 @@ class TestValidateSchedule:
                     asg = sch.assignments
                     edges = [
                         (q, asg[p].core_id if onto else asg[q].core_id, asg[p].finish_ms + d)
-                        for p, q in (w.conflicts + tuple(zip(range(w.n), range(1, w.n))))
+                        for p, q in (tuple(w.conflicts) + tuple(zip(range(w.n), range(1, w.n))))
                         for onto in (False, True)
                         for d in (-1, 0, 1)
                     ]
