@@ -194,6 +194,20 @@ def run_cells(grid: ExperimentGrid) -> Iterator[CellResult]:
                             )
 
 
+def _mean(values) -> float:
+    """The mean of finite floats, the same float `statistics.mean` returns.
+
+    Each float is an exact ratio whose denominator is a power of two, so
+    every ratio is an int over the largest denominator, and one int true
+    division rounds their exact sum over the count correctly, as
+    `statistics.mean`'s `Fraction` does, without its arithmetic.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    denominator = max([d for _, d in ratios])
+    total = sum([n * (denominator // d) for n, d in ratios])
+    return total / (denominator * len(ratios))
+
+
 def aggregate_cells(cells: list[CellResult], grid: ExperimentGrid) -> list[ResultRow]:
     """Fold per-seed cells into one row per (n, rate, m, mode, strategy)."""
     buckets: dict[tuple, list[CellResult]] = {}
@@ -223,11 +237,11 @@ def aggregate_cells(cells: list[CellResult], grid: ExperimentGrid) -> list[Resul
                 m=m,
                 mode=mode,
                 strategy=strategy,
-                speedup_mean=statistics.mean(speedups),
+                speedup_mean=_mean(speedups),
                 speedup_min=min(speedups),
                 speedup_max=max(speedups),
                 makespan_ms_mean=sum(c.makespan_ms for c in group_cells) / len(group_cells),
-                wall_ms_mean=statistics.mean(c.wall_ms for c in group_cells),
+                wall_ms_mean=_mean([c.wall_ms for c in group_cells]),
                 wall_ms_median=statistics.median(c.wall_ms for c in group_cells),
                 horizon_ms_mean=horizon_mean,
                 ub_closed_ms=upper_bound_closed_form(params),
@@ -265,7 +279,7 @@ def rows_to_markdown(rows: list[ResultRow], grid: ExperimentGrid) -> str:
         for (group, n, rate), speedups in sorted(cells.items()):
             values = "".join(f" {speedups[col]:.2f} |" for col in columns)
             out.append(f"| {group} | {n} | {rate * 100:g} |{values}")
-        means = [statistics.mean(speedups[col] for speedups in cells.values()) for col in columns]
+        means = [_mean([speedups[col] for speedups in cells.values()]) for col in columns]
         out += ["| AVG | | |" + "".join(f" {mean:.2f} |" for mean in means), ""]
     return "\n".join(out)
 

@@ -365,8 +365,8 @@ class Workload:
 
     A workload and its `with_cores`/`with_attestor` copies share one dict of
     derived data, so `conflict_index`, `process_ids`, `exec_times`,
-    `attestor_order`, `attestor_chain` and `predecessor_counts` are built
-    once for all of them.
+    `attestor_order`, `attestor_chain`, `predecessor_counts` and
+    `successor_rows` are built once for all of them.
     """
 
     processes: tuple[Process, ...]
@@ -500,6 +500,22 @@ class Workload:
                 map(bisect_left, self.conflict_index.adjacency, range(self.n))
             )
         return counts
+
+    def successor_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each process's higher-id partners, ascending, built on first use.
+
+        The part of the process's adjacency row past its
+        `predecessor_counts` split: in attestor mode these are the
+        processes that wait for it. It depends only on the conflict pairs,
+        so the whole family shares it.
+        """
+        rows = self._family.get("successor_rows")
+        if rows is None:
+            adjacency = self.conflict_index.adjacency
+            rows = self._family["successor_rows"] = tuple(
+                [row[split:] for row, split in zip(adjacency, self.predecessor_counts())]
+            )
+        return rows
 
     def with_cores(self, cores: CoreProfile) -> Workload:
         return self._derive("cores", cores)

@@ -340,9 +340,8 @@ def _search(
     # attestor mode: each process's unplaced lower-id partners, counted
     # down as they are placed; it may branch only at zero
     if attestor:
-        splits = w.predecessor_counts()
-        waiting = list(splits)
-        successors = [row[split:] for row, split in zip(adjacency, splits)]
+        waiting = list(w.predecessor_counts())
+        successors = w.successor_rows()
     else:
         waiting = [0] * n
         successors = [()] * n

@@ -7,25 +7,29 @@ they refused. `schedule` places through one column kernel, `_place`, called
 once per loose round and once for the strict fallback. The paper's
 per-process procedures, `assign_loosely`/`assign_strictly`, place one
 process on a `Plan` by the same rules, read off the plan. Core occupancy
-is a heap of ``(occupied_until_ms, core_id)`` pairs, so picking the least
-occupied core is O(1) and committing a placement is O(log m).
+is a heap, so picking the least occupied core is O(1) and committing a
+placement is O(log m). The kernel's heap holds m plain ints ``finish * m
++ core``, which compare faster than pairs and keep the same order (lowest
+finish, then lowest core id, since core < m); a `Plan` keeps its
+``(occupied_until_ms, core_id)`` pairs.
 
 `schedule` keeps its per-call state as flat per-process columns:
-``core_of`` and ``start_of``, which the kernel writes on each placement (a
-start of -1 marks a process not yet placed), ``release``, the latest
-finish of any placed partner, and in attestor mode ``waiting``, the number
-of lower-id partners not yet placed. ``core_of`` and ``start_of`` become
-columns of the returned schedule's `AssignmentColumns`, so an `Assignment`
-record is built only when a caller reads one. Placing a process pushes its
-finish into its partners' entries once, so every later attempt is decided
-from ``release`` and ``waiting`` in O(1), without reading the partners
-again. That is exact because loose starts never pass the heap top: every
-loose placement starts at the heap top, which never decreases, so every
-placed partner of a loose candidate starts no later than the candidate,
-and the two overlap exactly when the partner finishes after the candidate
-starts. In attestor mode no process is placed while a predecessor waits,
-so placing one pushes only the higher-id part of its row: the lower-id
-partners are all placed.
+``core_of``, ``start_of`` and ``finish_of``, which the kernel writes on
+each placement (a start of -1 marks a process not yet placed),
+``release``, the latest finish of any placed partner, and in attestor mode
+``waiting``, the number of lower-id partners not yet placed. ``core_of``,
+``start_of`` and ``finish_of`` become columns of the returned schedule's
+`AssignmentColumns`, so an `Assignment` record is built only when a caller
+reads one. Placing a process pushes its finish into its partners'
+entries once, so every later attempt is decided from ``release`` and
+``waiting`` in O(1), without reading the partners again. That is exact
+because loose starts never pass the heap top: every loose placement starts
+at the heap top, which never decreases, so every placed partner of a loose
+candidate starts no later than the candidate, and the two overlap exactly
+when the partner finishes after the candidate starts. In attestor mode no
+process is placed while a predecessor waits, so placing one pushes only
+its successor row, the higher-id part of its row
+(`Workload.successor_rows`): the lower-id partners are all placed.
 
 * Loose placement refuses any placement that would need idle time; refused
   processes are retried in the next round (core ends advance between
@@ -202,45 +206,51 @@ def _placement_order(w: Workload, sort_type: SortType) -> tuple[int, ...]:
 
 
 def _place(
-    ends: list[tuple[int, int]],
+    ends: list[int],
     core_of: list[int],
     start_of: list[int],
-    pids: Sequence[int],
-    loose: bool,
-    times: Sequence[int],
-    adjacency: Sequence[Sequence[int]],
+    finish_of: list[int],
     release: list[int],
     waiting: list[int] | None,
-    splits: Sequence[int] | None,
+    times: Sequence[int],
+    adjacency: Sequence[Sequence[int]],
+    rows: Sequence[Sequence[int]],
+    pids: Sequence[int],
+    loose: bool,
 ) -> list[int]:
     """Place ``pids`` in order, each on the least occupied core (the heap top).
 
     `schedule`'s placement kernel: a loose round and the strict fallback
-    are each one call. ``ends`` is the core heap; a placement writes the
-    process's core and start into ``core_of`` and ``start_of``, where a
-    start below 0 marks a process not yet placed. The kernel decides each
-    attempt from two numbers, without reading the partners:
-    ``release[pid]``, the latest finish of a placed partner, and in
-    attestor mode ``waiting[pid]``, the number of lower-id partners
-    (predecessors) not yet placed. A loose attempt is refused while a
-    predecessor waits or the release passes the start. A strict one raises
-    `AttestorOrderError`, naming the first predecessor whose start is below
-    0, while a predecessor waits, and otherwise starts at the release if
-    that is later. Loose starts never pass the heap top, so a placed
-    partner that finishes after a loose candidate starts overlaps it.
+    are each one call. ``ends`` is the core heap of m int keys ``finish * m
+    + core``, so the lowest key is the lowest finish, ties to the lowest
+    core id. A placement writes the process's core, start and finish into
+    ``core_of``, ``start_of`` and ``finish_of``, where a start below 0
+    marks a process not yet placed. The heap top is read once per
+    placement. The kernel decides each attempt from two numbers, without
+    reading the partners: ``release[pid]``, the latest finish of a placed
+    partner, and in attestor mode ``waiting[pid]``, the number of lower-id
+    partners (predecessors) not yet placed. A loose attempt is refused
+    while a predecessor waits or the release passes the start. A strict one
+    raises `AttestorOrderError`, naming the first predecessor in
+    ``adjacency[pid]`` whose start is below 0, while a predecessor waits,
+    and otherwise starts at the release if that is later. Loose starts
+    never pass the heap top, so a placed partner that finishes after a
+    loose candidate starts overlaps it.
 
-    Placing a process walks its row once, raising each partner's release to
-    the new finish. In proposer mode (``waiting`` and ``splits`` None) that
-    is all of ``adjacency[pid]``. In attestor mode it is the higher-id part
-    ``adjacency[pid][splits[pid]:]``, and each of those partners also
-    counts one predecessor fewer. Returns the refused ids, leaving every
-    argument untouched for them; a strict call refuses none.
+    Placing a process walks ``rows[pid]`` once, raising each partner's
+    release to the new finish. In proposer mode (``waiting`` None) the rows
+    are the adjacency rows. In attestor mode they are the successor rows,
+    the higher-id partners (`Workload.successor_rows`), and each of those
+    partners also counts one predecessor fewer. Returns the refused ids,
+    leaving every argument untouched for them; a strict call refuses none.
     """
+    m = len(ends)
     heapreplace = heapq.heapreplace
     attestor = waiting is not None
     refused = []
+    top = ends[0]
+    low = top // m
     for pid in pids:
-        start, core_id = ends[0]
         if attestor and waiting[pid]:
             if loose:
                 refused.append(pid)
@@ -249,26 +259,28 @@ def _place(
             raise AttestorOrderError(
                 f"process {pid} assigned before conflicting predecessor {first}"
             )
-        ready = release[pid]
-        if ready > start:
+        start = release[pid]
+        if start > low:
             if loose:
                 refused.append(pid)
                 continue
-            start = ready
+        else:
+            start = low
         finish = start + times[pid]
-        heapreplace(ends, (finish, core_id))
+        core_id = top % m
+        heapreplace(ends, finish * m + core_id)
         core_of[pid] = core_id
         start_of[pid] = start
-        row = adjacency[pid]
-        if not row:
-            continue
+        finish_of[pid] = finish
+        top = ends[0]
+        low = top // m
         if attestor:
-            for partner in row[splits[pid]:]:
+            for partner in rows[pid]:
                 waiting[partner] -= 1
                 if release[partner] < finish:
                     release[partner] = finish
         else:
-            for partner in row:
+            for partner in rows[pid]:
                 if release[partner] < finish:
                     release[partner] = finish
     return refused
@@ -343,8 +355,8 @@ def assign_loosely(
     return None
 
 
-def _event(w: Workload, idx: ConflictIndex) -> tuple[list[int], list[int], int]:
-    """Event-driven list scheduling: each process's core and start, and the makespan.
+def _event(w: Workload, idx: ConflictIndex) -> tuple[list[int], list[int], list[int], int]:
+    """Event-driven list scheduling: each process's core, start and finish, and the makespan.
 
     The clock jumps from one completion to the next. After each, while a
     core is free, the ready process with the highest priority starts on the
@@ -371,9 +383,8 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[list[int], list[int], int]:
     heappush, heappop = heapq.heappush, heapq.heappop
     if attestor:
         priority = w.attestor_chain()
-        # lower-id partners: a prefix of the ascending row
-        splits = w.predecessor_counts()
-        blocking = list(splits)  # lower-id partners not yet finished
+        successors = w.successor_rows()
+        blocking = list(w.predecessor_counts())  # lower-id partners not yet finished
     else:
         priority = list(map(add, times, idx.conflict_duration_ms))
         busy = [False] * n
@@ -389,6 +400,7 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[list[int], list[int], int]:
     on_core = [0] * m
     core_of = [0] * n
     start_of = [0] * n
+    finish_of = [0] * n
     now = 0
     while True:
         while ready and free:
@@ -405,6 +417,7 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[list[int], list[int], int]:
             on_core[core] = pid
             core_of[pid] = core
             start_of[pid] = now
+            finish_of[pid] = finish
         if not running:
             break
         now = running[0] // m
@@ -414,7 +427,7 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[list[int], list[int], int]:
             heappush(free, core)
             pid = on_core[core]
             if attestor:
-                for later in adjacency[pid][splits[pid]:]:
+                for later in successors[pid]:
                     blocking[later] -= 1
                     if not blocking[later]:
                         heappush(ready, keys[later])
@@ -422,7 +435,7 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[list[int], list[int], int]:
                 busy[pid] = False
                 for waiter in waiters.pop(pid, ()):
                     heappush(ready, keys[waiter])
-    return core_of, start_of, now
+    return core_of, start_of, finish_of, now
 
 
 def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
@@ -433,41 +446,48 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
     processes in sorted order; STRICT strategies run none. The rounds stop
     early once one places nothing: the plan did not change, so every later
     round would refuse the same processes. Whatever is still pending is
-    then placed strictly, in order. Either way the schedule keeps the
-    placement columns as its `AssignmentColumns`, so no `Assignment` record
-    is built unless a caller reads one. The conflict index is workload data,
-    read before the wall clock starts; the placement order is sorted on
-    the first call per workload family and sort key, and reused after that.
+    then placed strictly, in order. The greedy's core heap holds the int
+    keys ``finish * m + core``: ``range(m)`` is the empty one, and the
+    makespan is the largest key over m. Either way the schedule keeps the
+    placement's core, start and finish columns as its `AssignmentColumns`,
+    so no `Assignment` record is built unless a caller reads one. The
+    conflict index is workload data, read before the wall clock starts; the
+    placement order is sorted on the first call per workload family and
+    sort key, and reused after that, and so are the successor rows.
     """
     idx = w.conflict_index
     t0 = time.perf_counter()
     times = w.exec_times()
     n = len(times)
     if strategy.assign_type is AssignType.EVENT:
-        core_of, start_of, makespan = _event(w, idx)
+        core_of, start_of, finish_of, makespan = _event(w, idx)
     else:
         pending = _placement_order(w, strategy.sort_type)
-        # [(0, k) for k in range(m)] is already a heap
-        ends = [(0, k) for k in range(w.cores.core_count)]
+        m = w.cores.core_count
+        # every core idle at 0: keys 0 * m + k, ascending, so already a heap
+        ends = list(range(m))
         core_of = [0] * n
         start_of = [-1] * n
-        adjacency = idx.adjacency
+        finish_of = [0] * n
         release = [0] * n
-        splits = waiting = None
+        adjacency = rows = idx.adjacency
+        waiting = None
         if w.attestor:
-            splits = w.predecessor_counts()
-            waiting = list(splits)
-        place = partial(_place, ends, core_of, start_of)
+            rows = w.successor_rows()
+            waiting = list(w.predecessor_counts())
+        place = partial(
+            _place, ends, core_of, start_of, finish_of, release, waiting, times, adjacency, rows
+        )
 
         if strategy.assign_type is AssignType.LOOSE:
             for _ in range(strategy.loose_review_round + 1):
-                refused = place(pending, True, times, adjacency, release, waiting, splits)
+                refused = place(pending, True)
                 if len(refused) == len(pending):
                     break
                 pending = refused
-        place(pending, False, times, adjacency, release, waiting, splits)
-        makespan = max(ends)[0]
-    assignments = AssignmentColumns(w.process_ids(), core_of, start_of, map(add, start_of, times))
+        place(pending, False)
+        makespan = max(ends) // m
+    assignments = AssignmentColumns(w.process_ids(), core_of, start_of, finish_of)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return Schedule(
         assignments=assignments,

@@ -5,6 +5,8 @@ import hashlib
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conflictsched.bench
 import conflictsched.model
@@ -246,3 +248,10 @@ def test_an_invalid_schedule_stops_the_grid_before_it_writes(tmp_path, monkeypat
     with pytest.raises(BenchValidationError, match=message):
         run_grid(grid, tmp_path)
     assert not (tmp_path / "results.csv").exists()
+
+
+@given(st.lists(st.floats(min_value=0, exclude_min=True, allow_infinity=False), min_size=1, max_size=16))
+@settings(max_examples=500, deadline=None)
+def test_mean_is_statistics_mean_bit_for_bit(values):
+    got = conflictsched.bench._mean(values)
+    assert got.hex() == statistics.mean(values).hex()

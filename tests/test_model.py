@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -749,3 +750,23 @@ class TestWorkloadInvariants:
         for i, (row, split) in enumerate(zip(base.conflict_index.adjacency, counts)):
             assert all(q < i for q in row[:split]) and all(q > i for q in row[split:])
         assert base.with_cores(CoreProfile(5)).with_attestor(True).predecessor_counts() is counts
+
+    def test_successor_rows_are_each_row_past_its_split_built_once_per_family(self):
+        base = generate_workload(40, 0.4, model=ConflictModel.PAIRWISE, seed=3)
+        family = [base, base.with_cores(CoreProfile(5)), base.with_attestor(True)]
+        family.append(family[1].with_attestor(True))
+        # each build reads the split once
+        counted = mock.patch.object(
+            Workload, "predecessor_counts", autospec=True, side_effect=Workload.predecessor_counts
+        )
+        with counted as builds:
+            rows = base.successor_rows()
+            assert all(w.successor_rows() is rows for w in family)
+            assert builds.call_count == 1
+            rebuilt = dataclasses.replace(base)
+            assert rebuilt.successor_rows() == rows and rebuilt.successor_rows() is not rows
+            assert builds.call_count == 2
+        adjacency, splits = base.conflict_index.adjacency, base.predecessor_counts()
+        assert rows == tuple(row[split:] for row, split in zip(adjacency, splits))
+        assert rows == tuple(tuple(b for a, b in base.conflicts if a == i) for i in range(40))
+        assert all(type(row) is tuple for row in rows)

@@ -320,24 +320,26 @@ class TestKernel:
         w = make_workload([2, 3, 4], [(0, 2), (1, 2)], m=2, attestor=True)
         idx = w.conflict_index
         times = w.exec_times()
-        ends = [(0, 0), (0, 1)]
+        m = 2
+        ends = [0 * m + 0, 0 * m + 1]
         core_of = [0] * 3
         start_of = [-1] * 3
+        finish_of = [0] * 3
         release = [0] * 3
-        splits = w.predecessor_counts()
-        waiting = list(splits)
+        waiting = list(w.predecessor_counts())
 
         def place(pids):
             return scheduler._place(
-                ends, core_of, start_of, pids, False, times, idx.adjacency, release, waiting, splits
+                ends, core_of, start_of, finish_of, release, waiting, times,
+                idx.adjacency, w.successor_rows(), pids, False,
             )
 
         assert place([1]) == []
-        state = (list(ends), list(core_of), list(start_of), list(release), list(waiting))
-        assert state == ([(0, 1), (3, 0)], [0, 0, 0], [-1, 0, -1], [0, 0, 3], [0, 0, 1])
+        state = (list(ends), list(core_of), list(start_of), list(finish_of), list(release), list(waiting))
+        assert state == ([0 * m + 1, 3 * m + 0], [0, 0, 0], [-1, 0, -1], [0, 3, 0], [0, 0, 3], [0, 0, 1])
         with pytest.raises(AttestorOrderError, match="^process 2 assigned before conflicting predecessor 0$"):
             place([2])
-        assert (ends, core_of, start_of, release, waiting) == state
+        assert (ends, core_of, start_of, finish_of, release, waiting) == state
 
 
 class TestCorePick:
@@ -494,29 +496,51 @@ class TestSchedule:
         strategy = Strategy(sort_type, assign, rounds)
         assert schedule(w, strategy).assignments == replay(w, strategy)
 
+    @pytest.mark.parametrize("m", [1, 3, 7, 33, 64, 100])
+    @pytest.mark.parametrize("attestor", [False, True])
+    @pytest.mark.parametrize("model", list(ConflictModel))
+    def test_int_core_keys_equal_the_replay_at_any_core_count(self, m, attestor, model):
+        # the kernel's heap keys are finish * m + core: with fewer processes
+        # than cores every pick is an idle core tied at 0, with more the
+        # ends tie and split at finishes of every size
+        rate = 0.35 if model is ConflictModel.PARTICIPATION else 0.05
+        for n in sorted({max(1, m // 2), 2 * m + 5}):
+            w = generate_workload(n, rate, model=model, seed=m + n, cores=CoreProfile(m), attestor=attestor)
+            for strategy in (
+                Strategy(SortType.MCDF, AssignType.LOOSE, 0),
+                Strategy(SortType.MCDF, AssignType.LOOSE, 3),
+                Strategy(SortType.FIFO, AssignType.STRICT),
+            ):
+                sch = schedule(w, strategy)
+                assert sch.assignments == replay(w, strategy)
+                assert sch.schedule_makespan_ms == max(a.finish_ms for a in sch.assignments)
+
     @pytest.mark.parametrize("attestor", [False, True])
     def test_loose_rounds_stop_once_one_places_nothing(self, attestor):
         w = generate_workload(30, 0.6, seed=4, cores=CoreProfile(3), attestor=attestor)
         real_place = scheduler._place
         bind = inspect.signature(real_place).bind
         calls = []  # (loose, offered, refused) per kernel call
-        columns = []  # the (ends, core_of, start_of) objects of each call
+        columns = []  # the (ends, core_of, start_of, finish_of) objects of each call
 
         def counted(*args):
             refused = real_place(*args)
             call = bind(*args).arguments
             calls.append((call["loose"], len(call["pids"]), len(refused)))
-            columns.append((call["ends"], call["core_of"], call["start_of"]))
+            columns.append((call["ends"], call["core_of"], call["start_of"], call["finish_of"]))
             return refused
 
         with mock.patch.object(scheduler, "_place", counted):
             sch = schedule(w, Strategy(SortType.MCDF, AssignType.LOOSE, 10**9))
         # every call wrote the same columns, and the schedule is read off them
-        ends, core_of, start_of = columns[0]
-        assert all(c[0] is ends and c[1] is core_of and c[2] is start_of for c in columns)
+        ends, core_of, start_of, finish_of = columns[0]
+        assert all(
+            c[0] is ends and c[1] is core_of and c[2] is start_of and c[3] is finish_of for c in columns
+        )
         assert core_of == [a.core_id for a in sch.assignments]
         assert start_of == [a.start_ms for a in sch.assignments]
-        assert max(ends)[0] == sch.schedule_makespan_ms
+        assert finish_of == [a.finish_ms for a in sch.assignments]
+        assert max(ends) // w.cores.core_count == sch.schedule_makespan_ms
         *rounds, strict = calls
         # every loose round but the last placed something, the last placed
         # nothing, and one strict call placed what was left
