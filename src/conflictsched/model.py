@@ -28,8 +28,8 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress, count, repeat
-from operator import attrgetter, eq, ge, gt, itemgetter, lt
+from itertools import chain, compress, count, islice, repeat
+from operator import attrgetter, eq, ge, gt, itemgetter, lt, not_, or_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -366,7 +366,9 @@ class Workload:
     A workload and its `with_cores`/`with_attestor` copies share one dict of
     derived data, so `conflict_index`, `process_ids`, `exec_times`,
     `attestor_order`, `attestor_chain`, `predecessor_counts` and
-    `successor_rows` are built once for all of them.
+    `successor_rows` are built once for all of them. The last four are read
+    off the two sorted pair columns, not off `conflict_index`, the
+    symmetric adjacency, so an attestor `schedule()` never builds that.
     """
 
     processes: tuple[Process, ...]
@@ -376,28 +378,14 @@ class Workload:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self._check_processes()
         n = len(self.processes)
-        if list(map(attrgetter("id"), self.processes)) != list(range(n)):
-            for position, proc in enumerate(self.processes):
-                if proc.id != position:
-                    raise WorkloadValidationError(
-                        f"processes[{position}].id is {proc.id}; ids must be 0..n-1 in order"
-                    )
-            raise AssertionError("process id check rejected valid ids")
-        # a float or bool equal to an int passes the check above and
-        # `Process`'s, but the scheduler indexes by ids and ranges over times
-        fields = attrgetter("id", "exec_time_ms", "op_count")
-        if not _all_ints(chain.from_iterable(map(fields, self.processes))):
-            for position, proc in enumerate(self.processes):
-                for key, value in zip(("id", "execTimeMs", "opCount"), fields(proc)):
-                    _require_int(value, f"processes[{position}].{key}")
-            raise AssertionError("process field check rejected integer fields")
         conflicts = self.conflicts
         if not isinstance(conflicts, ConflictColumns):
             conflicts = ConflictColumns.of(conflicts)
         firsts, seconds = conflicts.columns
-        # a loaded file lists its pairs in strictly ascending order, which
-        # one pass proves, and then the smallest `a` comes first
+        # pairs listed in strictly ascending order are proved so by one
+        # pass, and then the smallest `a` comes first
         later = zip(firsts, seconds)
         next(later, None)
         ascending = all(map(lt, zip(firsts, seconds), later))
@@ -421,6 +409,45 @@ class Workload:
             conflicts = ConflictColumns._of_ints(*zip(*dict.fromkeys(sorted(zip(firsts, seconds)))))
         object.__setattr__(self, "conflicts", conflicts)
         object.__setattr__(self, "_family", {})
+
+    @classmethod
+    def _of_canonical(cls, processes, conflicts, cores, attestor, meta) -> Workload:
+        """A workload of conflict columns already proved canonical, ascending and distinct.
+
+        `load_workload` proves that on the parsed file, so of the pair
+        checks only the range of ``b`` is left, and a pair out of range
+        goes through the constructor, which names it.
+        """
+        if conflicts.seconds and max(conflicts.seconds) >= len(processes):
+            return cls(processes, conflicts, cores, attestor, meta)
+        w = object.__new__(cls)
+        put = object.__setattr__
+        put(w, "processes", processes)
+        put(w, "conflicts", conflicts)
+        put(w, "cores", cores)
+        put(w, "attestor", attestor)
+        put(w, "meta", meta)
+        w._check_processes()
+        put(w, "_family", {})
+        return w
+
+    def _check_processes(self) -> None:
+        n = len(self.processes)
+        if list(map(attrgetter("id"), self.processes)) != list(range(n)):
+            for position, proc in enumerate(self.processes):
+                if proc.id != position:
+                    raise WorkloadValidationError(
+                        f"processes[{position}].id is {proc.id}; ids must be 0..n-1 in order"
+                    )
+            raise AssertionError("process id check rejected valid ids")
+        # a float or bool equal to an int passes the check above and
+        # `Process`'s, but the scheduler indexes by ids and ranges over times
+        fields = attrgetter("id", "exec_time_ms", "op_count")
+        if not _all_ints(chain.from_iterable(map(fields, self.processes))):
+            for position, proc in enumerate(self.processes):
+                for key, value in zip(("id", "execTimeMs", "opCount"), fields(proc)):
+                    _require_int(value, f"processes[{position}].{key}")
+            raise AssertionError("process field check rejected integer fields")
 
     @property
     def n(self) -> int:
@@ -451,15 +478,16 @@ class Workload:
     def attestor_order(self) -> tuple[int, ...]:
         """Conflict participants in id order, then the rest, built on first use.
 
-        The attestor-mode placement order; it depends only on the conflict
-        pairs, so the whole family shares it.
+        The attestor-mode placement order. A participant has a lower-id
+        partner (`predecessor_counts`) or a higher-id one (`successor_rows`),
+        so the order is read off those two, and the whole family shares it.
         """
         order = self._family.get("attestor_order")
         if order is None:
-            counts = self.conflict_index.conflict_count
             ids = range(self.n)
+            partnered = list(map(or_, self.predecessor_counts(), map(len, self.successor_rows())))
             order = self._family["attestor_order"] = tuple(
-                [i for i in ids if counts[i]] + [i for i in ids if not counts[i]]
+                chain(compress(ids, partnered), compress(ids, map(not_, partnered)))
             )
         return order
 
@@ -491,14 +519,17 @@ class Workload:
 
         In attestor mode these must all finish before the process starts.
         The count is also where the process's ascending adjacency row splits
-        into lower-id and higher-id partners. It depends only on the
-        conflict pairs, so the whole family shares it.
+        into lower-id and higher-id partners. It is counted off the
+        ``seconds`` pair column, without the conflict index: the number of
+        pairs whose ``b`` is the process. It depends only on the pairs, so
+        the whole family shares it.
         """
         counts = self._family.get("predecessor_counts")
         if counts is None:
-            counts = self._family["predecessor_counts"] = tuple(
-                map(bisect_left, self.conflict_index.adjacency, range(self.n))
-            )
+            tally = [0] * self.n
+            for b in self.conflicts.seconds:
+                tally[b] += 1
+            counts = self._family["predecessor_counts"] = tuple(tally)
         return counts
 
     def successor_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -506,14 +537,18 @@ class Workload:
 
         The part of the process's adjacency row past its
         `predecessor_counts` split: in attestor mode these are the
-        processes that wait for it. It depends only on the conflict pairs,
-        so the whole family shares it.
+        processes that wait for it. The pairs are sorted and distinct, so
+        the row of ``a`` is the run of the ``seconds`` column where
+        ``firsts`` reads ``a``; it is sliced off the columns, without the
+        conflict index, and the whole family shares it.
         """
         rows = self._family.get("successor_rows")
         if rows is None:
-            adjacency = self.conflict_index.adjacency
+            firsts, seconds = self.conflicts.columns
+            # bounds[a] is where the run of `a` starts, and the last is len(firsts)
+            bounds = list(map(bisect_left, repeat(firsts), range(self.n + 1)))
             rows = self._family["successor_rows"] = tuple(
-                [row[split:] for row, split in zip(adjacency, self.predecessor_counts())]
+                map(seconds.__getitem__, map(slice, bounds, bounds[1:]))
             )
         return rows
 
@@ -634,8 +669,10 @@ class Schedule:
     duration of the scheduling call's sort and placement, not of the
     schedule. A placement order is sorted on the first call per workload
     family and sort key and reused after that, so only that call pays for
-    the sort. The conflict index it reads is workload data, prepared once
-    per workload like the paper's offline conflict repository.
+    the sort. The conflict data it reads is workload data, prepared once
+    per workload family like the paper's offline conflict repository: the
+    conflict index in proposer mode, and in attestor mode only the
+    successor rows and predecessor counts, read off the pair columns.
     """
 
     assignments: AssignmentColumns
@@ -674,11 +711,12 @@ def estimate_exec_time(gas_estimate: int, model: GasTimeModel) -> int:
 
 def _random_pairs(ids, rate: float, rng: random.Random) -> list[tuple[int, int]]:
     """Each pair of the ascending ``ids``, in order, kept with probability ``rate``."""
+    draw = rng.random
     return [
         (a, b)
         for k, a in enumerate(ids)
         for b in ids[k + 1:]
-        if rng.random() < rate
+        if draw() < rate
     ]
 
 
@@ -911,18 +949,34 @@ def _load_columns(raw: dict, name: str, keys: tuple[str, ...], cls) -> list[list
     raise AssertionError(f"whole-list {name} check rejected a valid list")
 
 
-def _load_conflicts(entries: list) -> ConflictColumns:
+def _load_conflicts(entries: list) -> tuple[ConflictColumns, bool]:
+    """The conflict columns of a file, and whether they are already canonical.
+
+    Canonical means every pair has a < b, both ids non-negative, and the
+    pairs are strictly ascending, so distinct; `Workload._of_canonical`
+    then checks only their range. Other valid lists are canonicalized pair
+    by pair and left to `Workload` to sort.
+    """
     if _all_instances(entries, list) and set(map(len, entries)) <= {2}:
         firsts = list(map(itemgetter(0), entries))
         seconds = list(map(itemgetter(1), entries))
         # the ids' one integer check: `Workload` trusts a ConflictColumns
-        if _all_ints(chain(firsts, seconds)) and not any(map(eq, firsts, seconds)):
-            # canonicalize: only reversed pairs cost a Python step
-            for pos in list(compress(count(), map(gt, firsts, seconds))):
-                firsts[pos], seconds[pos] = seconds[pos], firsts[pos]
-            # every a < b now, so the smallest a is the smallest id
-            if min(firsts, default=0) >= 0:
-                return ConflictColumns._of_ints(firsts, seconds)
+        if _all_ints(chain(firsts, seconds)):
+            # [a, b] lists compare as the pairs do, and then the smallest a
+            # comes first
+            if (
+                all(map(lt, firsts, seconds))
+                and all(map(lt, entries, islice(entries, 1, None)))
+                and (not firsts or firsts[0] >= 0)
+            ):
+                return ConflictColumns._of_ints(firsts, seconds), True
+            if not any(map(eq, firsts, seconds)):
+                # canonicalize: only reversed pairs cost a Python step
+                for pos in list(compress(count(), map(gt, firsts, seconds))):
+                    firsts[pos], seconds[pos] = seconds[pos], firsts[pos]
+                # every a < b now, so the smallest a is the smallest id
+                if min(firsts, default=0) >= 0:
+                    return ConflictColumns._of_ints(firsts, seconds), False
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 2:
             raise WorkloadValidationError(f"conflicts[{pos}] must be a pair [a, b]")
@@ -944,7 +998,10 @@ def load_workload(path: str | Path) -> Workload:
     list is read as `load_schedule` reads the assignments (`_load_columns`).
     Conflict pairs are canonicalized on load, so the file may list them in
     either order; their two id columns become the workload's
-    `ConflictColumns` as they are, and no `ConflictPair` is built.
+    `ConflictColumns` as they are, and no `ConflictPair` is built. A file
+    whose pairs are already canonical and ascending, as `save_workload`
+    writes them, is proved so once here, and `Workload` does not prove it
+    again.
     """
     raw = _read_json(path, "workload")
     keys = {"processes", "conflicts", "cores", "attestor", "meta"}
@@ -954,7 +1011,7 @@ def load_workload(path: str | Path) -> Workload:
 
     if not isinstance(raw["conflicts"], list):
         raise WorkloadValidationError("conflicts must be an array")
-    conflicts = _load_conflicts(raw["conflicts"])
+    conflicts, canonical = _load_conflicts(raw["conflicts"])
 
     _require_object(raw["cores"], {"count", "costPerOp", "costPerIdleMs"}, "cores")
     cores = CoreProfile(
@@ -968,13 +1025,8 @@ def load_workload(path: str | Path) -> Workload:
     if not isinstance(raw["meta"], dict):
         raise WorkloadValidationError("meta must be an object")
 
-    return Workload(
-        processes=processes,
-        conflicts=conflicts,
-        cores=cores,
-        attestor=raw["attestor"],
-        meta=raw["meta"],
-    )
+    build = Workload._of_canonical if canonical else Workload
+    return build(processes, conflicts, cores, raw["attestor"], raw["meta"])
 
 
 def schedule_to_dict(sch: Schedule) -> dict:

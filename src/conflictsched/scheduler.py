@@ -44,8 +44,17 @@ In attestor mode, conflicting pairs must additionally finish in their
 original block order; both placement methods respect that, and the sort
 phase puts all conflict participants first in original order so the gate
 can always be satisfied. A placement order depends only on the conflict
-index, so each one is sorted once per workload family and shared by every
+pairs, so each one is sorted once per workload family and shared by every
 `with_cores`/`with_attestor` copy.
+
+The two modes read different conflict data. Proposer mode reads the
+symmetric conflict index (`Workload.conflict_index`): partner counts and
+durations for the sort keys and EVENT's priorities, and each process's
+full row of partners. Attestor mode needs only the successor half:
+`Workload.successor_rows`, `Workload.predecessor_counts`, and the
+`attestor_order` and `attestor_chain` built from them or from the pairs.
+The workload reads all four off its two sorted pair columns, so an
+attestor call never builds the index.
 
 EVENT strategies skip all of the above and run `_event`, a list scheduler
 (Graham 1969): a clock that jumps from one completion to the next, starting
@@ -213,7 +222,6 @@ def _place(
     release: list[int],
     waiting: list[int] | None,
     times: Sequence[int],
-    adjacency: Sequence[Sequence[int]],
     rows: Sequence[Sequence[int]],
     pids: Sequence[int],
     loose: bool,
@@ -231,11 +239,11 @@ def _place(
     partner, and in attestor mode ``waiting[pid]``, the number of lower-id
     partners (predecessors) not yet placed. A loose attempt is refused
     while a predecessor waits or the release passes the start. A strict one
-    raises `AttestorOrderError`, naming the first predecessor in
-    ``adjacency[pid]`` whose start is below 0, while a predecessor waits,
-    and otherwise starts at the release if that is later. Loose starts
-    never pass the heap top, so a placed partner that finishes after a
-    loose candidate starts overlaps it.
+    raises `AttestorOrderError` while a predecessor waits, naming the
+    lowest-id predecessor whose start is below 0 (the lowest ``q`` with
+    ``pid`` in ``rows[q]``), and otherwise starts at the release if that is
+    later. Loose starts never pass the heap top, so a placed partner that
+    finishes after a loose candidate starts overlaps it.
 
     Placing a process walks ``rows[pid]`` once, raising each partner's
     release to the new finish. In proposer mode (``waiting`` None) the rows
@@ -255,7 +263,7 @@ def _place(
             if loose:
                 refused.append(pid)
                 continue
-            first = next(q for q in adjacency[pid] if q < pid and start_of[q] < 0)
+            first = next(q for q in range(pid) if start_of[q] < 0 and pid in rows[q])
             raise AttestorOrderError(
                 f"process {pid} assigned before conflicting predecessor {first}"
             )
@@ -355,7 +363,7 @@ def assign_loosely(
     return None
 
 
-def _event(w: Workload, idx: ConflictIndex) -> tuple[list[int], list[int], list[int], int]:
+def _event(w: Workload, idx: ConflictIndex | None) -> tuple[list[int], list[int], list[int], int]:
     """Event-driven list scheduling: each process's core, start and finish, and the makespan.
 
     The clock jumps from one completion to the next. After each, while a
@@ -373,12 +381,12 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[list[int], list[int], list[
     and a process is ready once its last lower-id partner has finished. No
     partner of a ready process can then be running, so none parks: this is
     list scheduling for P|prec|Cmax, and meets Graham's bound
-    m * Cmax <= W + (m - 1) * CP.
+    m * Cmax <= W + (m - 1) * CP. There ``idx`` is None: this mode reads
+    only the workload's chain, successor rows and predecessor counts.
     """
     n = w.n
     m = w.cores.core_count
     times = w.exec_times()
-    adjacency = idx.adjacency
     attestor = w.attestor
     heappush, heappop = heapq.heappush, heapq.heappop
     if attestor:
@@ -386,6 +394,7 @@ def _event(w: Workload, idx: ConflictIndex) -> tuple[list[int], list[int], list[
         successors = w.successor_rows()
         blocking = list(w.predecessor_counts())  # lower-id partners not yet finished
     else:
+        adjacency = idx.adjacency
         priority = list(map(add, times, idx.conflict_duration_ms))
         busy = [False] * n
         waiters: dict[int, list[int]] = {}
@@ -450,12 +459,24 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
     keys ``finish * m + core``: ``range(m)`` is the empty one, and the
     makespan is the largest key over m. Either way the schedule keeps the
     placement's core, start and finish columns as its `AssignmentColumns`,
-    so no `Assignment` record is built unless a caller reads one. The
-    conflict index is workload data, read before the wall clock starts; the
+    so no `Assignment` record is built unless a caller reads one.
+
+    The conflict data is workload data, read before the wall clock starts.
+    Proposer mode reads the symmetric conflict index
+    (`Workload.conflict_index`): its sort keys, its full rows for the
+    greedy, and EVENT's priorities and rows. Attestor mode reads only the
+    successor rows and the predecessor counts, and from them the attestor
+    order and EVENT's chain priorities, all of which the workload reads
+    off its two sorted pair columns, so it never builds the index. The
     placement order is sorted on the first call per workload family and
-    sort key, and reused after that, and so are the successor rows.
+    sort key, and reused after that, and so are the attestor data.
     """
-    idx = w.conflict_index
+    if w.attestor:
+        idx = None
+        rows, counts = w.successor_rows(), w.predecessor_counts()
+    else:
+        idx = w.conflict_index
+        rows, counts = idx.adjacency, None
     t0 = time.perf_counter()
     times = w.exec_times()
     n = len(times)
@@ -470,14 +491,8 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
         start_of = [-1] * n
         finish_of = [0] * n
         release = [0] * n
-        adjacency = rows = idx.adjacency
-        waiting = None
-        if w.attestor:
-            rows = w.successor_rows()
-            waiting = list(w.predecessor_counts())
-        place = partial(
-            _place, ends, core_of, start_of, finish_of, release, waiting, times, adjacency, rows
-        )
+        waiting = None if counts is None else list(counts)
+        place = partial(_place, ends, core_of, start_of, finish_of, release, waiting, times, rows)
 
         if strategy.assign_type is AssignType.LOOSE:
             for _ in range(strategy.loose_review_round + 1):

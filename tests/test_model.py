@@ -4,12 +4,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
+from bisect import bisect_left
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conflictsched.model
 from conflictsched.model import (
     OPS_PER_MS,
     ConflictColumns,
@@ -106,6 +109,42 @@ class TestLoadWorkload:
         payload = {**MINIMAL, "conflicts": [[0, 0]]}
         with pytest.raises(WorkloadValidationError, match="itself"):
             load_workload(write_workload_file(tmp_path, payload))
+
+    def test_a_canonical_file_skips_the_constructor_pair_checks(self, tmp_path, monkeypatch):
+        # save_workload writes the pairs canonical and ascending: the loader
+        # proves that once, and the constructor's checks are not run again
+        w = generate_workload(300, 0.3, seed=4, cores=CoreProfile(3), attestor=True)
+        save_workload(w, tmp_path / "w.json")
+
+        def refuse(self):
+            raise AssertionError("Workload.__post_init__ ran on a canonical file")
+
+        monkeypatch.setattr(Workload, "__post_init__", refuse)
+        loaded = load_workload(tmp_path / "w.json")
+        monkeypatch.undo()
+        assert loaded == w and loaded.conflicts.columns == w.conflicts.columns
+        assert loaded.successor_rows() == w.successor_rows()
+        assert loaded.with_cores(CoreProfile(5)).successor_rows() is loaded.successor_rows()
+
+    def test_an_out_of_range_pair_in_canonical_order_is_named(self, tmp_path):
+        n = 1500
+        payload = {
+            **MINIMAL,
+            "processes": [{"id": i, "execTimeMs": 1, "opCount": 1} for i in range(n)],
+            "conflicts": [[i, i + 1] for i in range(n - 2)] + [[n - 2, n + 5]],
+        }
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            load_workload(write_workload_file(tmp_path, payload))
+        assert str(exc_info.value) == f"conflict pair ({n - 2}, {n + 5}) references unknown process id {n + 5}"
+
+    def test_a_repeated_pair_in_ascending_order_is_dropped(self, tmp_path):
+        payload = {
+            **MINIMAL,
+            "processes": [{"id": i, "execTimeMs": 1, "opCount": 1} for i in range(4)],
+            "conflicts": [[0, 1], [1, 2], [1, 2], [2, 3]],
+        }
+        w = load_workload(write_workload_file(tmp_path, payload))
+        assert w.conflicts.columns == ((0, 1, 2), (1, 2, 3))
 
 
 # a bad entry sits deep in a long list, so a check that stops early or
@@ -753,20 +792,58 @@ class TestWorkloadInvariants:
 
     def test_successor_rows_are_each_row_past_its_split_built_once_per_family(self):
         base = generate_workload(40, 0.4, model=ConflictModel.PAIRWISE, seed=3)
+        stored = []  # each key the family's cache stores, once per store
+
+        class CountedCache(dict):
+            def __setitem__(self, key, value):
+                stored.append(key)
+                super().__setitem__(key, value)
+
+        object.__setattr__(base, "_family", CountedCache())
         family = [base, base.with_cores(CoreProfile(5)), base.with_attestor(True)]
         family.append(family[1].with_attestor(True))
-        # each build reads the split once
-        counted = mock.patch.object(
-            Workload, "predecessor_counts", autospec=True, side_effect=Workload.predecessor_counts
-        )
-        with counted as builds:
-            rows = base.successor_rows()
-            assert all(w.successor_rows() is rows for w in family)
-            assert builds.call_count == 1
-            rebuilt = dataclasses.replace(base)
-            assert rebuilt.successor_rows() == rows and rebuilt.successor_rows() is not rows
-            assert builds.call_count == 2
+        rows = base.successor_rows()
+        assert all(w.successor_rows() is rows for w in family)
+        assert stored.count("successor_rows") == 1
+        rebuilt = dataclasses.replace(base)
+        assert rebuilt.successor_rows() == rows and rebuilt.successor_rows() is not rows
+        assert stored.count("successor_rows") == 1
         adjacency, splits = base.conflict_index.adjacency, base.predecessor_counts()
         assert rows == tuple(row[split:] for row, split in zip(adjacency, splits))
         assert rows == tuple(tuple(b for a, b in base.conflicts if a == i) for i in range(40))
         assert all(type(row) is tuple for row in rows)
+
+    @given(
+        n=st.integers(0, 60),
+        source=st.sampled_from([*ConflictModel, "pairs"]),
+        rate=st.floats(0, 1),
+        seed=st.integers(0, 10_000),
+        drawn=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=150),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_attestor_data_from_the_columns_equal_the_index_split(self, n, source, rate, seed, drawn):
+        # a generated block (none at n = 0), or one built from unsorted and
+        # repeated pairs
+        if source == "pairs" or n == 0:
+            pairs = [ConflictPair(min(a, b), max(a, b)) for a, b in drawn if a != b and max(a, b) < n]
+            pairs += pairs[: len(pairs) // 3]  # repeated
+            random.Random(seed).shuffle(pairs)
+            w = Workload(tuple(Process(i, 1 + i % 7, 1) for i in range(n)), tuple(pairs), CoreProfile(2))
+        else:
+            w = generate_workload(n, rate, model=source, seed=seed)
+        # read off the columns, before the index exists: none is built
+        fresh = dataclasses.replace(w)
+        with mock.patch.object(conflictsched.model, "build_conflict_index", side_effect=AssertionError("index built")):
+            before = fresh.successor_rows(), fresh.predecessor_counts(), fresh.attestor_order()
+        # and after it is built
+        idx = w.conflict_index
+        after = w.successor_rows(), w.predecessor_counts(), w.attestor_order()
+        splits = tuple(bisect_left(row, i) for i, row in enumerate(idx.adjacency))
+        counts = idx.conflict_count
+        expected = (
+            tuple(row[split:] for row, split in zip(idx.adjacency, splits)),
+            splits,
+            tuple([i for i in range(n) if counts[i]] + [i for i in range(n) if not counts[i]]),
+        )
+        assert before == after == expected
+        assert all(type(row) is tuple for row in before[0] + after[0])

@@ -1,5 +1,6 @@
 """Greedy scheduler: sorting, strict/loose placement, and full runs."""
 
+import dataclasses
 import hashlib
 import heapq
 import inspect
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conflictsched.model
 import conflictsched.scheduler as scheduler
 from conflictsched.model import (
     Assignment,
@@ -318,7 +320,6 @@ class TestKernel:
         # 2 waits for 0 and 1; 1 is placed on core 0, 0 is not, so a test
         # of 0 against the core ids would take it for placed
         w = make_workload([2, 3, 4], [(0, 2), (1, 2)], m=2, attestor=True)
-        idx = w.conflict_index
         times = w.exec_times()
         m = 2
         ends = [0 * m + 0, 0 * m + 1]
@@ -331,7 +332,7 @@ class TestKernel:
         def place(pids):
             return scheduler._place(
                 ends, core_of, start_of, finish_of, release, waiting, times,
-                idx.adjacency, w.successor_rows(), pids, False,
+                w.successor_rows(), pids, False,
             )
 
         assert place([1]) == []
@@ -435,6 +436,40 @@ def replay(w, strategy, observe=lambda place, plan, before, a: None):
 
 
 class TestSchedule:
+    @pytest.mark.parametrize("model", list(ConflictModel))
+    def test_attestor_calls_never_build_the_conflict_index(self, model):
+        rate = 0.45 if model is ConflictModel.PARTICIPATION else 0.05
+        base = generate_workload(80, rate, model=model, seed=12, cores=CoreProfile(4))
+        strategies = (
+            Strategy(SortType.MCDF, AssignType.LOOSE, 3),
+            Strategy(SortType.FIFO, AssignType.STRICT),
+            Strategy(assign_type=AssignType.EVENT),
+        )
+        # the reference: the greedy's per-process replay, which reads the
+        # index, and EVENT on a family whose index is built
+        reference = base.with_attestor(True)
+        assert reference.conflict_index == build_conflict_index(reference)
+        expected = [replay(reference, strategy) for strategy in strategies[:2]]
+        expected.append(schedule(reference, strategies[2]).assignments)
+        w = dataclasses.replace(base, attestor=True)
+        with mock.patch.object(
+            conflictsched.model, "build_conflict_index", side_effect=AssertionError("index built")
+        ):
+            got = [schedule(w, strategy) for strategy in strategies]
+        assert [sch.assignments for sch in got] == expected
+        assert all(validate_schedule(sch, w).ok for sch in got)
+        # a proposer call of the same family still builds it, once
+        built = []
+
+        def counted(v):
+            built.append(v)
+            return build_conflict_index(v)
+
+        with mock.patch.object(conflictsched.model, "build_conflict_index", counted):
+            for strategy in strategies:
+                schedule(w.with_attestor(False), strategy)
+        assert len(built) == 1
+
     def test_loose_with_fallback_matches_hand_trace(self):
         sch = schedule(THREE, Strategy(SortType.FIFO, AssignType.LOOSE, 2))
         assert sch.assignments == (
