@@ -28,8 +28,8 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress, count, islice, repeat
-from operator import attrgetter, eq, ge, gt, itemgetter, lt, not_, or_
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, eq, ge, itemgetter, lt, not_, or_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -174,9 +174,6 @@ class _ColumnSequence(Sequence):
     def __iter__(self):
         return self._records(zip(*self.columns))
 
-    def __reversed__(self):
-        return self._records(zip(*map(reversed, self.columns)))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, _ColumnSequence):
             return self.columns == other.columns
@@ -210,10 +207,12 @@ class ConflictColumns(_ColumnSequence):
     records. Building refuses an id that is not an integer (a bool is
     not), naming its pair; whether the pairs are canonical, known and in
     order is `Workload`'s check. `of` builds one from any sequence of
-    pairs.
+    pairs. The private mark ``_canonical`` says the pairs are proved
+    canonical (``0 <= a < b``) and strictly ascending; a copy, slice or
+    unpickled sequence is unmarked.
     """
 
-    __slots__ = ("firsts", "seconds")
+    __slots__ = ("firsts", "seconds", "_canonical")
     _record = ConflictPair
 
     def __init__(self, firsts=(), seconds=()) -> None:
@@ -249,16 +248,21 @@ class ConflictColumns(_ColumnSequence):
         return cls._of_ints(firsts, seconds)
 
     @classmethod
-    def _of_ints(cls, firsts, seconds) -> ConflictColumns:
-        """Columns of ids that the caller has already proved integers."""
+    def _of_ints(cls, firsts, seconds, canonical: bool = False) -> ConflictColumns:
+        """Columns of ids already proved integers.
+
+        ``canonical`` marks pairs also proved canonical and strictly
+        ascending, as `_load_conflicts` proves a whole file, once.
+        """
         columns = object.__new__(cls)
-        columns._put(firsts, seconds)
+        columns._put(firsts, seconds, canonical)
         return columns
 
-    def _put(self, firsts, seconds) -> None:
+    def _put(self, firsts, seconds, canonical: bool = False) -> None:
         put = object.__setattr__
         put(self, "firsts", tuple(firsts))
         put(self, "seconds", tuple(seconds))
+        put(self, "_canonical", canonical)
         if len(self.firsts) != len(self.seconds):
             lengths = [len(self.firsts), len(self.seconds)]
             raise ValueError(f"conflict columns differ in length: {lengths}")
@@ -361,7 +365,9 @@ class Workload:
     and sorted at construction, and columns already strictly ascending are
     kept as they are. Process fields and pair ids must be integers, not
     bools. The checks run as whole-list passes; the per-entry loops run
-    only to name the first bad entry.
+    only to name the first bad entry. The kept columns are marked proved,
+    and marked columns get only the range check, so the pairs of a loaded
+    canonical file or of a `dataclasses.replace` copy are not proved again.
 
     A workload and its `with_cores`/`with_attestor` copies share one dict of
     derived data, so `conflict_index`, `process_ids`, `exec_times`,
@@ -378,60 +384,6 @@ class Workload:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._check_processes()
-        n = len(self.processes)
-        conflicts = self.conflicts
-        if not isinstance(conflicts, ConflictColumns):
-            conflicts = ConflictColumns.of(conflicts)
-        firsts, seconds = conflicts.columns
-        # pairs listed in strictly ascending order are proved so by one
-        # pass, and then the smallest `a` comes first
-        later = zip(firsts, seconds)
-        next(later, None)
-        ascending = all(map(lt, zip(firsts, seconds), later))
-        if firsts and (
-            any(map(ge, firsts, seconds))
-            or (firsts[0] if ascending else min(firsts)) < 0
-            or max(seconds) >= n
-        ):
-            for a, b in zip(firsts, seconds):
-                if a >= b:
-                    raise WorkloadValidationError(
-                        f"conflict pair ({a}, {b}) is not canonical (need a < b)"
-                    )
-                if a < 0 or b >= n:
-                    raise WorkloadValidationError(
-                        f"conflict pair ({a}, {b}) references unknown process id {a if a < 0 else b}"
-                    )
-            raise AssertionError("conflict pair check rejected valid pairs")
-        # other pairs are sorted, and deduplicated (hashed) in that order
-        if not ascending:
-            conflicts = ConflictColumns._of_ints(*zip(*dict.fromkeys(sorted(zip(firsts, seconds)))))
-        object.__setattr__(self, "conflicts", conflicts)
-        object.__setattr__(self, "_family", {})
-
-    @classmethod
-    def _of_canonical(cls, processes, conflicts, cores, attestor, meta) -> Workload:
-        """A workload of conflict columns already proved canonical, ascending and distinct.
-
-        `load_workload` proves that on the parsed file, so of the pair
-        checks only the range of ``b`` is left, and a pair out of range
-        goes through the constructor, which names it.
-        """
-        if conflicts.seconds and max(conflicts.seconds) >= len(processes):
-            return cls(processes, conflicts, cores, attestor, meta)
-        w = object.__new__(cls)
-        put = object.__setattr__
-        put(w, "processes", processes)
-        put(w, "conflicts", conflicts)
-        put(w, "cores", cores)
-        put(w, "attestor", attestor)
-        put(w, "meta", meta)
-        w._check_processes()
-        put(w, "_family", {})
-        return w
-
-    def _check_processes(self) -> None:
         n = len(self.processes)
         if list(map(attrgetter("id"), self.processes)) != list(range(n)):
             for position, proc in enumerate(self.processes):
@@ -448,6 +400,29 @@ class Workload:
                 for key, value in zip(("id", "execTimeMs", "opCount"), fields(proc)):
                     _require_int(value, f"processes[{position}].{key}")
             raise AssertionError("process field check rejected integer fields")
+        conflicts = self.conflicts
+        if not isinstance(conflicts, ConflictColumns):
+            conflicts = ConflictColumns.of(conflicts)
+        firsts, seconds = conflicts.columns
+        ascending = conflicts._canonical or _pair_order(firsts, seconds)
+        if ascending is None or (seconds and max(seconds) >= n):
+            for a, b in zip(firsts, seconds):
+                if a >= b:
+                    raise WorkloadValidationError(
+                        f"conflict pair ({a}, {b}) is not canonical (need a < b)"
+                    )
+                if a < 0 or b >= n:
+                    raise WorkloadValidationError(
+                        f"conflict pair ({a}, {b}) references unknown process id {a if a < 0 else b}"
+                    )
+            raise AssertionError("conflict pair check rejected valid pairs")
+        # other pairs are sorted, and deduplicated (hashed) in that order
+        if not ascending:
+            conflicts = ConflictColumns._of_ints(*zip(*dict.fromkeys(sorted(zip(firsts, seconds)))))
+        # the mark is a fact about the immutable columns, even the caller's
+        object.__setattr__(conflicts, "_canonical", True)
+        object.__setattr__(self, "conflicts", conflicts)
+        object.__setattr__(self, "_family", {})
 
     @property
     def n(self) -> int:
@@ -564,6 +539,18 @@ class Workload:
         derived = copy.copy(self)
         object.__setattr__(derived, name, value)
         return derived
+
+
+def _pair_order(firsts, seconds) -> bool | None:
+    """Whether the pairs are strictly ascending; None if one lacks ``0 <= a < b``."""
+    # strictly ascending pairs are proved so by one pass, and then the
+    # smallest `a` comes first
+    later = zip(firsts, seconds)
+    next(later, None)
+    ascending = all(map(lt, zip(firsts, seconds), later))
+    if firsts and (any(map(ge, firsts, seconds)) or (firsts[0] if ascending else min(firsts)) < 0):
+        return None
+    return ascending
 
 
 @dataclass(frozen=True)
@@ -949,34 +936,27 @@ def _load_columns(raw: dict, name: str, keys: tuple[str, ...], cls) -> list[list
     raise AssertionError(f"whole-list {name} check rejected a valid list")
 
 
-def _load_conflicts(entries: list) -> tuple[ConflictColumns, bool]:
-    """The conflict columns of a file, and whether they are already canonical.
+def _load_conflicts(entries: list) -> ConflictColumns:
+    """The conflict columns of a file's ``conflicts`` list, read in two tiers.
 
-    Canonical means every pair has a < b, both ids non-negative, and the
-    pairs are strictly ascending, so distinct; `Workload._of_canonical`
-    then checks only their range. Other valid lists are canonicalized pair
-    by pair and left to `Workload` to sort.
+    Integer pairs ``0 <= a < b``, strictly ascending, as `save_workload`
+    writes them, are proved so once, by whole-list passes, and marked.
+    Any other list is read entry by entry: the first bad entry is named, a
+    reversed pair is swapped, and `Workload` sorts and deduplicates them.
     """
     if _all_instances(entries, list) and set(map(len, entries)) <= {2}:
         firsts = list(map(itemgetter(0), entries))
         seconds = list(map(itemgetter(1), entries))
-        # the ids' one integer check: `Workload` trusts a ConflictColumns
-        if _all_ints(chain(firsts, seconds)):
-            # [a, b] lists compare as the pairs do, and then the smallest a
-            # comes first
-            if (
-                all(map(lt, firsts, seconds))
-                and all(map(lt, entries, islice(entries, 1, None)))
-                and (not firsts or firsts[0] >= 0)
-            ):
-                return ConflictColumns._of_ints(firsts, seconds), True
-            if not any(map(eq, firsts, seconds)):
-                # canonicalize: only reversed pairs cost a Python step
-                for pos in list(compress(count(), map(gt, firsts, seconds))):
-                    firsts[pos], seconds[pos] = seconds[pos], firsts[pos]
-                # every a < b now, so the smallest a is the smallest id
-                if min(firsts, default=0) >= 0:
-                    return ConflictColumns._of_ints(firsts, seconds), False
+        # [a, b] lists compare as the pairs do, and then the smallest a
+        # comes first
+        if (
+            _all_ints(chain(firsts, seconds))
+            and all(map(lt, firsts, seconds))
+            and all(map(lt, entries, islice(entries, 1, None)))
+            and (not firsts or firsts[0] >= 0)
+        ):
+            return ConflictColumns._of_ints(firsts, seconds, canonical=True)
+    firsts, seconds = [], []
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 2:
             raise WorkloadValidationError(f"conflicts[{pos}] must be a pair [a, b]")
@@ -986,7 +966,9 @@ def _load_conflicts(entries: list) -> tuple[ConflictColumns, bool]:
             raise WorkloadValidationError(f"conflicts[{pos}] pairs process {a} with itself")
         if a < 0 or b < 0:
             raise WorkloadValidationError(f"conflicts[{pos}] has a negative process id")
-    raise AssertionError("whole-list conflict check rejected a valid list")
+        firsts.append(min(a, b))
+        seconds.append(max(a, b))
+    return ConflictColumns._of_ints(firsts, seconds)
 
 
 def load_workload(path: str | Path) -> Workload:
@@ -997,11 +979,10 @@ def load_workload(path: str | Path) -> Workload:
     too deeply to parse and on schema or invariant violations. The process
     list is read as `load_schedule` reads the assignments (`_load_columns`).
     Conflict pairs are canonicalized on load, so the file may list them in
-    either order; their two id columns become the workload's
-    `ConflictColumns` as they are, and no `ConflictPair` is built. A file
-    whose pairs are already canonical and ascending, as `save_workload`
-    writes them, is proved so once here, and `Workload` does not prove it
-    again.
+    either order, and no `ConflictPair` is built. Pairs canonical and
+    ascending, as `save_workload` writes them, are proved so once, in
+    whole-list passes, and `Workload` checks only their range; any other
+    list is read entry by entry and sorted by `Workload` (`_load_conflicts`).
     """
     raw = _read_json(path, "workload")
     keys = {"processes", "conflicts", "cores", "attestor", "meta"}
@@ -1011,11 +992,11 @@ def load_workload(path: str | Path) -> Workload:
 
     if not isinstance(raw["conflicts"], list):
         raise WorkloadValidationError("conflicts must be an array")
-    conflicts, canonical = _load_conflicts(raw["conflicts"])
+    conflicts = _load_conflicts(raw["conflicts"])
 
     _require_object(raw["cores"], {"count", "costPerOp", "costPerIdleMs"}, "cores")
     cores = CoreProfile(
-        core_count=_require_int(raw["cores"]["count"], "cores.count"),
+        core_count=raw["cores"]["count"],
         cost_per_op=_require_number(raw["cores"]["costPerOp"], "cores.costPerOp"),
         cost_per_idle_ms=_require_number(raw["cores"]["costPerIdleMs"], "cores.costPerIdleMs"),
     )
@@ -1025,8 +1006,7 @@ def load_workload(path: str | Path) -> Workload:
     if not isinstance(raw["meta"], dict):
         raise WorkloadValidationError("meta must be an object")
 
-    build = Workload._of_canonical if canonical else Workload
-    return build(processes, conflicts, cores, raw["attestor"], raw["meta"])
+    return Workload(processes, conflicts, cores, raw["attestor"], raw["meta"])
 
 
 def schedule_to_dict(sch: Schedule) -> dict:

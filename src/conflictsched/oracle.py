@@ -282,9 +282,11 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
     a shorter schedule, and ends as soon as one meets the bound. If the
     node budget is exhausted first, the best schedule found so far is
     returned with ``optimal=False``. Raises ``ValueError`` for a node
-    budget below 1.
+    budget that is not an int (a bool is not) or is below 1.
     """
     t0 = time.perf_counter()
+    if isinstance(node_budget, bool) or not isinstance(node_budget, int):
+        raise ValueError(f"node_budget must be an int, got {node_budget!r}")
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     static_lb = _static_lower_bound(w)

@@ -140,11 +140,6 @@ class Strategy:
 
 DEFAULT_STRATEGY = Strategy()
 
-# builds an Assignment from a 4-tuple in C, skipping the named tuple's
-# Python-level __new__
-_new_assignment = partial(tuple.__new__, Assignment)
-
-
 @dataclass
 class Plan:
     """The placement state of `assign_loosely` and `assign_strictly`.
@@ -329,7 +324,7 @@ def _place_one(
             start = a[3]
     finish = start + exec_ms
     heapq.heapreplace(plan.ends, (finish, core_id))
-    plan.assigned[pid] = _new_assignment((pid, core_id, start, finish))
+    plan.assigned[pid] = Assignment(pid, core_id, start, finish)
     return True
 
 

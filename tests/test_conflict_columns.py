@@ -10,7 +10,9 @@ record.
 
 import copy
 import dataclasses
+import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,78 @@ def test_ascending_columns_are_kept_as_they_are():
     columns = ConflictColumns((0, 0, 1), (1, 2, 2))
     w = Workload(processes(3), columns, CoreProfile(2))
     assert w.conflicts is columns
+
+
+def pair_file(directory, name: str, n: int, entries: list):
+    """A workload file of ``processes(n)`` on two cores with the given pair entries."""
+    path = directory / name
+    payload = {
+        "processes": [{"id": p.id, "execTimeMs": p.exec_time_ms, "opCount": p.op_count} for p in processes(n)],
+        "conflicts": entries,
+        "cores": {"count": 2, "costPerOp": 0.0, "costPerIdleMs": 0.0},
+        "attestor": False,
+        "meta": {},
+    }
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def built_or_error(make):
+    """``make()``'s workload, or the message of the `WorkloadValidationError` it raises."""
+    try:
+        return make()
+    except WorkloadValidationError as exc:
+        return str(exc)
+
+
+@given(
+    n=st.integers(1, 12),
+    pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=25),
+    stray=st.none() | st.tuples(st.integers(0, 11), st.integers(0, 3)),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_every_form_of_the_same_pairs_gives_the_same_workload(tmp_path_factory, n, pairs, stray, seed):
+    # at most one distinct pair lies past n, so every form names that one
+    pairs = [(a, b) for a, b in pairs if a < b < n]
+    if stray is not None:
+        pairs.append((min(stray[0], n - 1), n + stray[1]))
+    canonical = sorted(set(pairs))
+    rng = random.Random(seed)
+    shuffled = rng.sample(pairs, len(pairs)) + pairs[:1]
+    wide = Workload(processes(n + 4), ConflictColumns.of(canonical), CoreProfile(2))
+    directory = tmp_path_factory.mktemp("forms")
+    forms = {
+        "canonical-file": lambda: load_workload(pair_file(directory, "c.json", n, [list(p) for p in canonical])),
+        "messy-file": lambda: load_workload(pair_file(directory, "m.json", n, [[b, a] for a, b in shuffled])),
+        "columns": lambda: Workload(processes(n), ConflictColumns(*zip(*shuffled)), CoreProfile(2)),
+        "of": lambda: Workload(processes(n), ConflictColumns.of(shuffled), CoreProfile(2)),
+        "slice": lambda: Workload(processes(n), ConflictColumns.of([(0, 1)] + shuffled)[1:], CoreProfile(2)),
+        "pickled": lambda: Workload(processes(n), pickle.loads(pickle.dumps(wide.conflicts)), CoreProfile(2)),
+        "re-wrapped": lambda: Workload(processes(n), wide.conflicts, CoreProfile(2)),
+        "replaced": lambda: dataclasses.replace(wide, processes=processes(n)),
+        "tuples": lambda: Workload(processes(n), tuple(shuffled), CoreProfile(2)),
+    }
+    results = {name: built_or_error(make) for name, make in forms.items()}
+    if stray is not None:
+        a, b = pairs[-1]
+        assert set(results.values()) == {f"conflict pair ({a}, {b}) references unknown process id {b}"}
+        return
+    reference = Workload(processes(n), tuple(ConflictPair(a, b) for a, b in canonical), CoreProfile(2))
+    for name, w in results.items():
+        assert w == reference, name
+        assert type(w.conflicts) is ConflictColumns and w.conflicts.columns == reference.conflicts.columns
+        assert w.conflicts._canonical, name
+    assert wide.conflicts._canonical
+    if canonical:
+        # the kept columns are marked, yet a copy with fewer processes
+        # still checks their range
+        fewer = processes(max(b for _, b in canonical))
+        a, b = next((a, b) for a, b in canonical if b >= len(fewer))
+        for w in results.values():
+            with pytest.raises(WorkloadValidationError) as exc_info:
+                dataclasses.replace(w, processes=fewer)
+            assert str(exc_info.value) == f"conflict pair ({a}, {b}) references unknown process id {b}"
 
 
 def generated(model: ConflictModel, attestor: bool) -> Workload:

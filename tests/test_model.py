@@ -112,14 +112,14 @@ class TestLoadWorkload:
 
     def test_a_canonical_file_skips_the_constructor_pair_checks(self, tmp_path, monkeypatch):
         # save_workload writes the pairs canonical and ascending: the loader
-        # proves that once, and the constructor's checks are not run again
+        # proves that once, and the constructor does not prove them again
         w = generate_workload(300, 0.3, seed=4, cores=CoreProfile(3), attestor=True)
         save_workload(w, tmp_path / "w.json")
 
-        def refuse(self):
-            raise AssertionError("Workload.__post_init__ ran on a canonical file")
+        def refuse(firsts, seconds):
+            raise AssertionError("the constructor proved a canonical file's pairs")
 
-        monkeypatch.setattr(Workload, "__post_init__", refuse)
+        monkeypatch.setattr(conflictsched.model, "_pair_order", refuse)
         loaded = load_workload(tmp_path / "w.json")
         monkeypatch.undo()
         assert loaded == w and loaded.conflicts.columns == w.conflicts.columns

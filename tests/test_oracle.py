@@ -513,6 +513,15 @@ class TestExactOptimal:
             exact_optimal(w, node_budget=budget)
         assert str(exc_info.value) == f"node_budget must be >= 1, got {budget}"
 
+    @pytest.mark.parametrize("budget", [float("nan"), 2.5, True, "10"], ids=["nan", "float", "bool", "str"])
+    def test_rejects_a_budget_that_is_not_an_int(self, budget):
+        # NaN passes a "< 1" test, and an incumbent at the bound would then
+        # come back as optimal=False with 0 nodes
+        w = generate_workload(8, 0.4, seed=3, cores=CoreProfile(2))
+        with pytest.raises(ValueError) as exc_info:
+            exact_optimal(w, node_budget=budget)
+        assert str(exc_info.value) == f"node_budget must be an int, got {budget!r}"
+
     @pytest.mark.parametrize("budget", [2_000_000, 2])
     def test_builds_one_conflict_index_per_call(self, monkeypatch, budget):
         # the greedy incumbents reuse the workload's index, also when the
