@@ -14,7 +14,6 @@ wall-time columns, which are isolated under ``wall_``-prefixed names.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
@@ -208,6 +207,20 @@ def _mean(values) -> float:
     return total / (denominator * len(ratios))
 
 
+def _median(values) -> float:
+    """The median, the same value `statistics.median` returns.
+
+    Sorted, the middle value, or the mean of the two middle values, as
+    `statistics.median` computes it; the package does not import
+    `statistics`, which takes `fractions` and `decimal` with it.
+    """
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
+
+
 def aggregate_cells(cells: list[CellResult], grid: ExperimentGrid) -> list[ResultRow]:
     """Fold per-seed cells into one row per (n, rate, m, mode, strategy)."""
     buckets: dict[tuple, list[CellResult]] = {}
@@ -242,7 +255,7 @@ def aggregate_cells(cells: list[CellResult], grid: ExperimentGrid) -> list[Resul
                 speedup_max=max(speedups),
                 makespan_ms_mean=sum(c.makespan_ms for c in group_cells) / len(group_cells),
                 wall_ms_mean=_mean([c.wall_ms for c in group_cells]),
-                wall_ms_median=statistics.median(c.wall_ms for c in group_cells),
+                wall_ms_median=_median([c.wall_ms for c in group_cells]),
                 horizon_ms_mean=horizon_mean,
                 ub_closed_ms=upper_bound_closed_form(params),
                 ub_chromatic_ms=upper_bound_chromatic(params),

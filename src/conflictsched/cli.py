@@ -15,12 +15,12 @@ from .model import (
     CoreProfile,
     TimeDistribution,
     _json_text,
+    _schedule_document,
     generate_workload,
     load_schedule,
     load_workload,
     save_schedule,
     save_workload,
-    schedule_to_dict,
 )
 from .oracle import DEFAULT_NODE_BUDGET, exact_optimal, validate_schedule
 from .scheduler import DEFAULT_STRATEGY, AssignType, SortType, Strategy, schedule
@@ -74,7 +74,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     if args.out:
         save_schedule(sch, args.out)
     else:
-        print(_json_text(schedule_to_dict(sch)))
+        print(_json_text(_schedule_document(sch)))
     report = metrics_report(sch, w)
     speedups = ""  # undefined for the zero makespan of an empty workload
     if report.speedup_total is not None:
@@ -143,7 +143,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "optimalMakespanMs": result.makespan_ms,
         "optimal": result.optimal,
         "nodes": result.nodes,
-        "schedule": schedule_to_dict(result.schedule),
+        "schedule": _schedule_document(result.schedule),
     }
     print(_json_text(payload))
     return 0

@@ -14,8 +14,8 @@ Workload files are JSON (UTF-8) with the top-level keys ``processes``,
 described at `schedule_from_dict`. Unknown keys are rejected. Both
 formats are checked by one record reader and written by one encoder whose
 output is byte for byte that of ``json.dumps(value, indent=2)``, with a
-trailing newline; it formats the long record lists with ``%`` templates
-in C-level passes.
+trailing newline; it formats the long record lists straight from their
+columns with ``%`` templates in C-level passes.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, eq, ge, itemgetter, lt, not_, or_
+from operator import attrgetter, eq, ge, itemgetter, lt, ne, not_, or_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -280,6 +280,9 @@ class CoreProfile:
         _require_int(self.core_count, "cores.count")
         if self.core_count < 1:
             raise WorkloadValidationError(f"cores.count must be >= 1, got {self.core_count}")
+        # a cost is kept as given (an int stays an int, and is saved as one)
+        _require_number(self.cost_per_op, "cores.costPerOp")
+        _require_number(self.cost_per_idle_ms, "cores.costPerIdleMs")
         # NaN passes a "< 0" test, so finiteness is checked on its own
         if self.cost_per_op < 0:
             raise WorkloadValidationError("cores.costPerOp must be >= 0")
@@ -708,18 +711,28 @@ def _random_pairs(ids, rate: float, rng: random.Random) -> list[tuple[int, int]]
 
 
 def _participation_conflicts(n: int, rate: float, rng: random.Random) -> list[tuple[int, int]]:
+    """The PARTICIPATION model's pairs, canonical, sorted and distinct.
+
+    A random matching over the participants, plus extra edges drawn among
+    them by `_random_pairs`, which yields them ascending. The sorted
+    matching (at most n/2 pairs) and the extra edges are two ascending
+    runs, so one sort merges them in linear time; an extra edge that
+    repeats a matching pair lands next to it and is dropped there.
+    """
     target = min(n, _round_half_up(n * rate))
     if target < 2:
         # a single participant cannot form a pair; treat as conflict-free
         return []
     participants = rng.sample(range(n), target)
     # perfect-matching pass guarantees every participant has a conflict
-    pairs = [ConflictPair.of(participants[k], participants[k + 1]) for k in range(0, target - 1, 2)]
+    matched = list(zip(participants[0::2], participants[1::2]))
     if target % 2 == 1:
-        pairs.append(ConflictPair.of(participants[-1], rng.choice(participants[:-1])))
-    # extra edges densify the participant subgraph; non-participants stay
-    # clean. `Workload` drops an extra edge that repeats a matching pair.
-    return pairs + _random_pairs(sorted(participants), PARTICIPANT_EXTRA_EDGE_RATE, rng)
+        matched.append((participants[-1], rng.choice(participants[:-1])))
+    matching = sorted((min(pair), max(pair)) for pair in matched)
+    # extra edges densify the participant subgraph; non-participants stay clean
+    pairs = sorted(matching + _random_pairs(sorted(participants), PARTICIPANT_EXTRA_EDGE_RATE, rng))
+    # a pair appears at most twice, once from each run, and the copies are adjacent
+    return list(compress(pairs, map(ne, pairs, islice(pairs, 1, None)))) + pairs[-1:]
 
 
 def generate_workload(
@@ -738,7 +751,10 @@ def generate_workload(
     PARTICIPATION makes exactly round(n * conflict_rate) processes conflict
     participants (a random matching plus extra random edges among them);
     everything else is conflict-free. Each process has `OPS_PER_MS` ops per
-    millisecond of execution time.
+    millisecond of execution time. Either model draws its pairs canonical,
+    sorted and distinct, so they reach `Workload` as two id columns that it
+    proves ascending in whole-list passes and keeps, without a sort and
+    without a `ConflictPair` record.
     """
     _require_int(n, "n")
     if n < 1:
@@ -758,6 +774,7 @@ def generate_workload(
         pairs = _random_pairs(range(n), conflict_rate, rng)
     else:
         pairs = _participation_conflicts(n, conflict_rate, rng)
+    conflicts = ConflictColumns._of_ints(map(itemgetter(0), pairs), map(itemgetter(1), pairs))
     meta = {
         "seed": seed,
         "conflictRate": conflict_rate,
@@ -767,20 +784,26 @@ def generate_workload(
     }
     return Workload(
         processes=processes,
-        conflicts=tuple(pairs),
+        conflicts=conflicts,
         cores=cores,
         attestor=attestor,
         meta=meta,
     )
 
 
-def _workload_to_dict(w: Workload) -> dict:
+# the keys of a workload file's process records and a schedule file's
+# assignment records, in the order written
+_PROCESS_KEYS = ("id", "execTimeMs", "opCount")
+_ASSIGNMENT_KEYS = ("processId", "coreId", "startMs", "finishMs")
+
+
+def _workload_document(w: Workload) -> dict:
+    """The workload's JSON form for `_json_text`, its two lists as `_Records`."""
+    processes = [tuple(map(attrgetter(name), w.processes)) for name in ("id", "exec_time_ms", "op_count")]
     return {
-        "processes": [
-            {"id": p.id, "execTimeMs": p.exec_time_ms, "opCount": p.op_count}
-            for p in w.processes
-        ],
-        "conflicts": list(map(list, zip(w.conflicts.firsts, w.conflicts.seconds))),
+        "processes": _Records(_PROCESS_KEYS, processes),
+        # `ConflictColumns` proved its ids integers when it was built
+        "conflicts": _Records(None, w.conflicts.columns, ints=True),
         "cores": {
             "count": w.cores.core_count,
             "costPerOp": w.cores.cost_per_op,
@@ -791,13 +814,26 @@ def _workload_to_dict(w: Workload) -> dict:
     }
 
 
+def _workload_to_dict(w: Workload) -> dict:
+    """The workload's JSON form as plain values: what `save_workload` writes."""
+    return _workload_document(w) | {
+        "processes": [
+            {"id": p.id, "execTimeMs": p.exec_time_ms, "opCount": p.op_count}
+            for p in w.processes
+        ],
+        "conflicts": list(map(list, zip(w.conflicts.firsts, w.conflicts.seconds))),
+    }
+
+
 def save_workload(w: Workload, path: str | Path) -> None:
     """Write a workload file; byte-stable for a fixed workload value.
 
     The file is exactly ``json.dumps(d, indent=2) + "\\n"`` of the workload's
-    JSON form ``d``, written by `_json_text` (see there for why).
+    JSON form ``d`` (`_workload_to_dict`). `_json_text` writes it from the
+    workload's process fields and conflict pair columns as they are, and
+    builds no per-record list or dict.
     """
-    _write_json(path, _workload_to_dict(w))
+    _write_json(path, _workload_document(w))
 
 
 def _require_object(value, keys, where: str, subject: str | None = None) -> None:
@@ -853,60 +889,107 @@ def _read_json(path: str | Path, what: str):
         raise WorkloadValidationError(f"{what} file nests arrays or objects too deeply") from None
 
 
-def _json_text(value) -> str:
+@dataclass(frozen=True, slots=True)
+class _Records:
+    """A JSON list of flat integer records, held as one column per field.
+
+    Entry i of the ``columns`` is record i. ``keys`` names the fields of an
+    object record; None makes each record an array. ``ints`` says the
+    columns are already proved integers (a bool is not one); otherwise
+    `_json_text` proves them. Not a tuple, so `json.dumps` refuses it
+    rather than writing it as a list.
+    """
+
+    keys: tuple[str, ...] | None
+    columns: Sequence[Sequence[int]]
+    ints: bool = False
+
+    def value(self) -> list:
+        """The records as JSON values: dicts with ``keys``, or lists."""
+        rows = zip(*self.columns)
+        if self.keys is None:
+            return list(map(list, rows))
+        return [dict(zip(self.keys, row)) for row in rows]
+
+
+def _json_text(value, depth: int = 0) -> str:
     """Return exactly ``json.dumps(value, indent=2)``, faster.
 
     Before CPython 3.13, an indent makes `json` leave its C encoder for a
     Python one, which spends calls per number on a block's record lists. So
-    an object with string keys is written key by key: a member that is a
-    list of flat integer records goes through `_records_text`, and every
-    other member through `json.dumps`, indented one level.
+    an object with string keys is written member by member, each at one
+    more level of indent, and a list of flat integer records is written
+    from its columns by `_records_text`. A `_Records` value comes as
+    columns already; a plain list is proved one by `_as_records`, which
+    gives its columns. Every other value goes through `json.dumps`,
+    indented ``depth`` levels past its first line.
     """
-    if type(value) is not dict or set(map(type, value)) != {str}:
-        return json.dumps(value, indent=2)
-    members = []
-    for key, member in value.items():
-        text = _records_text(member)
-        if text is None:
-            text = json.dumps(member, indent=2).replace("\n", "\n  ")
-        members.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(members) + "\n}"
+    if type(value) is list:
+        value = _as_records(value) or value
+    if type(value) is _Records:
+        return _records_text(value, depth)
+    if type(value) is dict and set(map(type, value)) == {str}:
+        pad = "\n" + "  " * (depth + 1)
+        members = []
+        # a loop, not a comprehension, so each level of nesting takes one
+        # frame, as json's own encoder does
+        for key, member in value.items():
+            members.append(f"{pad}{json.dumps(key)}: {_json_text(member, depth + 1)}")
+        return "{" + ",".join(members) + pad[:-2] + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _records_text(records) -> str | None:
-    """``json.dumps(records, indent=2)`` indented one level, or None.
+def _as_records(records: list) -> _Records | None:
+    """The columns of a list of flat integer records, or None.
 
-    Formats a non-empty list of flat records: objects with the same string
-    keys in the same order, or lists of the same non-zero length, whose
-    values all pass `_all_ints`. Anything else gives None. All records are
-    formatted by one ``%`` over one template repeated per record.
+    Flat records are objects with the same string keys in the same order,
+    or lists of the same non-zero length, whose values all pass `_all_ints`.
     """
-    if type(records) is not list:
-        return None
     kinds = set(map(type, records))
     if kinds == {dict}:
-        keys = list(records[0])
+        keys = tuple(records[0])
         # no key repeats within an object, so every record has exactly the
         # first one's keys in its order when the key sequences concatenate
         # to that order repeated
-        listed = list(chain.from_iterable(records))
+        listed = tuple(chain.from_iterable(records))
         if set(map(type, keys)) != {str} or listed != keys * len(records):
             return None
-        values = tuple(chain.from_iterable(map(dict.values, records)))
-        # a key is a literal in the template, so its "%" is escaped
-        fields = [json.dumps(key).replace("%", "%%") + ": %d" for key in keys]
-        brackets = "{}"
+        columns = tuple(zip(*map(dict.values, records)))
     elif kinds == {list} and len(set(map(len, records))) == 1:
-        values = tuple(chain.from_iterable(records))
-        fields = ["%d"] * len(records[0])
-        brackets = "[]"
+        keys = None
+        columns = tuple(zip(*records))
     else:
         return None
-    if not fields or not _all_ints(values):
+    if not columns or not _all_ints(chain.from_iterable(columns)):
         return None
+    return _Records(keys, columns, ints=True)
+
+
+def _records_text(records: _Records, depth: int) -> str:
+    """``json.dumps(records.value(), indent=2)``, indented ``depth`` levels.
+
+    All records are formatted by one ``%`` over one template repeated per
+    record, with the values read off the columns record by record. Columns
+    not proved integers are proved here, and any other value sends the
+    records through `json.dumps`.
+    """
+    columns = records.columns
+    count = len(columns[0])
+    if not count:
+        return "[]"
+    if not (records.ints or _all_ints(chain.from_iterable(columns))):
+        return json.dumps(records.value(), indent=2).replace("\n", "\n" + "  " * depth)
+    if records.keys is None:
+        fields = ["%d"] * len(columns)
+        brackets = "[]"
+    else:
+        # a key is a literal in the template, so its "%" is escaped
+        fields = [json.dumps(key).replace("%", "%%") + ": %d" for key in records.keys]
+        brackets = "{}"
     # %d writes an int subclass by its value, as json's int.__repr__ does
-    record = f"    {brackets[0]}\n      " + ",\n      ".join(fields) + f"\n    {brackets[1]}"
-    return "[\n" + ",\n".join(repeat(record, len(records))) % values + "\n  ]"
+    pad = "\n" + "  " * (depth + 1)
+    record = f"{pad}{brackets[0]}{pad}  " + f",{pad}  ".join(fields) + f"{pad}{brackets[1]}"
+    return "[" + ",".join(repeat(record, count)) % tuple(chain.from_iterable(zip(*columns))) + pad[:-2] + "]"
 
 
 def _write_json(path: str | Path, value) -> None:
@@ -987,8 +1070,7 @@ def load_workload(path: str | Path) -> Workload:
     raw = _read_json(path, "workload")
     keys = {"processes", "conflicts", "cores", "attestor", "meta"}
     _require_object(raw, keys, "workload", "top-level value")
-    process_keys = ("id", "execTimeMs", "opCount")
-    processes = tuple(map(Process, *_load_columns(raw, "processes", process_keys, Process)))
+    processes = tuple(map(Process, *_load_columns(raw, "processes", _PROCESS_KEYS, Process)))
 
     if not isinstance(raw["conflicts"], list):
         raise WorkloadValidationError("conflicts must be an array")
@@ -1009,15 +1091,23 @@ def load_workload(path: str | Path) -> Workload:
     return Workload(processes, conflicts, cores, raw["attestor"], raw["meta"])
 
 
-def schedule_to_dict(sch: Schedule) -> dict:
+def _schedule_document(sch: Schedule) -> dict:
+    """The schedule's JSON form for `_json_text`, its assignments as `_Records`."""
     return {
+        "assignments": _Records(_ASSIGNMENT_KEYS, sch.assignments.columns),
+        "horizonMs": sch.horizon_ms,
+        "scheduleMakespanMs": sch.schedule_makespan_ms,
+        "wallTimeMs": sch.wall_time_ms,
+    }
+
+
+def schedule_to_dict(sch: Schedule) -> dict:
+    """The schedule's JSON form as plain values: what `save_schedule` writes."""
+    return _schedule_document(sch) | {
         "assignments": [
             {"processId": pid, "coreId": core_id, "startMs": start, "finishMs": finish}
             for pid, core_id, start, finish in zip(*sch.assignments.columns)
         ],
-        "horizonMs": sch.horizon_ms,
-        "scheduleMakespanMs": sch.schedule_makespan_ms,
-        "wallTimeMs": sch.wall_time_ms,
     }
 
 
@@ -1032,9 +1122,8 @@ def schedule_from_dict(raw: dict) -> Schedule:
     """
     keys = {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}
     _require_object(raw, keys, "schedule", "top-level value")
-    assignment_keys = ("processId", "coreId", "startMs", "finishMs")
     return Schedule(
-        assignments=AssignmentColumns(*_load_columns(raw, "assignments", assignment_keys, Assignment)),
+        assignments=AssignmentColumns(*_load_columns(raw, "assignments", _ASSIGNMENT_KEYS, Assignment)),
         horizon_ms=_require_int(raw["horizonMs"], "horizonMs"),
         schedule_makespan_ms=_require_int(raw["scheduleMakespanMs"], "scheduleMakespanMs"),
         wall_time_ms=_require_number(raw["wallTimeMs"], "wallTimeMs"),
@@ -1042,7 +1131,9 @@ def schedule_from_dict(raw: dict) -> Schedule:
 
 
 def save_schedule(sch: Schedule, path: str | Path) -> None:
-    _write_json(path, schedule_to_dict(sch))
+    """Write a schedule file: ``json.dumps(schedule_to_dict(sch), indent=2)``
+    and a newline, written from the assignment columns by `_json_text`."""
+    _write_json(path, _schedule_document(sch))
 
 
 def load_schedule(path: str | Path) -> Schedule:

@@ -255,3 +255,10 @@ def test_an_invalid_schedule_stops_the_grid_before_it_writes(tmp_path, monkeypat
 def test_mean_is_statistics_mean_bit_for_bit(values):
     got = conflictsched.bench._mean(values)
     assert got.hex() == statistics.mean(values).hex()
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16))
+@settings(max_examples=500, deadline=None)
+def test_median_is_statistics_median_bit_for_bit(values):
+    got = conflictsched.bench._median(values)
+    assert got.hex() == statistics.median(values).hex()

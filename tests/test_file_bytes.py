@@ -8,6 +8,7 @@ take its fallback path (a bool or a float in a record, mixed record shapes).
 
 import enum
 import json
+import sys
 from collections import OrderedDict
 
 import pytest
@@ -154,6 +155,14 @@ def test_json_text_equals_json_dumps(value):
     ],
 )
 def test_json_text_on_edge_shapes(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_nests_as_deep_as_json_dumps():
+    # a file's meta may nest as deep as json.loads reads, and is written back
+    value = [[1, 2]]
+    for _ in range(sys.getrecursionlimit() - 200):
+        value = {"a": value}
     assert _json_text(value) == json.dumps(value, indent=2)
 
 

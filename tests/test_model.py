@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import random
 from bisect import bisect_left
 from unittest import mock
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 import conflictsched.model
 from conflictsched.model import (
+    DEFAULT_TIME_DIST,
     OPS_PER_MS,
+    PARTICIPANT_EXTRA_EDGE_RATE,
     ConflictColumns,
     ConflictModel,
     ConflictPair,
@@ -25,6 +28,8 @@ from conflictsched.model import (
     Weights,
     Workload,
     WorkloadValidationError,
+    _participation_conflicts,
+    _random_pairs,
     estimate_exec_time,
     generate_workload,
     load_workload,
@@ -471,6 +476,50 @@ class TestGenerator:
             TimeDistribution("gaussian", 1, 2)
 
     @given(
+        n=st.integers(0, 300),
+        rate=st.floats(0, 1),
+        seed=st.integers(0, 10**6),
+        model=st.sampled_from(list(ConflictModel)),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_generated_pairs_are_canonical_and_what_the_constructor_makes_of_them(self, n, rate, seed, model, data):
+        # the pairs `generate_workload` draws after the process times
+        rng = random.Random(seed)
+        times = [DEFAULT_TIME_DIST.draw(rng) for _ in range(n)]
+        if model is ConflictModel.PAIRWISE:
+            pairs = _random_pairs(range(n), rate, rng)
+        else:
+            pairs = _participation_conflicts(n, rate, rng)
+        assert all(type(a) is int and type(b) is int and 0 <= a < b < n for a, b in pairs)
+        assert all(map(operator.lt, pairs, pairs[1:]))
+        columns = (tuple(pair[0] for pair in pairs), tuple(pair[1] for pair in pairs))
+        # the same pairs given shuffled and with repeats are sorted and deduplicated
+        messy = data.draw(st.permutations(pairs + data.draw(st.lists(st.sampled_from(pairs))) if pairs else []))
+        processes = tuple(Process(i, t, t * OPS_PER_MS) for i, t in enumerate(times))
+        assert Workload(processes, tuple(messy), CoreProfile(2)).conflicts.columns == columns
+        if n:
+            # the generator's columns reach the constructor ascending: it proves them, and sorts nothing
+            proved = []
+            pair_order = conflictsched.model._pair_order
+            with mock.patch.object(
+                conflictsched.model, "_pair_order", lambda *cs: proved.append(pair_order(*cs)) or proved[-1]
+            ):
+                w = generate_workload(n, rate, model=model, seed=seed)
+            assert proved == [True]
+            assert w.conflicts.columns == columns and w.processes == processes
+
+    def test_an_extra_edge_that_repeats_a_matching_pair_is_kept_once(self):
+        # n = 4 at rate 1: the matching pairs the shuffled ids two by two,
+        # and the extra edges then draw (0, 2) again
+        rng = random.Random(4)
+        participants = rng.sample(range(4), 4)
+        matching = sorted((min(pair), max(pair)) for pair in zip(participants[0::2], participants[1::2]))
+        extra = _random_pairs(range(4), PARTICIPANT_EXTRA_EDGE_RATE, rng)
+        assert matching == [(0, 2), (1, 3)] and extra == [(0, 2), (0, 3)]
+        assert _participation_conflicts(4, 1.0, random.Random(4)) == [(0, 2), (0, 3), (1, 3)]
+
+    @given(
         n=st.integers(1, 60),
         rate=st.floats(0, 1),
         seed=st.integers(0, 10_000),
@@ -747,6 +796,20 @@ class TestWorkloadInvariants:
             CoreProfile(2, cost_per_op=value)
         with pytest.raises(WorkloadValidationError, match="cores.costPerIdleMs must be finite"):
             CoreProfile(2, cost_per_idle_ms=value)
+
+    @pytest.mark.parametrize("value", ["x", None, True, "0.5", [1.0]], ids=["str", "none", "bool", "numeric-str", "list"])
+    @pytest.mark.parametrize("field,key", [("cost_per_op", "costPerOp"), ("cost_per_idle_ms", "costPerIdleMs")])
+    def test_core_profile_refuses_a_cost_that_is_not_a_number(self, field, key, value):
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            CoreProfile(2, **{field: value})
+        assert str(exc_info.value) == f"cores.{key} must be a number, got {value!r}"
+
+    def test_core_profile_keeps_an_int_cost(self, tmp_path):
+        # an int cost is not made a float, so it is saved as it was given
+        cores = CoreProfile(2, 3, 0)
+        assert type(cores.cost_per_op) is int and type(cores.cost_per_idle_ms) is int
+        save_workload(Workload((), (), cores), tmp_path / "w.json")
+        assert json.loads((tmp_path / "w.json").read_text())["cores"] == {"count": 2, "costPerOp": 3, "costPerIdleMs": 0}
 
     @pytest.mark.parametrize(
         "derive,changes",
