@@ -502,9 +502,12 @@ class TestGenerator:
             # the generator's columns reach the constructor ascending: it proves them, and sorts nothing
             proved = []
             pair_order = conflictsched.model._pair_order
-            with mock.patch.object(
-                conflictsched.model, "_pair_order", lambda *cs: proved.append(pair_order(*cs)) or proved[-1]
-            ):
+
+            def recorded_pair_order(firsts, seconds):
+                proved.append(pair_order(firsts, seconds))
+                return proved[-1]
+
+            with mock.patch.object(conflictsched.model, "_pair_order", recorded_pair_order):
                 w = generate_workload(n, rate, model=model, seed=seed)
             assert proved == [True]
             assert w.conflicts.columns == columns and w.processes == processes
