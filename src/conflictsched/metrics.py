@@ -88,10 +88,10 @@ def _idle_and_energy(
     m = w.cores.core_count
     busy = [0] * m
     ops = [0] * m
-    processes = w.processes
+    op_counts = w.processes.op_counts
     for pid, core_id, start, finish in zip(*sch.assignments.columns):
         busy[core_id] += finish - start
-        ops[core_id] += processes[pid].op_count
+        ops[core_id] += op_counts[pid]
     idle = tuple(te - b for b in busy)
     energy = tuple(
         ops[k] * w.cores.cost_per_op + idle[k] * w.cores.cost_per_idle_ms

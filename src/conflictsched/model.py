@@ -4,18 +4,21 @@ A workload is the scheduler's complete input: an ordered list of processes
 (one per transaction), the set of pairwise conflicts between them, a core
 profile, and the attestor flag. Workloads are immutable values; the
 generator is a pure function of its arguments, so a fixed seed always
-reproduces the same workload byte for byte. A workload keeps its conflict
-pairs as two id columns (`ConflictColumns`), and a schedule, its output,
-keeps its placements as columns (`AssignmentColumns`); each builds a
-record (`ConflictPair`, `Assignment`) only when one is read.
+reproduces the same workload byte for byte.
+
+All three record lists are int columns of one type: a workload keeps its
+processes (`ProcessColumns`) and its conflict pairs (`ConflictColumns`),
+and a schedule, its output, its placements (`AssignmentColumns`). Each
+proves its columns once, when it is built, and builds a record
+(`Process`, `ConflictPair`, `Assignment`) only when one is read.
 
 Workload files are JSON (UTF-8) with the top-level keys ``processes``,
 ``conflicts``, ``cores``, ``attestor``, and ``meta``; schedule files are
 described at `schedule_from_dict`. Unknown keys are rejected. Both
-formats are checked by one record reader and written by one encoder whose
-output is byte for byte that of ``json.dumps(value, indent=2)``, with a
-trailing newline; it formats the long record lists straight from their
-columns with ``%`` templates in C-level passes.
+formats are read by one record reader, which gives the columns, and
+written by one encoder whose output is byte for byte that of
+``json.dumps(value, indent=2)``, with a trailing newline; it formats each
+column sequence straight from its columns with one ``%`` template.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "CoreProfile",
     "GasTimeModel",
     "Process",
+    "ProcessColumns",
     "Schedule",
     "TimeDistribution",
     "Weights",
@@ -101,25 +105,17 @@ DEFAULT_CONFLICT_MODEL = ConflictModel.PARTICIPATION
 DEFAULT_CORE_COUNT = 2
 
 
-@dataclass(frozen=True, slots=True)
-class Process:
-    """One schedulable unit: a transaction's function call."""
+class Process(NamedTuple):
+    """One schedulable unit: a transaction's function call.
+
+    A plain int tuple. A workload keeps its processes as `ProcessColumns`
+    and builds one of these only when a process is read; the columns check
+    the fields.
+    """
 
     id: int
     exec_time_ms: int
     op_count: int
-
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise WorkloadValidationError(f"process id must be >= 0, got {self.id}")
-        if self.exec_time_ms < 1:
-            raise WorkloadValidationError(
-                f"processes[{self.id}].execTimeMs must be >= 1, got {self.exec_time_ms}"
-            )
-        if self.op_count < 1:
-            raise WorkloadValidationError(
-                f"processes[{self.id}].opCount must be >= 1, got {self.op_count}"
-            )
 
 
 class ConflictPair(NamedTuple):
@@ -141,21 +137,110 @@ class ConflictPair(NamedTuple):
         return cls(min(i, j), max(i, j))
 
 
-class _ColumnSequence(Sequence):
-    """An immutable sequence of records kept as int tuple columns of one length.
+class Assignment(NamedTuple):
+    process_id: int
+    core_id: int
+    start_ms: int
+    finish_ms: int
 
-    A subclass sets its columns, named in ``__slots__``, when it is built,
-    returns them in that order from ``columns``, and names its record type
-    in ``_record``. Entry i of the columns is one record. Indexing and
-    iteration build records in C, one per entry read, and a slice is the
-    column sequence of the sliced columns. A column sequence equals the
-    tuple of its records, in either direction, and has that tuple's hash
-    and repr; two column sequences compare by their columns.
+
+# the keys of a workload file's process records and a schedule file's
+# assignment records, in the order written
+_PROCESS_KEYS = ("id", "execTimeMs", "opCount")
+_ASSIGNMENT_KEYS = ("processId", "coreId", "startMs", "finishMs")
+
+
+class _ColumnSequence(Sequence):
+    """An immutable sequence of records kept as proved int tuple columns of one length.
+
+    A subclass names its columns in ``__slots__``, in record field order,
+    and ``columns`` returns them in that order; it names its record type in
+    ``_record``, the file list its records are read from and written to in
+    ``_name``, and the JSON keys of a record in ``_keys`` (None writes each
+    record as an array). Entry i of the columns is one record.
+
+    Every column sequence holds int columns (a bool is not one) that pass
+    its class's check. The constructor, which takes the columns as any
+    iterables, and `of`, which takes the records, prove that in whole-list
+    passes (`_all_proved`); only when those fail does a loop name the
+    first bad record (`_check`), as it was given. `_of_proved` is the private constructor
+    for columns already proved. Indexing and iteration build records in
+    C, one per entry read, and a slice is the column sequence of the
+    sliced columns. A column sequence equals the tuple of its records, in
+    either direction, and has that tuple's hash and repr; two column
+    sequences compare by their columns.
     """
 
     __slots__ = ()
     _record: type
+    _name: str
+    _keys: tuple[str, ...] | None = None
+    # how `of` names a record and its fields in a message
+    _noun: str
+    _width: str
+    _fields: tuple[str, ...]
     columns: tuple[tuple[int, ...], ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls.columns = property(attrgetter(*cls._fields), doc=f"``{cls._fields}``.")
+
+    def __init__(self, *columns) -> None:
+        self._put(columns)
+        self._prove(self.columns, self)
+
+    @classmethod
+    def of(cls, records):
+        """The column sequence of the records, tuples given in order.
+
+        Names the first record that is not a tuple, does not have the
+        record's fields, or fails the class's check, as it was given.
+        """
+        records = tuple(records)
+        if not _all_instances(records, tuple):
+            bad = next(record for record in records if not isinstance(record, tuple))
+            raise WorkloadValidationError(f"{cls._noun} {bad!r} is not a tuple")
+        width = len(cls._fields)
+        if set(map(len, records)) - {width}:
+            bad = next(record for record in records if len(record) != width)
+            raise WorkloadValidationError(f"{cls._noun} {bad!r} does not have {cls._width}")
+        columns = tuple(zip(*records)) or ((),) * width
+        cls._prove(columns, records)
+        return cls._of_proved(*columns)
+
+    @classmethod
+    def _of_proved(cls, *columns):
+        """The column sequence of columns already proved what the class proves."""
+        sequence = object.__new__(cls)
+        sequence._put(columns)
+        return sequence
+
+    def _put(self, columns) -> None:
+        # no columns at all is the empty sequence
+        for name, column in zip(self._fields, columns or repeat((), len(self._fields)), strict=True):
+            object.__setattr__(self, name, tuple(column))
+        lengths = list(map(len, self.columns))
+        if len(set(lengths)) > 1:
+            raise ValueError(f"{self._noun} columns differ in length: {lengths}")
+
+    @classmethod
+    def _prove(cls, columns, records) -> None:
+        """Prove the columns, or name the first bad one of their records."""
+        if not cls._all_proved(columns):
+            for position, record in enumerate(records):
+                cls._check(position, record)
+            raise AssertionError(f"whole-list {cls._name} check rejected valid columns")
+
+    @classmethod
+    def _all_proved(cls, columns) -> bool:
+        """Whether the columns pass `_check`, in whole-list passes."""
+        return _all_ints(chain.from_iterable(columns))
+
+    @classmethod
+    def _check(cls, position: int, record) -> None:
+        """Name a field of the record at ``position`` that is not an integer."""
+        for key, value in zip(cls._keys, record):
+            _require_int(value, f"{cls._name}[{position}].{key}")
 
     @classmethod
     def _records(cls, rows):
@@ -168,7 +253,7 @@ class _ColumnSequence(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return type(self)(*(column[index] for column in self.columns))
+            return self._of_proved(*(column[index] for column in self.columns))
         return next(self._records([tuple(column[index] for column in self.columns)]))
 
     def __iter__(self):
@@ -198,74 +283,100 @@ class _ColumnSequence(Sequence):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+class ProcessColumns(_ColumnSequence):
+    """A workload's processes as three columns; records are built when read.
+
+    ``ids``, ``exec_times`` and ``op_counts`` are int tuples of one length,
+    and entry i of the three is one `Process`. Building proves every field
+    an integer, every id ``>= 0`` and every time and op count ``>= 1``, and
+    names the first bad process; whether the ids are ``0..n-1`` in order
+    is `Workload`'s check.
+    """
+
+    __slots__ = ("ids", "exec_times", "op_counts")
+    _record = Process
+    _name = "processes"
+    _keys = _PROCESS_KEYS
+    _noun = "process"
+    _width = "three fields"
+
+    @classmethod
+    def _all_proved(cls, columns) -> bool:
+        ids, times, ops = columns
+        return (
+            _all_ints(chain.from_iterable(columns))
+            and min(ids, default=0) >= 0
+            and min(times, default=1) >= 1
+            and min(ops, default=1) >= 1
+        )
+
+    @classmethod
+    def _check(cls, position: int, record) -> None:
+        """Name a field of the process that is not an integer, or is out of range."""
+        super()._check(position, record)
+        pid, time_ms, ops = record
+        if pid < 0:
+            raise WorkloadValidationError(f"process id must be >= 0, got {pid}")
+        if time_ms < 1:
+            raise WorkloadValidationError(f"processes[{pid}].execTimeMs must be >= 1, got {time_ms}")
+        if ops < 1:
+            raise WorkloadValidationError(f"processes[{pid}].opCount must be >= 1, got {ops}")
+
+
 class ConflictColumns(_ColumnSequence):
     """A workload's conflict pairs as two id columns; records are built when read.
 
     ``firsts`` and ``seconds`` are int tuples of one length, and entry i of
-    the two is one `ConflictPair`. The library reads the columns
-    (``columns`` holds both); iteration and indexing build `ConflictPair`
-    records. Building refuses an id that is not an integer (a bool is
-    not), naming its pair; whether the pairs are canonical, known and in
-    order is `Workload`'s check. `of` builds one from any sequence of
-    pairs. The private mark ``_canonical`` says the pairs are proved
-    canonical (``0 <= a < b``) and strictly ascending; a copy, slice or
-    unpickled sequence is unmarked.
+    the two is one `ConflictPair`; the file writes each pair as an array.
+    Building refuses an id that is not an integer, naming its pair; whether
+    the pairs are canonical, known and in order is `Workload`'s check. The
+    private mark ``_canonical`` says the pairs are proved canonical
+    (``0 <= a < b``) and strictly ascending; a copy, slice or unpickled
+    sequence is unmarked.
     """
 
     __slots__ = ("firsts", "seconds", "_canonical")
     _record = ConflictPair
-
-    def __init__(self, firsts=(), seconds=()) -> None:
-        self._put(firsts, seconds)
-        if not _all_ints(chain(self.firsts, self.seconds)):
-            bad = next(pair for pair in self if not _all_ints(pair))
-            raise WorkloadValidationError(f"conflict pair {bad!r} must hold two integer ids")
-
-    @property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """``(firsts, seconds)``."""
-        return self.firsts, self.seconds
+    _name = "conflicts"
+    _noun = "conflict pair"
+    _width = "two ids"
 
     @classmethod
-    def of(cls, pairs) -> ConflictColumns:
-        """The columns of (a, b) pairs, in the order given.
-
-        Names the first pair that is not a tuple, does not hold two ids, or
-        holds an id that is not an integer, as it was given.
-        """
-        pairs = tuple(pairs)
-        if not _all_instances(pairs, tuple):
-            bad = next(pair for pair in pairs if not isinstance(pair, tuple))
-            raise WorkloadValidationError(f"conflict pair {bad!r} is not a tuple")
-        if set(map(len, pairs)) - {2}:
-            bad = next(pair for pair in pairs if len(pair) != 2)
-            raise WorkloadValidationError(f"conflict pair {bad!r} does not have two ids")
-        firsts = tuple(map(itemgetter(0), pairs))
-        seconds = tuple(map(itemgetter(1), pairs))
-        if not _all_ints(chain(firsts, seconds)):
-            bad = next(pair for pair in pairs if not _all_ints(pair))
-            raise WorkloadValidationError(f"conflict pair {bad!r} must hold two integer ids")
-        return cls._of_ints(firsts, seconds)
-
-    @classmethod
-    def _of_ints(cls, firsts, seconds, canonical: bool = False) -> ConflictColumns:
+    def _of_proved(cls, firsts, seconds, canonical: bool = False) -> ConflictColumns:
         """Columns of ids already proved integers.
 
         ``canonical`` marks pairs also proved canonical and strictly
         ascending, as `_load_conflicts` proves a whole file, once.
         """
-        columns = object.__new__(cls)
-        columns._put(firsts, seconds, canonical)
+        columns = super()._of_proved(firsts, seconds)
+        object.__setattr__(columns, "_canonical", canonical)
         return columns
 
-    def _put(self, firsts, seconds, canonical: bool = False) -> None:
-        put = object.__setattr__
-        put(self, "firsts", tuple(firsts))
-        put(self, "seconds", tuple(seconds))
-        put(self, "_canonical", canonical)
-        if len(self.firsts) != len(self.seconds):
-            lengths = [len(self.firsts), len(self.seconds)]
-            raise ValueError(f"conflict columns differ in length: {lengths}")
+    def _put(self, columns) -> None:
+        super()._put(columns)
+        object.__setattr__(self, "_canonical", False)
+
+    @classmethod
+    def _check(cls, position: int, record) -> None:
+        if not _all_ints(record):
+            raise WorkloadValidationError(f"conflict pair {record!r} must hold two integer ids")
+
+
+class AssignmentColumns(_ColumnSequence):
+    """A schedule's assignments as four columns; records are built when read.
+
+    ``process_ids``, ``core_ids``, ``starts`` and ``finishes`` are int
+    tuples of one length, and entry i of the four is one `Assignment`.
+    Building names the first field that is not an integer, as a schedule
+    file's reader does (``assignments[i].startMs must be an integer``).
+    """
+
+    __slots__ = ("process_ids", "core_ids", "starts", "finishes")
+    _record = Assignment
+    _name = "assignments"
+    _keys = _ASSIGNMENT_KEYS
+    _noun = "assignment"
+    _width = "four fields"
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,50 +470,47 @@ DEFAULT_TIME_DIST = TimeDistribution.uniform(1, 15)
 class Workload:
     """Scheduler input: processes in original order plus conflicts and cores.
 
-    The process list order is canonical: ``processes[i].id == i``, and that
-    index is the original block position used by attestor-mode ordering.
-    ``conflicts`` is a `ConflictColumns`: the pairs are kept as two id
-    columns, and a `ConflictPair` record is built only when one is read.
-    Any other sequence of pairs passed in is turned into columns. Conflict
-    pairs must be canonical (a < b, both known ids); they are deduplicated
-    and sorted at construction, and columns already strictly ascending are
-    kept as they are. Process fields and pair ids must be integers, not
-    bools. The checks run as whole-list passes; the per-entry loops run
-    only to name the first bad entry. The kept columns are marked proved,
+    ``processes`` is a `ProcessColumns` and ``conflicts`` a
+    `ConflictColumns`: both are kept as int columns, and a `Process` or
+    `ConflictPair` record is built only when one is read. Any other
+    sequence of records passed in is turned into columns, which proves
+    their fields. The process list order is canonical:
+    ``processes[i].id == i``, and that index is the original block
+    position used by attestor-mode ordering. Conflict pairs must be
+    canonical (a < b, both known ids); they are deduplicated and sorted at
+    construction, and columns already strictly ascending are kept as they
+    are. The checks run as whole-list passes; the per-entry loops run only
+    to name the first bad entry. The kept pair columns are marked proved,
     and marked columns get only the range check, so the pairs of a loaded
     canonical file or of a `dataclasses.replace` copy are not proved again.
 
-    A workload and its `with_cores`/`with_attestor` copies share one dict of
-    derived data, so `conflict_index`, `process_ids`, `exec_times`,
-    `attestor_order`, `attestor_chain`, `predecessor_counts` and
-    `successor_rows` are built once for all of them. The last four are read
-    off the two sorted pair columns, not off `conflict_index`, the
-    symmetric adjacency, so an attestor `schedule()` never builds that.
+    A workload and its `with_cores`/`with_attestor` copies share their
+    columns and one dict of derived data, so `process_ids` and `exec_times`
+    (two of the process columns) are the same objects for all of them, and
+    `conflict_index`, `attestor_order`, `attestor_chain`,
+    `predecessor_counts` and `successor_rows` are built once for all of
+    them. The last four are read off the two sorted pair columns, not off
+    `conflict_index`, the symmetric adjacency, so an attestor `schedule()`
+    never builds that.
     """
 
-    processes: tuple[Process, ...]
+    processes: ProcessColumns
     conflicts: ConflictColumns
     cores: CoreProfile
     attestor: bool = False
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = len(self.processes)
-        if list(map(attrgetter("id"), self.processes)) != list(range(n)):
-            for position, proc in enumerate(self.processes):
-                if proc.id != position:
-                    raise WorkloadValidationError(
-                        f"processes[{position}].id is {proc.id}; ids must be 0..n-1 in order"
-                    )
-            raise AssertionError("process id check rejected valid ids")
-        # a float or bool equal to an int passes the check above and
-        # `Process`'s, but the scheduler indexes by ids and ranges over times
-        fields = attrgetter("id", "exec_time_ms", "op_count")
-        if not _all_ints(chain.from_iterable(map(fields, self.processes))):
-            for position, proc in enumerate(self.processes):
-                for key, value in zip(("id", "execTimeMs", "opCount"), fields(proc)):
-                    _require_int(value, f"processes[{position}].{key}")
-            raise AssertionError("process field check rejected integer fields")
+        processes = self.processes
+        if not isinstance(processes, ProcessColumns):
+            processes = ProcessColumns.of(processes)
+        ids = processes.ids
+        n = len(ids)
+        if ids != tuple(range(n)):
+            position = next(i for i, pid in enumerate(ids) if pid != i)
+            raise WorkloadValidationError(
+                f"processes[{position}].id is {ids[position]}; ids must be 0..n-1 in order"
+            )
         conflicts = self.conflicts
         if not isinstance(conflicts, ConflictColumns):
             conflicts = ConflictColumns.of(conflicts)
@@ -421,9 +529,10 @@ class Workload:
             raise AssertionError("conflict pair check rejected valid pairs")
         # other pairs are sorted, and deduplicated (hashed) in that order
         if not ascending:
-            conflicts = ConflictColumns._of_ints(*zip(*dict.fromkeys(sorted(zip(firsts, seconds)))))
+            conflicts = ConflictColumns._of_proved(*zip(*dict.fromkeys(sorted(zip(firsts, seconds)))))
         # the mark is a fact about the immutable columns, even the caller's
         object.__setattr__(conflicts, "_canonical", True)
+        object.__setattr__(self, "processes", processes)
         object.__setattr__(self, "conflicts", conflicts)
         object.__setattr__(self, "_family", {})
 
@@ -440,18 +549,12 @@ class Workload:
         return idx
 
     def process_ids(self) -> tuple[int, ...]:
-        """The ids ``0..n-1`` as a tuple, built on first use."""
-        ids = self._family.get("process_ids")
-        if ids is None:
-            ids = self._family["process_ids"] = tuple(range(self.n))
-        return ids
+        """The ids ``0..n-1`` as a tuple: the id column of ``processes``."""
+        return self.processes.ids
 
     def exec_times(self) -> tuple[int, ...]:
-        """Each process's execution time, in id order, built on first use."""
-        times = self._family.get("exec_times")
-        if times is None:
-            times = self._family["exec_times"] = tuple(p.exec_time_ms for p in self.processes)
-        return times
+        """Each process's execution time, in id order: a column of ``processes``."""
+        return self.processes.exec_times
 
     def attestor_order(self) -> tuple[int, ...]:
         """Conflict participants in id order, then the rest, built on first use.
@@ -599,61 +702,14 @@ def conflicts_with(idx: ConflictIndex, i: int, j: int) -> bool:
     return i != j and j in idx.adjacency[i]
 
 
-class Assignment(NamedTuple):
-    process_id: int
-    core_id: int
-    start_ms: int
-    finish_ms: int
-
-
-class AssignmentColumns(_ColumnSequence):
-    """A schedule's assignments as four columns; records are built when read.
-
-    ``process_ids``, ``core_ids``, ``starts`` and ``finishes`` are tuples of
-    one length, and entry i of the four is one `Assignment`. The library
-    reads the columns (``columns`` holds all four). Indexing and iteration
-    build `Assignment` records in C, one per entry read, and a slice is
-    the column sequence of the sliced columns. A column sequence equals the
-    tuple of its records, in either direction, and has that tuple's hash
-    and repr; two column sequences compare by their columns. `of` builds
-    one from any sequence of 4-tuples.
-    """
-
-    __slots__ = ("process_ids", "core_ids", "starts", "finishes")
-    _record = Assignment
-
-    def __init__(self, process_ids=(), core_ids=(), starts=(), finishes=()) -> None:
-        put = object.__setattr__
-        put(self, "process_ids", tuple(process_ids))
-        put(self, "core_ids", tuple(core_ids))
-        put(self, "starts", tuple(starts))
-        put(self, "finishes", tuple(finishes))
-        if not len(self.process_ids) == len(self.core_ids) == len(self.starts) == len(self.finishes):
-            lengths = list(map(len, self.columns))
-            raise ValueError(f"assignment columns differ in length: {lengths}")
-
-    @property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """``(process_ids, core_ids, starts, finishes)``."""
-        return self.process_ids, self.core_ids, self.starts, self.finishes
-
-    @classmethod
-    def of(cls, records) -> AssignmentColumns:
-        """The columns of (process id, core id, start, finish) records, in order."""
-        records = tuple(records)
-        if set(map(len, records)) - {4}:
-            bad = next(record for record in records if len(record) != 4)
-            raise ValueError(f"assignment {bad!r} does not have four fields")
-        return cls(*zip(*records)) if records else cls()
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Scheduler output: one assignment per process plus summary times.
 
     ``assignments`` is an `AssignmentColumns`: the placements are kept as
-    columns, and an `Assignment` record is built only when one is read.
-    Any other sequence of 4-tuples passed in is turned into columns.
+    int columns, and an `Assignment` record is built only when one is read.
+    Any other sequence of 4-tuples passed in is turned into columns, which
+    names the first field that is not an integer.
     ``horizon_ms`` is the serial-execution makespan (sum of all execution
     times) and the baseline for speedups. ``wall_time_ms`` is the measured
     duration of the scheduling call's sort and placement, not of the
@@ -766,15 +822,13 @@ def generate_workload(
     cores = cores if cores is not None else CoreProfile(DEFAULT_CORE_COUNT)
     rng = random.Random(seed)
     times = [time_dist.draw(rng) for _ in range(n)]
-    processes = tuple(
-        Process(id=i, exec_time_ms=t, op_count=t * OPS_PER_MS)
-        for i, t in enumerate(times)
-    )
+    # the distribution draws ints >= 1, so the columns are proved as built
+    processes = ProcessColumns._of_proved(range(n), times, [t * OPS_PER_MS for t in times])
     if model is ConflictModel.PAIRWISE:
         pairs = _random_pairs(range(n), conflict_rate, rng)
     else:
         pairs = _participation_conflicts(n, conflict_rate, rng)
-    conflicts = ConflictColumns._of_ints(map(itemgetter(0), pairs), map(itemgetter(1), pairs))
+    conflicts = ConflictColumns._of_proved(map(itemgetter(0), pairs), map(itemgetter(1), pairs))
     meta = {
         "seed": seed,
         "conflictRate": conflict_rate,
@@ -791,19 +845,11 @@ def generate_workload(
     )
 
 
-# the keys of a workload file's process records and a schedule file's
-# assignment records, in the order written
-_PROCESS_KEYS = ("id", "execTimeMs", "opCount")
-_ASSIGNMENT_KEYS = ("processId", "coreId", "startMs", "finishMs")
-
-
 def _workload_document(w: Workload) -> dict:
-    """The workload's JSON form for `_json_text`, its two lists as `_Records`."""
-    processes = [tuple(map(attrgetter(name), w.processes)) for name in ("id", "exec_time_ms", "op_count")]
+    """The workload's JSON form for `_json_text`, its two lists as columns."""
     return {
-        "processes": _Records(_PROCESS_KEYS, processes),
-        # `ConflictColumns` proved its ids integers when it was built
-        "conflicts": _Records(None, w.conflicts.columns, ints=True),
+        "processes": w.processes,
+        "conflicts": w.conflicts,
         "cores": {
             "count": w.cores.core_count,
             "costPerOp": w.cores.cost_per_op,
@@ -817,11 +863,8 @@ def _workload_document(w: Workload) -> dict:
 def _workload_to_dict(w: Workload) -> dict:
     """The workload's JSON form as plain values: what `save_workload` writes."""
     return _workload_document(w) | {
-        "processes": [
-            {"id": p.id, "execTimeMs": p.exec_time_ms, "opCount": p.op_count}
-            for p in w.processes
-        ],
-        "conflicts": list(map(list, zip(w.conflicts.firsts, w.conflicts.seconds))),
+        "processes": [dict(zip(_PROCESS_KEYS, p)) for p in w.processes],
+        "conflicts": list(map(list, w.conflicts)),
     }
 
 
@@ -830,8 +873,8 @@ def save_workload(w: Workload, path: str | Path) -> None:
 
     The file is exactly ``json.dumps(d, indent=2) + "\\n"`` of the workload's
     JSON form ``d`` (`_workload_to_dict`). `_json_text` writes it from the
-    workload's process fields and conflict pair columns as they are, and
-    builds no per-record list or dict.
+    workload's process and conflict pair columns as they are, and builds no
+    per-record list or dict.
     """
     _write_json(path, _workload_document(w))
 
@@ -855,7 +898,13 @@ def _require_object(value, keys, where: str, subject: str | None = None) -> None
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise WorkloadValidationError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # the repr of such an int may be too long to print
+        raise WorkloadValidationError(
+            f"{where} must fit a float, got an integer of {value.bit_length()} bits"
+        ) from None
 
 
 # Whole-list forms of the `_require_*` checks: each is one C pass over a
@@ -889,44 +938,18 @@ def _read_json(path: str | Path, what: str):
         raise WorkloadValidationError(f"{what} file nests arrays or objects too deeply") from None
 
 
-@dataclass(frozen=True, slots=True)
-class _Records:
-    """A JSON list of flat integer records, held as one column per field.
-
-    Entry i of the ``columns`` is record i. ``keys`` names the fields of an
-    object record; None makes each record an array. ``ints`` says the
-    columns are already proved integers (a bool is not one); otherwise
-    `_json_text` proves them. Not a tuple, so `json.dumps` refuses it
-    rather than writing it as a list.
-    """
-
-    keys: tuple[str, ...] | None
-    columns: Sequence[Sequence[int]]
-    ints: bool = False
-
-    def value(self) -> list:
-        """The records as JSON values: dicts with ``keys``, or lists."""
-        rows = zip(*self.columns)
-        if self.keys is None:
-            return list(map(list, rows))
-        return [dict(zip(self.keys, row)) for row in rows]
-
-
 def _json_text(value, depth: int = 0) -> str:
     """Return exactly ``json.dumps(value, indent=2)``, faster.
 
     Before CPython 3.13, an indent makes `json` leave its C encoder for a
     Python one, which spends calls per number on a block's record lists. So
     an object with string keys is written member by member, each at one
-    more level of indent, and a list of flat integer records is written
-    from its columns by `_records_text`. A `_Records` value comes as
-    columns already; a plain list is proved one by `_as_records`, which
-    gives its columns. Every other value goes through `json.dumps`,
+    more level of indent, and a column sequence, which ``json.dumps``
+    would refuse, is written from its columns as the list of its records
+    by `_records_text`. Every other value goes through `json.dumps`,
     indented ``depth`` levels past its first line.
     """
-    if type(value) is list:
-        value = _as_records(value) or value
-    if type(value) is _Records:
+    if isinstance(value, _ColumnSequence):
         return _records_text(value, depth)
     if type(value) is dict and set(map(type, value)) == {str}:
         pad = "\n" + "  " * (depth + 1)
@@ -939,83 +962,53 @@ def _json_text(value, depth: int = 0) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-def _as_records(records: list) -> _Records | None:
-    """The columns of a list of flat integer records, or None.
-
-    Flat records are objects with the same string keys in the same order,
-    or lists of the same non-zero length, whose values all pass `_all_ints`.
-    """
-    kinds = set(map(type, records))
-    if kinds == {dict}:
-        keys = tuple(records[0])
-        # no key repeats within an object, so every record has exactly the
-        # first one's keys in its order when the key sequences concatenate
-        # to that order repeated
-        listed = tuple(chain.from_iterable(records))
-        if set(map(type, keys)) != {str} or listed != keys * len(records):
-            return None
-        columns = tuple(zip(*map(dict.values, records)))
-    elif kinds == {list} and len(set(map(len, records))) == 1:
-        keys = None
-        columns = tuple(zip(*records))
-    else:
-        return None
-    if not columns or not _all_ints(chain.from_iterable(columns)):
-        return None
-    return _Records(keys, columns, ints=True)
-
-
-def _records_text(records: _Records, depth: int) -> str:
-    """``json.dumps(records.value(), indent=2)``, indented ``depth`` levels.
+def _records_text(records: _ColumnSequence, depth: int) -> str:
+    """``json.dumps`` of the records, objects with ``_keys`` or arrays, indented ``depth`` levels.
 
     All records are formatted by one ``%`` over one template repeated per
-    record, with the values read off the columns record by record. Columns
-    not proved integers are proved here, and any other value sends the
-    records through `json.dumps`.
+    record, with the values read off the columns record by record. The
+    columns are proved integers, so ``%d`` writes each as ``json.dumps``
+    does, an int subclass by its value.
     """
     columns = records.columns
-    count = len(columns[0])
-    if not count:
+    if not records:
         return "[]"
-    if not (records.ints or _all_ints(chain.from_iterable(columns))):
-        return json.dumps(records.value(), indent=2).replace("\n", "\n" + "  " * depth)
-    if records.keys is None:
+    if records._keys is None:
         fields = ["%d"] * len(columns)
         brackets = "[]"
     else:
         # a key is a literal in the template, so its "%" is escaped
-        fields = [json.dumps(key).replace("%", "%%") + ": %d" for key in records.keys]
+        fields = [json.dumps(key).replace("%", "%%") + ": %d" for key in records._keys]
         brackets = "{}"
-    # %d writes an int subclass by its value, as json's int.__repr__ does
     pad = "\n" + "  " * (depth + 1)
     record = f"{pad}{brackets[0]}{pad}  " + f",{pad}  ".join(fields) + f"{pad}{brackets[1]}"
-    return "[" + ",".join(repeat(record, count)) % tuple(chain.from_iterable(zip(*columns))) + pad[:-2] + "]"
+    return "[" + ",".join(repeat(record, len(records))) % tuple(chain.from_iterable(zip(*columns))) + pad[:-2] + "]"
 
 
 def _write_json(path: str | Path, value) -> None:
     Path(path).write_text(_json_text(value) + "\n", encoding="utf-8")
 
 
-def _load_columns(raw: dict, name: str, keys: tuple[str, ...], cls) -> list[list]:
-    """The columns of the array ``raw[name]``: one list per key, in ``keys`` order.
+def _load_columns(raw: dict, cls: type[_ColumnSequence]) -> _ColumnSequence:
+    """The column sequence ``cls`` of the file's array ``raw[cls._name]``.
 
-    Each entry has exactly ``keys``, all integers. ``cls`` checks their
-    values: the caller builds ``cls(*values)`` from the columns, and it
-    fails on the first entry with a bad value. The per-entry loop runs
-    only when the whole-list passes fail, to name the first bad entry.
+    Each entry is an object with exactly the keys ``cls._keys``. When every
+    entry has them, the columns go to ``cls``'s constructor, whose
+    whole-list passes prove them once and name the first bad entry on
+    failure. Otherwise entries are read one by one, in file order, each
+    checked for its keys and then by the class's per-record check, so the
+    first bad entry is named whatever is wrong with a later one.
     """
+    name, keys = cls._name, cls._keys
     entries = raw[name]
     if not isinstance(entries, list):
         raise WorkloadValidationError(f"{name} must be an array")
     key_set = frozenset(keys)
     if _all_instances(entries, dict) and _all_keys(entries, key_set):
-        columns = [list(map(itemgetter(key), entries)) for key in keys]
-        if _all_ints(chain.from_iterable(columns)):
-            return columns
-    for pos, entry in enumerate(entries):
-        where = f"{name}[{pos}]"
-        _require_object(entry, key_set, where)
-        cls(*(_require_int(entry[key], f"{where}.{key}") for key in keys))
+        return cls(*(map(itemgetter(key), entries) for key in keys))
+    for position, entry in enumerate(entries):
+        _require_object(entry, key_set, f"{name}[{position}]")
+        cls._check(position, tuple(map(entry.__getitem__, keys)))
     raise AssertionError(f"whole-list {name} check rejected a valid list")
 
 
@@ -1038,7 +1031,7 @@ def _load_conflicts(entries: list) -> ConflictColumns:
             and all(map(lt, entries, islice(entries, 1, None)))
             and (not firsts or firsts[0] >= 0)
         ):
-            return ConflictColumns._of_ints(firsts, seconds, canonical=True)
+            return ConflictColumns._of_proved(firsts, seconds, canonical=True)
     firsts, seconds = [], []
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 2:
@@ -1051,7 +1044,7 @@ def _load_conflicts(entries: list) -> ConflictColumns:
             raise WorkloadValidationError(f"conflicts[{pos}] has a negative process id")
         firsts.append(min(a, b))
         seconds.append(max(a, b))
-    return ConflictColumns._of_ints(firsts, seconds)
+    return ConflictColumns._of_proved(firsts, seconds)
 
 
 def load_workload(path: str | Path) -> Workload:
@@ -1060,7 +1053,8 @@ def load_workload(path: str | Path) -> Workload:
     Raises ``json.JSONDecodeError`` on malformed JSON and
     `WorkloadValidationError` (naming the offending field) on JSON nested
     too deeply to parse and on schema or invariant violations. The process
-    list is read as `load_schedule` reads the assignments (`_load_columns`).
+    list is read into `ProcessColumns` as `load_schedule` reads the
+    assignments (`_load_columns`), and no `Process` is built.
     Conflict pairs are canonicalized on load, so the file may list them in
     either order, and no `ConflictPair` is built. Pairs canonical and
     ascending, as `save_workload` writes them, are proved so once, in
@@ -1070,18 +1064,15 @@ def load_workload(path: str | Path) -> Workload:
     raw = _read_json(path, "workload")
     keys = {"processes", "conflicts", "cores", "attestor", "meta"}
     _require_object(raw, keys, "workload", "top-level value")
-    processes = tuple(map(Process, *_load_columns(raw, "processes", _PROCESS_KEYS, Process)))
+    processes = _load_columns(raw, ProcessColumns)
 
     if not isinstance(raw["conflicts"], list):
         raise WorkloadValidationError("conflicts must be an array")
     conflicts = _load_conflicts(raw["conflicts"])
 
     _require_object(raw["cores"], {"count", "costPerOp", "costPerIdleMs"}, "cores")
-    cores = CoreProfile(
-        core_count=raw["cores"]["count"],
-        cost_per_op=_require_number(raw["cores"]["costPerOp"], "cores.costPerOp"),
-        cost_per_idle_ms=_require_number(raw["cores"]["costPerIdleMs"], "cores.costPerIdleMs"),
-    )
+    # the profile checks its fields, the count first, and keeps an int cost
+    cores = CoreProfile(raw["cores"]["count"], raw["cores"]["costPerOp"], raw["cores"]["costPerIdleMs"])
 
     if not isinstance(raw["attestor"], bool):
         raise WorkloadValidationError("attestor must be a boolean")
@@ -1092,9 +1083,9 @@ def load_workload(path: str | Path) -> Workload:
 
 
 def _schedule_document(sch: Schedule) -> dict:
-    """The schedule's JSON form for `_json_text`, its assignments as `_Records`."""
+    """The schedule's JSON form for `_json_text`, its assignments as columns."""
     return {
-        "assignments": _Records(_ASSIGNMENT_KEYS, sch.assignments.columns),
+        "assignments": sch.assignments,
         "horizonMs": sch.horizon_ms,
         "scheduleMakespanMs": sch.schedule_makespan_ms,
         "wallTimeMs": sch.wall_time_ms,
@@ -1103,12 +1094,7 @@ def _schedule_document(sch: Schedule) -> dict:
 
 def schedule_to_dict(sch: Schedule) -> dict:
     """The schedule's JSON form as plain values: what `save_schedule` writes."""
-    return _schedule_document(sch) | {
-        "assignments": [
-            {"processId": pid, "coreId": core_id, "startMs": start, "finishMs": finish}
-            for pid, core_id, start, finish in zip(*sch.assignments.columns)
-        ],
-    }
+    return _schedule_document(sch) | {"assignments": [dict(zip(_ASSIGNMENT_KEYS, a)) for a in sch.assignments]}
 
 
 def schedule_from_dict(raw: dict) -> Schedule:
@@ -1117,13 +1103,13 @@ def schedule_from_dict(raw: dict) -> Schedule:
     Raises a field-named `WorkloadValidationError`; `validate_schedule`
     checks whether the schedule is legal for a workload, its stated
     makespan and horizon included. The assignments go through the reader
-    that `load_workload` uses for the process list, and their columns
-    become the schedule's columns as they are.
+    that `load_workload` uses for the process list, which gives the
+    schedule its `AssignmentColumns`.
     """
     keys = {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}
     _require_object(raw, keys, "schedule", "top-level value")
     return Schedule(
-        assignments=AssignmentColumns(*_load_columns(raw, "assignments", _ASSIGNMENT_KEYS, Assignment)),
+        assignments=_load_columns(raw, AssignmentColumns),
         horizon_ms=_require_int(raw["horizonMs"], "horizonMs"),
         schedule_makespan_ms=_require_int(raw["scheduleMakespanMs"], "scheduleMakespanMs"),
         wall_time_ms=_require_number(raw["wallTimeMs"], "wallTimeMs"),

@@ -497,7 +497,8 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
                 pending = refused
         place(pending, False)
         makespan = max(ends) // m
-    assignments = AssignmentColumns(w.process_ids(), core_of, start_of, finish_of)
+    # the placement's columns hold ints, so they are not proved again
+    assignments = AssignmentColumns._of_proved(w.process_ids(), core_of, start_of, finish_of)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return Schedule(
         assignments=assignments,

@@ -383,6 +383,30 @@ def test_schedule_names_a_cost_that_is_not_a_number(tmp_path, capsys, cost):
     assert err == f"error: cores.costPerOp must be a number, got {cost!r}\n"
 
 
+@pytest.mark.parametrize("key", ["costPerOp", "costPerIdleMs"])
+def test_schedule_names_a_cost_too_large_for_a_float(tmp_path, capsys, key):
+    wpath = tmp_path / "w.json"
+    cores = {**EMPTY_WORKLOAD["cores"], key: 10**400}
+    wpath.write_text(json.dumps({**EMPTY_WORKLOAD, "cores": cores}))
+    status, out, err = run(["schedule", "--workload", str(wpath)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == f"error: cores.{key} must fit a float, got an integer of 1329 bits\n"
+
+
+def test_validate_names_a_wall_time_too_large_for_a_float(tmp_path, capsys):
+    wpath = tmp_path / "w.json"
+    spath = tmp_path / "s.json"
+    run(["generate", "--n", "10", "--rate", "0.5", "--seed", "2", "--out", str(wpath)], capsys)
+    run(["schedule", "--workload", str(wpath), "--out", str(spath)], capsys)
+    payload = json.loads(spath.read_text())
+    spath.write_text(json.dumps({**payload, "wallTimeMs": 10**400}))
+    status, out, err = run(["validate", "--workload", str(wpath), "--schedule", str(spath)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: wallTimeMs must fit a float, got an integer of 1329 bits\n"
+
+
 def test_schedule_empty_workload_to_file(tmp_path, capsys):
     # a zero makespan leaves the speedups undefined: they are left out
     wpath = tmp_path / "w.json"

@@ -1,11 +1,13 @@
 """Saved files and the CLI's JSON output are byte-identical to ``json.dumps(indent=2)``.
 
-The writer formats lists of flat integer records with templates instead of
-`json.dumps`; these tests hold it to the bytes `json.dumps` would write, on
-random workloads, schedules and JSON values, including the values that must
-take its fallback path (a bool or a float in a record, mixed record shapes).
+The writer formats the record lists of workloads and schedules from their
+int columns with templates instead of `json.dumps`; these tests hold it to
+the bytes `json.dumps` would write, on random workloads, schedules and JSON
+values. A bool or a float in a record is refused when its columns are
+built, so it never reaches the writer.
 """
 
+import dataclasses
 import enum
 import json
 import sys
@@ -19,12 +21,14 @@ from hypothesis import strategies as st
 from conflictsched.cli import cli
 from conflictsched.model import (
     Assignment,
+    AssignmentColumns,
     ConflictModel,
     ConflictPair,
     CoreProfile,
     Process,
     Schedule,
     Workload,
+    WorkloadValidationError,
     _json_text,
     _workload_to_dict,
     generate_workload,
@@ -56,7 +60,6 @@ META = st.dictionaries(
 )
 # values a record field may hold; only the ints may take the template path
 FIELDS = st.integers(-(10**20), 10**20) | st.sampled_from([True, False, 2.5, 1.0, Level.HIGH])
-POSITIVE_FIELDS = st.integers(1, 10**20) | st.sampled_from([True, 2.5, 1.0, Level.HIGH])
 
 
 @st.composite
@@ -94,27 +97,34 @@ def test_saved_workload_and_schedule_bytes_equal_json_dumps(tmp_path_factory, w)
     assert (directory / "s.json").read_bytes() == dumped(schedule_to_dict(sch))
 
 
-@given(
-    times=st.tuples(POSITIVE_FIELDS, POSITIVE_FIELDS),
-    fields=st.tuples(FIELDS, FIELDS, FIELDS),
-    wall=st.sampled_from([0.0, 1e-9, 12.5, 3]),
-)
+@given(fields=st.tuples(FIELDS, FIELDS, FIELDS), wall=st.sampled_from([0.0, 1e-9, 12.5, 3]))
 @settings(max_examples=60, deadline=None)
-def test_a_record_field_that_is_not_a_plain_int_is_written_as_json_dumps(
-    tmp_path_factory, times, fields, wall
-):
-    # Assignment does not check field types, so a bool, a float or an int
-    # subclass reaches the writer. `Workload` refuses a bool or a float in a
-    # process, so those records are set past its checks. A bool or a float
-    # must not be written as an int
-    directory = tmp_path_factory.mktemp("fallback")
-    w = Workload(processes=(Process(0, 1, 1), Process(1, 1, 1)), conflicts=((0, 1),), cores=CoreProfile(2))
-    object.__setattr__(w, "processes", (Process(0, 1, 1), Process(1, *times)))
-    save_workload(w, directory / "w.json")
-    assert (directory / "w.json").read_bytes() == dumped(_workload_to_dict(w))
-    sch = Schedule((Assignment(0, 0, 0, 1), Assignment(1, *fields)), 3, 4, wall)
-    save_schedule(sch, directory / "s.json")
-    assert (directory / "s.json").read_bytes() == dumped(schedule_to_dict(sch))
+def test_an_assignment_field_that_is_not_an_int_is_refused(tmp_path_factory, fields, wall):
+    # every column sequence holds ints: a bool or a float in an assignment
+    # is named when its columns are built, so the writer never sees one.
+    # An int subclass is an int, and is written by its value
+    records = (Assignment(0, 0, 0, 1), Assignment(1, *fields))
+    bad = next(
+        ((key, value) for key, value in zip(("coreId", "startMs", "finishMs"), fields) if type(value) in (bool, float)),
+        None,
+    )
+    if bad is None:
+        sch = Schedule(records, 3, 4, wall)
+        assert isinstance(sch.assignments, AssignmentColumns)
+        directory = tmp_path_factory.mktemp("ints")
+        save_schedule(sch, directory / "s.json")
+        assert (directory / "s.json").read_bytes() == dumped(schedule_to_dict(sch))
+        return
+    builds = {
+        "constructor": lambda: AssignmentColumns(*zip(*records)),
+        "of": lambda: AssignmentColumns.of(records),
+        "schedule": lambda: Schedule(records, 3, 4, wall),
+        "replaced": lambda: dataclasses.replace(Schedule((), 0, 0, wall), assignments=list(records)),
+    }
+    for name, build in builds.items():
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            build()
+        assert str(exc_info.value) == f"assignments[1].{bad[0]} must be an integer, got {bad[1]!r}", name
 
 
 def test_empty_workload_and_schedule_bytes(tmp_path):

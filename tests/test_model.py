@@ -760,9 +760,9 @@ class TestWorkloadInvariants:
         ids=["float-time", "bool-ops", "float-id"],
     )
     def test_a_non_integer_process_field_is_named(self, field, value, message):
-        # `Process` compares its fields, so these pass its own checks
+        # `Process` is a plain tuple, so a record holds what it is given
         procs = [Process(0, 1, 1), Process(1, 2, 2), Process(2, 3, 3)]
-        procs[1] = dataclasses.replace(procs[1], **{field: value})
+        procs[1] = procs[1]._replace(**{field: value})
         with pytest.raises(WorkloadValidationError) as exc_info:
             Workload(processes=tuple(procs), conflicts=(), cores=CoreProfile(2))
         assert str(exc_info.value) == message
@@ -813,6 +813,24 @@ class TestWorkloadInvariants:
         assert type(cores.cost_per_op) is int and type(cores.cost_per_idle_ms) is int
         save_workload(Workload((), (), cores), tmp_path / "w.json")
         assert json.loads((tmp_path / "w.json").read_text())["cores"] == {"count": 2, "costPerOp": 3, "costPerIdleMs": 0}
+
+    def test_an_int_cost_survives_a_load_and_save(self, tmp_path):
+        # the loader hands the profile its costs as read, so 3 is not written back as 3.0
+        save_workload(Workload((), (), CoreProfile(2, 3, 1)), tmp_path / "w.json")
+        loaded = load_workload(tmp_path / "w.json")
+        assert type(loaded.cores.cost_per_op) is int and type(loaded.cores.cost_per_idle_ms) is int
+        save_workload(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "w.json").read_bytes()
+
+    @pytest.mark.parametrize("field,key", [("cost_per_op", "costPerOp"), ("cost_per_idle_ms", "costPerIdleMs")])
+    def test_a_cost_too_large_for_a_float_is_named(self, field, key):
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            CoreProfile(2, **{field: 10**400})
+        assert str(exc_info.value) == f"cores.{key} must fit a float, got an integer of 1329 bits"
+
+    def test_a_file_names_a_bad_core_count_before_a_bad_cost(self, tmp_path):
+        payload = {**MINIMAL, "cores": {"count": 0, "costPerOp": "x", "costPerIdleMs": None}}
+        assert load_error(tmp_path, payload) == "cores.count must be >= 1, got 0"
 
     @pytest.mark.parametrize(
         "derive,changes",
