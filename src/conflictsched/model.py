@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, islice, repeat
-from operator import attrgetter, eq, ge, itemgetter, lt, ne, not_, or_
+from operator import eq, ge, itemgetter, lt, ne, not_, or_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -153,41 +153,48 @@ _ASSIGNMENT_KEYS = ("processId", "coreId", "startMs", "finishMs")
 class _ColumnSequence(Sequence):
     """An immutable sequence of records kept as proved int tuple columns of one length.
 
-    A subclass names its columns in ``__slots__``, in record field order,
-    and ``columns`` returns them in that order; it names its record type in
-    ``_record``, the file list its records are read from and written to in
-    ``_name``, and the JSON keys of a record in ``_keys`` (None writes each
-    record as an array). Entry i of the columns is one record.
+    ``columns`` holds the columns, in record field order, and a subclass
+    names them in ``_fields``, each of which reads its column. It names its
+    record type in ``_record``, the file list its records are read from
+    and written to in ``_name``, and the JSON keys of a record in
+    ``_keys`` (None writes each record as an array). Entry i of the
+    columns is one record.
 
     Every column sequence holds int columns (a bool is not one) that pass
     its class's check. The constructor, which takes the columns as any
     iterables, and `of`, which takes the records, prove that in whole-list
     passes (`_all_proved`); only when those fail does a loop name the
-    first bad record (`_check`), as it was given. `_of_proved` is the private constructor
-    for columns already proved. Indexing and iteration build records in
-    C, one per entry read, and a slice is the column sequence of the
-    sliced columns. A column sequence equals the tuple of its records, in
+    first bad record (`_check`), as it was given. `_of_proved` is the
+    private constructor for columns already proved. Indexing and
+    iteration build records in C, one per entry read, and a slice is the
+    column sequence of the sliced columns. A column sequence equals the tuple of its records, in
     either direction, and has that tuple's hash and repr; two column
     sequences compare by their columns.
     """
 
-    __slots__ = ()
+    __slots__ = ("columns",)
+    columns: tuple[tuple[int, ...], ...]
+    _fields: tuple[str, ...]
     _record: type
     _name: str
     _keys: tuple[str, ...] | None = None
     # how `of` names a record and its fields in a message
     _noun: str
     _width: str
-    _fields: tuple[str, ...]
-    columns: tuple[tuple[int, ...], ...]
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        cls.columns = property(attrgetter(*cls._fields), doc=f"``{cls._fields}``.")
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(lambda self, i=i: self.columns[i], doc=f"Column {i} of ``columns``."))
 
     def __init__(self, *columns) -> None:
-        self._put(columns)
-        self._prove(self.columns, self)
+        # no columns at all is the empty sequence
+        columns = tuple(map(tuple, columns)) or ((),) * len(self._fields)
+        if len(columns) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} columns, got {len(columns)}")
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"{self._noun} columns differ in length: {list(map(len, columns))}")
+        object.__setattr__(self, "columns", columns)
+        self._prove(columns, self)
 
     @classmethod
     def of(cls, records):
@@ -210,18 +217,10 @@ class _ColumnSequence(Sequence):
 
     @classmethod
     def _of_proved(cls, *columns):
-        """The column sequence of columns already proved what the class proves."""
+        """The column sequence of columns already proved, of one length."""
         sequence = object.__new__(cls)
-        sequence._put(columns)
+        object.__setattr__(sequence, "columns", tuple(map(tuple, columns)))
         return sequence
-
-    def _put(self, columns) -> None:
-        # no columns at all is the empty sequence
-        for name, column in zip(self._fields, columns or repeat((), len(self._fields)), strict=True):
-            object.__setattr__(self, name, tuple(column))
-        lengths = list(map(len, self.columns))
-        if len(set(lengths)) > 1:
-            raise ValueError(f"{self._noun} columns differ in length: {lengths}")
 
     @classmethod
     def _prove(cls, columns, records) -> None:
@@ -293,7 +292,8 @@ class ProcessColumns(_ColumnSequence):
     is `Workload`'s check.
     """
 
-    __slots__ = ("ids", "exec_times", "op_counts")
+    __slots__ = ()
+    _fields = ("ids", "exec_times", "op_counts")
     _record = Process
     _name = "processes"
     _keys = _PROCESS_KEYS
@@ -335,7 +335,8 @@ class ConflictColumns(_ColumnSequence):
     sequence is unmarked.
     """
 
-    __slots__ = ("firsts", "seconds", "_canonical")
+    __slots__ = ("_canonical",)
+    _fields = ("firsts", "seconds")
     _record = ConflictPair
     _name = "conflicts"
     _noun = "conflict pair"
@@ -352,8 +353,8 @@ class ConflictColumns(_ColumnSequence):
         object.__setattr__(columns, "_canonical", canonical)
         return columns
 
-    def _put(self, columns) -> None:
-        super()._put(columns)
+    def __init__(self, *columns) -> None:
+        super().__init__(*columns)
         object.__setattr__(self, "_canonical", False)
 
     @classmethod
@@ -371,7 +372,8 @@ class AssignmentColumns(_ColumnSequence):
     file's reader does (``assignments[i].startMs must be an integer``).
     """
 
-    __slots__ = ("process_ids", "core_ids", "starts", "finishes")
+    __slots__ = ()
+    _fields = ("process_ids", "core_ids", "starts", "finishes")
     _record = Assignment
     _name = "assignments"
     _keys = _ASSIGNMENT_KEYS

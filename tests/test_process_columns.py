@@ -69,9 +69,11 @@ def test_a_record_that_is_not_a_process_is_named(record, message):
     assert str(exc_info.value) == message
 
 
-def test_columns_of_different_lengths_are_refused():
+def test_columns_of_different_lengths_or_a_missing_column_are_refused():
     with pytest.raises(ValueError, match="differ in length"):
         ProcessColumns((0, 1), (1, 1), (1,))
+    with pytest.raises(TypeError, match="ProcessColumns takes 3 columns, got 2"):
+        ProcessColumns((0, 1), (1, 1))
 
 
 # a bad field: (position, field index, value) and the message every form names
