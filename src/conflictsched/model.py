@@ -897,16 +897,18 @@ def _require_object(value, keys, where: str, subject: str | None = None) -> None
         raise WorkloadValidationError(f"{where} is missing keys: {sorted(missing)}")
 
 
-def _require_number(value, where: str) -> float:
+def _require_number(value, where: str) -> int | float:
+    # the value is returned as given, so an int is saved as one
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise WorkloadValidationError(f"{where} must be a number, got {value!r}")
     try:
-        return float(value)
+        float(value)
     except OverflowError:
         # the repr of such an int may be too long to print
         raise WorkloadValidationError(
             f"{where} must fit a float, got an integer of {value.bit_length()} bits"
         ) from None
+    return value
 
 
 # Whole-list forms of the `_require_*` checks: each is one C pass over a
@@ -938,6 +940,11 @@ def _read_json(path: str | Path, what: str):
         return json.loads(text)
     except RecursionError:
         raise WorkloadValidationError(f"{what} file nests arrays or objects too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        # CPython's limit on the digits of an int read from a string
+        raise WorkloadValidationError(f"{what} file holds an integer too long to read: {exc}") from None
 
 
 def _json_text(value, depth: int = 0) -> str:
@@ -1054,7 +1061,8 @@ def load_workload(path: str | Path) -> Workload:
 
     Raises ``json.JSONDecodeError`` on malformed JSON and
     `WorkloadValidationError` (naming the offending field) on JSON nested
-    too deeply to parse and on schema or invariant violations. The process
+    too deeply to parse, on an integer with more digits than CPython's
+    limit for reading one, and on schema or invariant violations. The process
     list is read into `ProcessColumns` as `load_schedule` reads the
     assignments (`_load_columns`), and no `Process` is built.
     Conflict pairs are canonicalized on load, so the file may list them in
@@ -1106,7 +1114,8 @@ def schedule_from_dict(raw: dict) -> Schedule:
     checks whether the schedule is legal for a workload, its stated
     makespan and horizon included. The assignments go through the reader
     that `load_workload` uses for the process list, which gives the
-    schedule its `AssignmentColumns`.
+    schedule its `AssignmentColumns`. ``wallTimeMs`` is kept as given, so
+    an int is saved as one.
     """
     keys = {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}
     _require_object(raw, keys, "schedule", "top-level value")
@@ -1127,6 +1136,8 @@ def save_schedule(sch: Schedule, path: str | Path) -> None:
 def load_schedule(path: str | Path) -> Schedule:
     """Read a schedule file; see `schedule_from_dict` for the checks.
 
-    JSON nested too deeply to parse raises `WorkloadValidationError`.
+    JSON nested too deeply to parse, or holding an integer with more
+    digits than CPython's limit for reading one, raises
+    `WorkloadValidationError`.
     """
     return schedule_from_dict(_read_json(path, "schedule"))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from operator import add
+from operator import add, itemgetter
 from typing import Sequence
 
 from .model import Schedule, Workload
@@ -276,13 +276,17 @@ def exact_optimal(w: Workload, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Ora
     EVENT wins a tie. An incumbent at the bound is optimal, and is returned
     without a search and without the O(2^n) clique table. Otherwise the
     search skips children by admissible lower bounds (with the clique table
-    up to n = 16) and dominance memoization. The memo key holds the sorted
-    core ends, so it also catches a placement on an empty core that one on
-    another empty core already covered. It replaces the incumbent only with
-    a shorter schedule, and ends as soon as one meets the bound. If the
-    node budget is exhausted first, the best schedule found so far is
-    returned with ``optimal=False``. Raises ``ValueError`` for a node
-    budget that is not an int (a bool is not) or is below 1.
+    up to n = 16) and dominance memoization. The memo keeps every key for
+    the whole search, each one flat tuple: the sorted core ends, the mask
+    of processes left to place, then the ids of the placed processes that
+    finish after the earliest core end, then those finishes. As the key
+    holds the sorted ends, it also catches a placement on an empty core
+    that one on another empty core already covered. The search replaces
+    the incumbent only with a shorter schedule, and ends as soon as one
+    meets the bound. If the node budget is exhausted first, the best
+    schedule found so far is returned with ``optimal=False``. Raises
+    ``ValueError`` for a node budget that is not an int (a bool is not)
+    or is below 1.
     """
     t0 = time.perf_counter()
     if isinstance(node_budget, bool) or not isinstance(node_budget, int):
@@ -348,6 +352,8 @@ def _search(
         waiting = [0] * n
         successors = [()] * n
     visited: set = set()
+    # the memo key reads these two fields of each hot slot
+    pid_of, finish_of = itemgetter(0), itemgetter(3)
     nodes = 0
 
     def children(remaining_mask: int, remaining_work: int):
@@ -409,11 +415,11 @@ def _search(
         # end, so an earlier finish delays none; start and core do not
         # matter, nor which of several empty cores took the last process
         low = min(ends)
-        key = (
-            tuple(sorted(ends)),
-            remaining_mask,
-            tuple([(a[0], a[3]) for a in slots if a and a[3] > low]),
-        )
+        # one flat tuple: the m core ends, the mask, then the hot ids and
+        # their finishes, two runs of one length, so two keys are equal
+        # exactly when these fields are
+        hot = [a for a in slots if a and a[3] > low]
+        key = (*sorted(ends), remaining_mask, *map(pid_of, hot), *map(finish_of, hot))
         if key in visited:
             continue
         visited.add(key)

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import sys
 
 import pytest
 
@@ -340,6 +341,27 @@ def test_validate_deeply_nested_file_exits_two(tmp_path, capsys, which):
     )
     assert status == 2
     assert f"{which} file nests arrays or objects too deeply" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on the digits of an int"
+)
+@pytest.mark.parametrize("which", ["workload", "schedule"])
+def test_validate_integer_past_the_digit_limit_exits_two(tmp_path, capsys, which):
+    paths = {"workload": tmp_path / "w.json", "schedule": tmp_path / "s.json"}
+    run(["generate", "--n", "10", "--rate", "0.5", "--seed", "2", "--out", str(paths["workload"])], capsys)
+    run(["schedule", "--workload", str(paths["workload"]), "--out", str(paths["schedule"])], capsys)
+    # a 5 001-digit int as the first member: json.loads refuses it before
+    # any field is read
+    text = paths[which].read_text(encoding="utf-8")
+    paths[which].write_text(text.replace("{", '{"long": 1' + "0" * 5000 + ",", 1), encoding="utf-8")
+    status, out, err = run(
+        ["validate", "--workload", str(paths["workload"]), "--schedule", str(paths["schedule"])],
+        capsys,
+    )
+    assert status == 2
+    assert out == ""
+    assert err.startswith(f"error: {which} file holds an integer too long to read: ")
 
 
 @pytest.mark.parametrize("flag", ["--cost-per-op", "--cost-per-idle"])

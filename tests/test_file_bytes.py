@@ -32,6 +32,7 @@ from conflictsched.model import (
     _json_text,
     _workload_to_dict,
     generate_workload,
+    load_schedule,
     save_schedule,
     save_workload,
     schedule_to_dict,
@@ -125,6 +126,18 @@ def test_an_assignment_field_that_is_not_an_int_is_refused(tmp_path_factory, fie
         with pytest.raises(WorkloadValidationError) as exc_info:
             build()
         assert str(exc_info.value) == f"assignments[1].{bad[0]} must be an integer, got {bad[1]!r}", name
+
+
+@pytest.mark.parametrize("wall", [3, 0, 2.5, 3.0], ids=["int", "zero", "float", "whole-float"])
+def test_a_schedule_file_keeps_its_wall_time_through_a_load_and_save(tmp_path, wall):
+    # the loader keeps wallTimeMs as written, so 3 is not written back as 3.0
+    w = generate_workload(12, 0.4, seed=4)
+    text = dumped(schedule_to_dict(dataclasses.replace(schedule(w), wall_time_ms=wall)))
+    (tmp_path / "s.json").write_bytes(text)
+    loaded = load_schedule(tmp_path / "s.json")
+    assert type(loaded.wall_time_ms) is type(wall)
+    save_schedule(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == text
 
 
 def test_empty_workload_and_schedule_bytes(tmp_path):

@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import random
+import sys
 from bisect import bisect_left
 from unittest import mock
 
@@ -32,6 +33,7 @@ from conflictsched.model import (
     _random_pairs,
     estimate_exec_time,
     generate_workload,
+    load_schedule,
     load_workload,
     save_workload,
 )
@@ -325,6 +327,19 @@ class TestLoadLongLists:
         path.write_text("[" * 100_000, encoding="utf-8")
         with pytest.raises(WorkloadValidationError, match="workload file nests"):
             load_workload(path)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no limit on the digits of an int"
+    )
+    @pytest.mark.parametrize("load,what", [(load_workload, "workload"), (load_schedule, "schedule")])
+    def test_an_integer_past_the_digit_limit_is_named(self, tmp_path, load, what):
+        # json.loads refuses such an int with a plain ValueError; the
+        # loader names the file kind instead
+        path = tmp_path / "long.json"
+        path.write_text('{"costPerOp": 1' + "0" * 5000 + "}", encoding="utf-8")
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            load(path)
+        assert str(exc_info.value).startswith(f"{what} file holds an integer too long to read: ")
 
 
 class TestSaveWorkload:

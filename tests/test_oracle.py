@@ -1,9 +1,11 @@
 """Schedule validator and the exact branch-and-bound solver."""
 
 import dataclasses
+import gc
 import hashlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -751,6 +753,26 @@ class TestExactOptimal:
                     tuple(map(tuple, res.schedule.assignments)),
                 ))
         assert hashlib.sha256(repr(outputs).encode()).hexdigest() == digest
+
+    def test_search_memo_peak_memory(self):
+        # oracle-small's hardest instance (k = 51 above, attestor mode): the
+        # dominance memo keeps every key for the whole search, so its key
+        # layout sets the search's peak. One flat tuple per key peaks near
+        # 1.5 MB; a key nesting one tuple per hot process peaks near 3 MB.
+        w = generate_workload(10, 0.25, seed=51, cores=CoreProfile(2)).with_attestor(True)
+        w.conflict_index, w.successor_rows(), w.predecessor_counts()
+        w.attestor_chain(), w.attestor_order()
+        # a full collection empties the tuple free lists, so the trace
+        # sees every key the search allocates, whatever ran before
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = exact_optimal(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.optimal, res.nodes) == (True, 41231)
+        assert peak <= 2_000_000, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestStaticLowerBound:
