@@ -329,33 +329,16 @@ class ConflictColumns(_ColumnSequence):
     ``firsts`` and ``seconds`` are int tuples of one length, and entry i of
     the two is one `ConflictPair`; the file writes each pair as an array.
     Building refuses an id that is not an integer, naming its pair; whether
-    the pairs are canonical, known and in order is `Workload`'s check. The
-    private mark ``_canonical`` says the pairs are proved canonical
-    (``0 <= a < b``) and strictly ascending; a copy, slice or unpickled
-    sequence is unmarked.
+    the pairs are canonical, known and in order is `Workload`'s check, and
+    only its.
     """
 
-    __slots__ = ("_canonical",)
+    __slots__ = ()
     _fields = ("firsts", "seconds")
     _record = ConflictPair
     _name = "conflicts"
     _noun = "conflict pair"
     _width = "two ids"
-
-    @classmethod
-    def _of_proved(cls, firsts, seconds, canonical: bool = False) -> ConflictColumns:
-        """Columns of ids already proved integers.
-
-        ``canonical`` marks pairs also proved canonical and strictly
-        ascending, as `_load_conflicts` proves a whole file, once.
-        """
-        columns = super()._of_proved(firsts, seconds)
-        object.__setattr__(columns, "_canonical", canonical)
-        return columns
-
-    def __init__(self, *columns) -> None:
-        super().__init__(*columns)
-        object.__setattr__(self, "_canonical", False)
 
     @classmethod
     def _check(cls, position: int, record) -> None:
@@ -394,19 +377,8 @@ class CoreProfile:
         if self.core_count < 1:
             raise WorkloadValidationError(f"cores.count must be >= 1, got {self.core_count}")
         # a cost is kept as given (an int stays an int, and is saved as one)
-        _require_number(self.cost_per_op, "cores.costPerOp")
-        _require_number(self.cost_per_idle_ms, "cores.costPerIdleMs")
-        # NaN passes a "< 0" test, so finiteness is checked on its own
-        if self.cost_per_op < 0:
-            raise WorkloadValidationError("cores.costPerOp must be >= 0")
-        if not math.isfinite(self.cost_per_op):
-            raise WorkloadValidationError(f"cores.costPerOp must be finite, got {self.cost_per_op}")
-        if self.cost_per_idle_ms < 0:
-            raise WorkloadValidationError("cores.costPerIdleMs must be >= 0")
-        if not math.isfinite(self.cost_per_idle_ms):
-            raise WorkloadValidationError(
-                f"cores.costPerIdleMs must be finite, got {self.cost_per_idle_ms}"
-            )
+        _require_measure(self.cost_per_op, "cores.costPerOp")
+        _require_measure(self.cost_per_idle_ms, "cores.costPerIdleMs")
 
 
 @dataclass(frozen=True, slots=True)
@@ -481,10 +453,10 @@ class Workload:
     position used by attestor-mode ordering. Conflict pairs must be
     canonical (a < b, both known ids); they are deduplicated and sorted at
     construction, and columns already strictly ascending are kept as they
-    are. The checks run as whole-list passes; the per-entry loops run only
-    to name the first bad entry. The kept pair columns are marked proved,
-    and marked columns get only the range check, so the pairs of a loaded
-    canonical file or of a `dataclasses.replace` copy are not proved again.
+    are. This is the only check of pair order, range and repeats: a loaded
+    file's pairs, a generated workload's and a `dataclasses.replace`
+    copy's are all proved here. The checks run as whole-list passes; the
+    per-entry loops run only to name the first bad entry.
 
     A workload and its `with_cores`/`with_attestor` copies share their
     columns and one dict of derived data, so `process_ids` and `exec_times`
@@ -517,7 +489,7 @@ class Workload:
         if not isinstance(conflicts, ConflictColumns):
             conflicts = ConflictColumns.of(conflicts)
         firsts, seconds = conflicts.columns
-        ascending = conflicts._canonical or _pair_order(firsts, seconds)
+        ascending = _pair_order(firsts, seconds)
         if ascending is None or (seconds and max(seconds) >= n):
             for a, b in zip(firsts, seconds):
                 if a >= b:
@@ -532,8 +504,6 @@ class Workload:
         # other pairs are sorted, and deduplicated (hashed) in that order
         if not ascending:
             conflicts = ConflictColumns._of_proved(*zip(*dict.fromkeys(sorted(zip(firsts, seconds)))))
-        # the mark is a fact about the immutable columns, even the caller's
-        object.__setattr__(conflicts, "_canonical", True)
         object.__setattr__(self, "processes", processes)
         object.__setattr__(self, "conflicts", conflicts)
         object.__setattr__(self, "_family", {})
@@ -911,6 +881,17 @@ def _require_number(value, where: str) -> int | float:
     return value
 
 
+def _require_measure(value, where: str) -> int | float:
+    """Check a cost or a time: a finite number ``>= 0``, returned as given."""
+    _require_number(value, where)
+    # NaN passes a "< 0" test, so finiteness is checked on its own
+    if value < 0:
+        raise WorkloadValidationError(f"{where} must be >= 0")
+    if not math.isfinite(value):
+        raise WorkloadValidationError(f"{where} must be finite, got {value}")
+    return value
+
+
 # Whole-list forms of the `_require_*` checks: each is one C pass over a
 # list, so a file with tens of thousands of entries is not checked by a
 # Python call per entry. Each accepts exactly what its per-entry form accepts.
@@ -1022,26 +1003,24 @@ def _load_columns(raw: dict, cls: type[_ColumnSequence]) -> _ColumnSequence:
 
 
 def _load_conflicts(entries: list) -> ConflictColumns:
-    """The conflict columns of a file's ``conflicts`` list, read in two tiers.
+    """The conflict columns of a file's ``conflicts`` list, each pair turned ``a < b``.
 
-    Integer pairs ``0 <= a < b``, strictly ascending, as `save_workload`
-    writes them, are proved so once, by whole-list passes, and marked.
-    Any other list is read entry by entry: the first bad entry is named, a
-    reversed pair is swapped, and `Workload` sorts and deduplicates them.
+    Only the entries' shape is read here. Whole-list passes prove every
+    entry a list of two distinct non-negative integers, and each pair is
+    given as its smaller id, then its larger; `Workload` checks the ids'
+    range and sorts and deduplicates the pairs. When a pass fails, a loop
+    names the first bad entry, in file order.
     """
     if _all_instances(entries, list) and set(map(len, entries)) <= {2}:
-        firsts = list(map(itemgetter(0), entries))
-        seconds = list(map(itemgetter(1), entries))
-        # [a, b] lists compare as the pairs do, and then the smallest a
-        # comes first
-        if (
-            _all_ints(chain(firsts, seconds))
-            and all(map(lt, firsts, seconds))
-            and all(map(lt, entries, islice(entries, 1, None)))
-            and (not firsts or firsts[0] >= 0)
-        ):
-            return ConflictColumns._of_proved(firsts, seconds, canonical=True)
-    firsts, seconds = [], []
+        firsts = tuple(map(itemgetter(0), entries))
+        seconds = tuple(map(itemgetter(1), entries))
+        if _all_ints(chain(firsts, seconds)):
+            # min and max cost a call per pair, so a list already turned skips
+            # them; a self-pair stays one, and is refused below
+            if not all(map(lt, firsts, seconds)):
+                firsts, seconds = tuple(map(min, firsts, seconds)), tuple(map(max, firsts, seconds))
+            if all(map(lt, firsts, seconds)) and min(firsts, default=0) >= 0:
+                return ConflictColumns._of_proved(firsts, seconds)
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 2:
             raise WorkloadValidationError(f"conflicts[{pos}] must be a pair [a, b]")
@@ -1051,9 +1030,7 @@ def _load_conflicts(entries: list) -> ConflictColumns:
             raise WorkloadValidationError(f"conflicts[{pos}] pairs process {a} with itself")
         if a < 0 or b < 0:
             raise WorkloadValidationError(f"conflicts[{pos}] has a negative process id")
-        firsts.append(min(a, b))
-        seconds.append(max(a, b))
-    return ConflictColumns._of_proved(firsts, seconds)
+    raise AssertionError("whole-list conflicts check rejected a valid list")
 
 
 def load_workload(path: str | Path) -> Workload:
@@ -1066,10 +1043,11 @@ def load_workload(path: str | Path) -> Workload:
     list is read into `ProcessColumns` as `load_schedule` reads the
     assignments (`_load_columns`), and no `Process` is built.
     Conflict pairs are canonicalized on load, so the file may list them in
-    either order, and no `ConflictPair` is built. Pairs canonical and
-    ascending, as `save_workload` writes them, are proved so once, in
-    whole-list passes, and `Workload` checks only their range; any other
-    list is read entry by entry and sorted by `Workload` (`_load_conflicts`).
+    either order, and no `ConflictPair` is built: the loader proves each
+    entry a pair of distinct non-negative integers and orients it
+    (`_load_conflicts`), and `Workload` proves their range, order and
+    uniqueness once, sorting and deduplicating any list that is not
+    strictly ascending.
     """
     raw = _read_json(path, "workload")
     keys = {"processes", "conflicts", "cores", "attestor", "meta"}
@@ -1114,8 +1092,9 @@ def schedule_from_dict(raw: dict) -> Schedule:
     checks whether the schedule is legal for a workload, its stated
     makespan and horizon included. The assignments go through the reader
     that `load_workload` uses for the process list, which gives the
-    schedule its `AssignmentColumns`. ``wallTimeMs`` is kept as given, so
-    an int is saved as one.
+    schedule its `AssignmentColumns`. ``wallTimeMs`` must be a finite
+    number ``>= 0``, as a measured duration is, and is kept as given, so an
+    int is saved as one.
     """
     keys = {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}
     _require_object(raw, keys, "schedule", "top-level value")
@@ -1123,7 +1102,7 @@ def schedule_from_dict(raw: dict) -> Schedule:
         assignments=_load_columns(raw, AssignmentColumns),
         horizon_ms=_require_int(raw["horizonMs"], "horizonMs"),
         schedule_makespan_ms=_require_int(raw["scheduleMakespanMs"], "scheduleMakespanMs"),
-        wall_time_ms=_require_number(raw["wallTimeMs"], "wallTimeMs"),
+        wall_time_ms=_require_measure(raw["wallTimeMs"], "wallTimeMs"),
     )
 
 

@@ -2,7 +2,11 @@
 
 import inspect
 import json
+import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from conflictsched.model import (
     DEFAULT_CORE_COUNT,
     ConflictModel,
     generate_workload,
+    load_workload,
     save_workload,
 )
 from conflictsched.oracle import DEFAULT_NODE_BUDGET, exact_optimal
@@ -52,6 +57,27 @@ def test_generate_schedule_validate_pipeline(tmp_path, capsys):
     )
     assert status == 0
     assert "valid" in out
+
+
+@pytest.mark.parametrize("module", ["conflictsched", "conflictsched.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    # the package and its cli module both run as `python -m`, with the
+    # console script's exit codes
+    src = str(Path(conflictsched.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True, text=True)
+
+    wpath = tmp_path / "w.json"
+    done = run_module("generate", "--n", "8", "--rate", "0.5", "--seed", "1", "--out", str(wpath))
+    assert done.returncode == 0, done.stderr
+    assert load_workload(wpath).n == 8
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}", encoding="utf-8")
+    done = run_module("schedule", "--workload", str(bad))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: workload is missing keys: ")
 
 
 def test_validate_exits_one_on_violation(tmp_path, capsys):
@@ -104,8 +130,10 @@ def test_validate_exits_one_on_false_horizon(tmp_path, capsys):
         (lambda payload: payload.pop("assignments"), "assignments"),
         (lambda payload: payload["assignments"][0].update(startMs="0"), "assignments[0].startMs"),
         (lambda payload: payload.update(wallTimeMs=None), "wallTimeMs must be a number, got None"),
+        (lambda payload: payload.update(wallTimeMs=-5), "wallTimeMs must be >= 0"),
+        (lambda payload: payload.update(wallTimeMs=math.nan), "wallTimeMs must be finite, got nan"),
     ],
-    ids=["missing-assignments", "string-startMs", "null-wallTimeMs"],
+    ids=["missing-assignments", "string-startMs", "null-wallTimeMs", "negative-wallTimeMs", "nan-wallTimeMs"],
 )
 def test_validate_malformed_schedule_exits_two(tmp_path, capsys, corrupt, field):
     wpath = tmp_path / "w.json"

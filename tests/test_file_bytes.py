@@ -140,6 +140,26 @@ def test_a_schedule_file_keeps_its_wall_time_through_a_load_and_save(tmp_path, w
     assert (tmp_path / "again.json").read_bytes() == text
 
 
+@pytest.mark.parametrize(
+    "wall,message",
+    [
+        ("-5", "wallTimeMs must be >= 0"),
+        ("-0.5", "wallTimeMs must be >= 0"),
+        ("-Infinity", "wallTimeMs must be >= 0"),
+        ("Infinity", "wallTimeMs must be finite, got inf"),
+        ("NaN", "wallTimeMs must be finite, got nan"),
+    ],
+)
+def test_a_schedule_file_with_a_negative_or_non_finite_wall_time_is_refused(tmp_path, wall, message):
+    # a wall time is a measured duration, and speedup_total adds it to the makespan
+    payload = schedule_to_dict(schedule(generate_workload(12, 0.4, seed=4))) | {"wallTimeMs": 0.5}
+    text = json.dumps(payload).replace('"wallTimeMs": 0.5', f'"wallTimeMs": {wall}')
+    (tmp_path / "s.json").write_text(text, encoding="utf-8")
+    with pytest.raises(WorkloadValidationError) as exc_info:
+        load_schedule(tmp_path / "s.json")
+    assert str(exc_info.value) == message
+
+
 def test_empty_workload_and_schedule_bytes(tmp_path):
     w = Workload(processes=(), conflicts=(), cores=CoreProfile(1), meta={})
     save_workload(w, tmp_path / "w.json")

@@ -11,7 +11,7 @@ from bisect import bisect_left
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import conflictsched.model
@@ -117,18 +117,12 @@ class TestLoadWorkload:
         with pytest.raises(WorkloadValidationError, match="itself"):
             load_workload(write_workload_file(tmp_path, payload))
 
-    def test_a_canonical_file_skips_the_constructor_pair_checks(self, tmp_path, monkeypatch):
-        # save_workload writes the pairs canonical and ascending: the loader
-        # proves that once, and the constructor does not prove them again
+    def test_a_saved_file_loads_to_its_columns_and_shares_derived_data(self, tmp_path):
+        # save_workload writes the pairs canonical and ascending, and the
+        # loaded workload keeps them as the saved one's columns
         w = generate_workload(300, 0.3, seed=4, cores=CoreProfile(3), attestor=True)
         save_workload(w, tmp_path / "w.json")
-
-        def refuse(firsts, seconds):
-            raise AssertionError("the constructor proved a canonical file's pairs")
-
-        monkeypatch.setattr(conflictsched.model, "_pair_order", refuse)
         loaded = load_workload(tmp_path / "w.json")
-        monkeypatch.undo()
         assert loaded == w and loaded.conflicts.columns == w.conflicts.columns
         assert loaded.successor_rows() == w.successor_rows()
         assert loaded.with_cores(CoreProfile(5)).successor_rows() is loaded.successor_rows()
@@ -200,6 +194,33 @@ def per_entry_conflicts(entries):
     return tuple(sorted(pairs))
 
 
+# a conflict list's entries over MIXED_N processes: good pairs either way
+# round, and bad entries of each kind the loader names
+MIXED_N = 40
+_mixed_pair = st.tuples(st.integers(0, MIXED_N - 1), st.integers(0, MIXED_N - 1)).filter(lambda p: p[0] != p[1])
+_good_entry = _mixed_pair.map(sorted) | _mixed_pair.map(lambda p: sorted(p, reverse=True))
+_bad_entry = st.one_of(
+    st.integers(0, MIXED_N - 1).map(lambda i: [i, i]),
+    st.lists(st.integers(-3, MIXED_N - 1), min_size=2, max_size=2).filter(lambda e: min(e) < 0),
+    st.permutations([st.integers(0, MIXED_N - 1), st.sampled_from([1.5, True, "1", None])]).flatmap(
+        lambda fields: st.tuples(*fields).map(list)
+    ),
+    st.sampled_from([7, "x", None, {"a": 1}, [], [1], [1, 2, 3]]),
+)
+
+
+@st.composite
+def mixed_conflict_lists(draw):
+    """A short or several-hundred-entry list with repeated pairs and up to two bad entries."""
+    entries = draw(st.lists(_good_entry, max_size=12) | st.lists(_good_entry, min_size=200, max_size=400))
+    for _ in range(draw(st.integers(0, 3)) if entries else 0):
+        a, b = draw(st.sampled_from(entries))
+        entries.insert(draw(st.integers(0, len(entries))), draw(st.sampled_from([[a, b], [b, a]])))
+    for _ in range(draw(st.integers(0, 2))):
+        entries.insert(draw(st.integers(0, len(entries))), draw(_bad_entry))
+    return entries
+
+
 class TestLoadLongLists:
     @given(
         entries=st.lists(
@@ -226,6 +247,23 @@ class TestLoadLongLists:
             assert str(exc_info.value) == expected
         else:
             assert load_workload(path).conflicts == expected
+
+    @given(entries=mixed_conflict_lists())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_the_whole_list_passes_and_the_naming_loop_agree(self, tmp_path_factory, entries):
+        # the loader's loop only names a bad entry, so any list the passes
+        # refuse must hold one, and its first is named; any other loads
+        expected = per_entry_conflicts(entries)
+        processes = [{"id": i, "execTimeMs": 1 + i % 5, "opCount": 1} for i in range(MIXED_N)]
+        payload = {**MINIMAL, "processes": processes, "conflicts": entries}
+        path = write_workload_file(tmp_path_factory.mktemp("mixed"), payload)
+        if isinstance(expected, str):
+            with pytest.raises(WorkloadValidationError) as exc_info:
+                load_workload(path)
+            assert str(exc_info.value) == expected
+        else:
+            reference = Workload(tuple(Process(i, 1 + i % 5, 1) for i in range(MIXED_N)), expected, CoreProfile(1))
+            assert load_workload(path) == reference
 
     def test_long_file_loads_canonical_sorted_unique_pairs(self, tmp_path):
         payload = long_payload()
