@@ -458,6 +458,13 @@ class Workload:
     copy's are all proved here. The checks run as whole-list passes; the
     per-entry loops run only to name the first bad entry.
 
+    The constructor is the only gate for every field, so every workload
+    the library builds, `dataclasses.replace` copies included, saves a file
+    that `load_workload` reads back. ``attestor`` must be a bool (``"no"``
+    or ``1`` is refused, not read as a flag) and ``meta`` a dict; these two
+    are checked first, with the messages a file's reader gives, and
+    ``cores`` is a `CoreProfile`, which proves its own fields.
+
     A workload and its `with_cores`/`with_attestor` copies share their
     columns and one dict of derived data, so `process_ids` and `exec_times`
     (two of the process columns) are the same objects for all of them, and
@@ -475,6 +482,12 @@ class Workload:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # the flags come first, so a file's first named error is the one its
+        # reader named before the ids and the pairs
+        if not isinstance(self.attestor, bool):
+            raise WorkloadValidationError("attestor must be a boolean")
+        if not isinstance(self.meta, dict):
+            raise WorkloadValidationError("meta must be an object")
         processes = self.processes
         if not isinstance(processes, ProcessColumns):
             processes = ProcessColumns.of(processes)
@@ -609,6 +622,10 @@ class Workload:
         return self._derive("cores", cores)
 
     def with_attestor(self, attestor: bool) -> Workload:
+        """A copy in attestor mode if ``attestor`` (a bool), sharing columns and derived data."""
+        # `_derive` skips the constructor, so the flag is checked here
+        if not isinstance(attestor, bool):
+            raise WorkloadValidationError("attestor must be a boolean")
         return self._derive("attestor", attestor)
 
     def _derive(self, name: str, value: object) -> Workload:
@@ -683,7 +700,12 @@ class Schedule:
     Any other sequence of 4-tuples passed in is turned into columns, which
     names the first field that is not an integer.
     ``horizon_ms`` is the serial-execution makespan (sum of all execution
-    times) and the baseline for speedups. ``wall_time_ms`` is the measured
+    times) and the baseline for speedups. It and ``schedule_makespan_ms``
+    must be ints (a bool is not one), and ``wall_time_ms`` a finite int or
+    float ``>= 0``, kept as given; the constructor proves all three, with
+    the messages `schedule_from_dict` gives, so a `dataclasses.replace`
+    copy is proved too and every schedule saves a file that
+    `load_schedule` reads back. ``wall_time_ms`` is the measured
     duration of the scheduling call's sort and placement, not of the
     schedule. A placement order is sorted on the first call per workload
     family and sort key and reused after that, so only that call pays for
@@ -701,6 +723,9 @@ class Schedule:
     def __post_init__(self) -> None:
         if not isinstance(self.assignments, AssignmentColumns):
             object.__setattr__(self, "assignments", AssignmentColumns.of(self.assignments))
+        _require_int(self.horizon_ms, "horizonMs")
+        _require_int(self.schedule_makespan_ms, "scheduleMakespanMs")
+        _require_measure(self.wall_time_ms, "wallTimeMs")
 
 
 @dataclass(frozen=True, slots=True)
@@ -867,29 +892,25 @@ def _require_object(value, keys, where: str, subject: str | None = None) -> None
         raise WorkloadValidationError(f"{where} is missing keys: {sorted(missing)}")
 
 
-def _require_number(value, where: str) -> int | float:
-    # the value is returned as given, so an int is saved as one
+def _require_measure(value, where: str) -> None:
+    """Check a cost or a time: an int or float that fits a float, ``>= 0`` and finite.
+
+    The caller keeps the value as given, so an int is saved as one.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise WorkloadValidationError(f"{where} must be a number, got {value!r}")
     try:
-        float(value)
+        finite = math.isfinite(value)
     except OverflowError:
         # the repr of such an int may be too long to print
         raise WorkloadValidationError(
             f"{where} must fit a float, got an integer of {value.bit_length()} bits"
         ) from None
-    return value
-
-
-def _require_measure(value, where: str) -> int | float:
-    """Check a cost or a time: a finite number ``>= 0``, returned as given."""
-    _require_number(value, where)
     # NaN passes a "< 0" test, so finiteness is checked on its own
     if value < 0:
         raise WorkloadValidationError(f"{where} must be >= 0")
-    if not math.isfinite(value):
+    if not finite:
         raise WorkloadValidationError(f"{where} must be finite, got {value}")
-    return value
 
 
 # Whole-list forms of the `_require_*` checks: each is one C pass over a
@@ -1016,10 +1037,11 @@ def _load_conflicts(entries: list) -> ConflictColumns:
         seconds = tuple(map(itemgetter(1), entries))
         if _all_ints(chain(firsts, seconds)):
             # min and max cost a call per pair, so a list already turned skips
-            # them; a self-pair stays one, and is refused below
-            if not all(map(lt, firsts, seconds)):
+            # them; a turned list fails a < b only at a self-pair
+            turned = all(map(lt, firsts, seconds))
+            if not turned:
                 firsts, seconds = tuple(map(min, firsts, seconds)), tuple(map(max, firsts, seconds))
-            if all(map(lt, firsts, seconds)) and min(firsts, default=0) >= 0:
+            if (turned or all(map(lt, firsts, seconds))) and min(firsts, default=0) >= 0:
                 return ConflictColumns._of_proved(firsts, seconds)
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 2:
@@ -1047,7 +1069,9 @@ def load_workload(path: str | Path) -> Workload:
     entry a pair of distinct non-negative integers and orients it
     (`_load_conflicts`), and `Workload` proves their range, order and
     uniqueness once, sorting and deduplicating any list that is not
-    strictly ascending.
+    strictly ascending. The loader reads only the file's JSON shape and
+    keys: ``attestor`` and ``meta`` are passed as read, and `Workload`
+    proves them (a bool and an object), before the ids and the pairs.
     """
     raw = _read_json(path, "workload")
     keys = {"processes", "conflicts", "cores", "attestor", "meta"}
@@ -1061,12 +1085,6 @@ def load_workload(path: str | Path) -> Workload:
     _require_object(raw["cores"], {"count", "costPerOp", "costPerIdleMs"}, "cores")
     # the profile checks its fields, the count first, and keeps an int cost
     cores = CoreProfile(raw["cores"]["count"], raw["cores"]["costPerOp"], raw["cores"]["costPerIdleMs"])
-
-    if not isinstance(raw["attestor"], bool):
-        raise WorkloadValidationError("attestor must be a boolean")
-    if not isinstance(raw["meta"], dict):
-        raise WorkloadValidationError("meta must be an object")
-
     return Workload(processes, conflicts, cores, raw["attestor"], raw["meta"])
 
 
@@ -1086,23 +1104,22 @@ def schedule_to_dict(sch: Schedule) -> dict:
 
 
 def schedule_from_dict(raw: dict) -> Schedule:
-    """Build a schedule from its JSON form, checking keys and field types.
+    """Build a schedule from its JSON form, checking its keys.
 
     Raises a field-named `WorkloadValidationError`; `validate_schedule`
     checks whether the schedule is legal for a workload, its stated
     makespan and horizon included. The assignments go through the reader
     that `load_workload` uses for the process list, which gives the
-    schedule its `AssignmentColumns`. ``wallTimeMs`` must be a finite
-    number ``>= 0``, as a measured duration is, and is kept as given, so an
-    int is saved as one.
+    schedule its `AssignmentColumns`. The three scalars are passed as read
+    to `Schedule`, whose constructor proves them: ``horizonMs`` and
+    ``scheduleMakespanMs`` integers, and ``wallTimeMs`` a finite number
+    ``>= 0``, as a measured duration is, kept as given, so an int is saved
+    as one.
     """
     keys = {"assignments", "horizonMs", "scheduleMakespanMs", "wallTimeMs"}
     _require_object(raw, keys, "schedule", "top-level value")
     return Schedule(
-        assignments=_load_columns(raw, AssignmentColumns),
-        horizon_ms=_require_int(raw["horizonMs"], "horizonMs"),
-        schedule_makespan_ms=_require_int(raw["scheduleMakespanMs"], "scheduleMakespanMs"),
-        wall_time_ms=_require_measure(raw["wallTimeMs"], "wallTimeMs"),
+        _load_columns(raw, AssignmentColumns), raw["horizonMs"], raw["scheduleMakespanMs"], raw["wallTimeMs"]
     )
 
 

@@ -291,8 +291,11 @@ def _place(
 
 def _place_one(
     proc: Process, plan: Plan, idx: ConflictIndex, is_attestor: bool, loose: bool
-) -> bool:
-    """Place one process on the least occupied core of any plan; True if placed.
+) -> Assignment | None:
+    """Place one process on the least occupied core of any plan; None if refused.
+
+    Returns the placed process's `Assignment`, which ``plan.assigned`` now
+    holds, so `assign_loosely` and `assign_strictly` return this result.
 
     A hand-built plan need not keep `schedule`'s invariants, so the
     process's row is read off ``plan.assigned`` with the per-partner rules
@@ -313,19 +316,19 @@ def _place_one(
         if a is None:
             if is_attestor and partner < pid:
                 if loose:
-                    return False
+                    return None
                 raise AttestorOrderError(
                     f"process {pid} assigned before conflicting predecessor {partner}"
                 )
         # only a loose call reads the finish, and it never moves the start
         elif a[3] > start and (is_attestor or not loose or a[2] < finish):
             if loose:
-                return False
+                return None
             start = a[3]
     finish = start + exec_ms
     heapq.heapreplace(plan.ends, (finish, core_id))
-    plan.assigned[pid] = Assignment(pid, core_id, start, finish)
-    return True
+    assignment = plan.assigned[pid] = Assignment(pid, core_id, start, finish)
+    return assignment
 
 
 def assign_strictly(
@@ -337,8 +340,7 @@ def assign_strictly(
     conflicting partner, so the placement never violates conflict freedom;
     in attestor mode every conflicting predecessor must already be placed.
     """
-    _place_one(proc, plan, idx, is_attestor, False)
-    return plan.assigned[proc.id]
+    return _place_one(proc, plan, idx, is_attestor, False)
 
 
 def assign_loosely(
@@ -353,12 +355,10 @@ def assign_loosely(
     time is inserted; later review rounds or the strict fallback recover
     refused processes.
     """
-    if _place_one(proc, plan, idx, is_attestor, True):
-        return plan.assigned[proc.id]
-    return None
+    return _place_one(proc, plan, idx, is_attestor, True)
 
 
-def _event(w: Workload, idx: ConflictIndex | None) -> tuple[list[int], list[int], list[int], int]:
+def _event(w: Workload) -> tuple[list[int], list[int], list[int], int]:
     """Event-driven list scheduling: each process's core, start and finish, and the makespan.
 
     The clock jumps from one completion to the next. After each, while a
@@ -366,18 +366,21 @@ def _event(w: Workload, idx: ConflictIndex | None) -> tuple[list[int], list[int]
     lowest free core id, ties to the lower process id.
 
     Proposer mode: every process is ready from the start, its priority its
-    own time plus its partners' time. A popped process with a partner still
-    running parks on that partner's waiter list, and is ready again once
-    that partner finishes; so adjacency is read only when a process is
-    popped, as the greedy reads it.
+    own time plus its partners' time, read off the workload's conflict
+    index (`Workload.conflict_index`), which `schedule` builds before its
+    clock starts. A popped process with a partner still running parks on
+    that partner's waiter list, and is ready again once that partner
+    finishes; so adjacency is read only when a process is popped, as the
+    greedy reads it.
 
     Attestor mode: the priority is the bottom level, the longest id-ordered
     conflict chain that starts at the process (`Workload.attestor_chain`),
     and a process is ready once its last lower-id partner has finished. No
     partner of a ready process can then be running, so none parks: this is
     list scheduling for P|prec|Cmax, and meets Graham's bound
-    m * Cmax <= W + (m - 1) * CP. There ``idx`` is None: this mode reads
-    only the workload's chain, successor rows and predecessor counts.
+    m * Cmax <= W + (m - 1) * CP. This mode reads only the workload's
+    chain, successor rows and predecessor counts, and never its conflict
+    index.
     """
     n = w.n
     m = w.cores.core_count
@@ -389,6 +392,7 @@ def _event(w: Workload, idx: ConflictIndex | None) -> tuple[list[int], list[int]
         successors = w.successor_rows()
         blocking = list(w.predecessor_counts())  # lower-id partners not yet finished
     else:
+        idx = w.conflict_index
         adjacency = idx.adjacency
         priority = list(map(add, times, idx.conflict_duration_ms))
         busy = [False] * n
@@ -467,16 +471,14 @@ def schedule(w: Workload, strategy: Strategy = DEFAULT_STRATEGY) -> Schedule:
     sort key, and reused after that, and so are the attestor data.
     """
     if w.attestor:
-        idx = None
         rows, counts = w.successor_rows(), w.predecessor_counts()
     else:
-        idx = w.conflict_index
-        rows, counts = idx.adjacency, None
+        rows, counts = w.conflict_index.adjacency, None
     t0 = time.perf_counter()
     times = w.exec_times()
     n = len(times)
     if strategy.assign_type is AssignType.EVENT:
-        core_of, start_of, finish_of, makespan = _event(w, idx)
+        core_of, start_of, finish_of, makespan = _event(w)
     else:
         pending = _placement_order(w, strategy.sort_type)
         m = w.cores.core_count

@@ -422,6 +422,16 @@ def test_schedule_rejects_conflicts_that_are_not_an_array(tmp_path, capsys):
     assert err == "error: conflicts must be an array\n"
 
 
+@pytest.mark.parametrize("attestor", [1, "false", None], ids=["int", "string", "null"])
+def test_schedule_names_an_attestor_flag_that_is_not_a_bool(tmp_path, capsys, attestor):
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps({**EMPTY_WORKLOAD, "attestor": attestor}))
+    status, out, err = run(["schedule", "--workload", str(wpath)], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == "error: attestor must be a boolean\n"
+
+
 @pytest.mark.parametrize("cost", ["1", True], ids=["string", "bool"])
 def test_schedule_names_a_cost_that_is_not_a_number(tmp_path, capsys, cost):
     wpath = tmp_path / "w.json"

@@ -343,13 +343,25 @@ class TestLoadLongLists:
             (lambda p: p["cores"].update(costPerOp=-1), "cores.costPerOp must be >= 0"),
             (lambda p: p["cores"].update(costPerIdleMs=-0.5), "cores.costPerIdleMs must be >= 0"),
             (lambda p: p.update(meta=[]), "meta must be an object"),
+            (lambda p: p.update(attestor=1), "attestor must be a boolean"),
+            (lambda p: p.update(attestor="false"), "attestor must be a boolean"),
+            (lambda p: p.update(attestor=None), "attestor must be a boolean"),
         ],
-        ids=["zero-ops", "negative-op-cost", "negative-idle-cost", "list-meta"],
+        ids=["zero-ops", "negative-op-cost", "negative-idle-cost", "list-meta", "int-attestor",
+             "string-attestor", "null-attestor"],
     )
     def test_bad_value_is_named(self, tmp_path, change, message):
         payload = json.loads(json.dumps(MINIMAL))
         change(payload)
         assert load_error(tmp_path, payload) == message
+
+    def test_a_bad_attestor_is_named_before_an_out_of_order_id(self, tmp_path):
+        # the constructor checks the flags before the ids, as the reader did
+        payload = long_payload()
+        payload["processes"][DEEP]["id"] = DEEP + 1
+        assert load_error(tmp_path, payload) == f"processes[{DEEP}].id is {DEEP + 1}; ids must be 0..n-1 in order"
+        payload["attestor"] = "no"
+        assert load_error(tmp_path, payload) == "attestor must be a boolean"
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     @pytest.mark.parametrize("field", ["costPerOp", "costPerIdleMs"])
