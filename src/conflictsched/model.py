@@ -31,6 +31,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import wraps
 from itertools import chain, compress, islice, repeat
 from operator import eq, ge, itemgetter, lt, ne, not_, or_
 from pathlib import Path
@@ -377,8 +378,8 @@ class CoreProfile:
         if self.core_count < 1:
             raise WorkloadValidationError(f"cores.count must be >= 1, got {self.core_count}")
         # a cost is kept as given (an int stays an int, and is saved as one)
-        _require_measure(self.cost_per_op, "cores.costPerOp")
-        _require_measure(self.cost_per_idle_ms, "cores.costPerIdleMs")
+        _require_number(self.cost_per_op, "cores.costPerOp", 0)
+        _require_number(self.cost_per_idle_ms, "cores.costPerIdleMs", 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -440,6 +441,11 @@ class TimeDistribution:
 DEFAULT_TIME_DIST = TimeDistribution.uniform(1, 15)
 
 
+def _built_once(build):
+    """The `Workload` method ``build``, its value kept in the family's memo under the method's name."""
+    return wraps(build)(lambda self: self._derived(build.__name__, build))
+
+
 @dataclass(frozen=True)
 class Workload:
     """Scheduler input: processes in original order plus conflicts and cores.
@@ -458,21 +464,26 @@ class Workload:
     copy's are all proved here. The checks run as whole-list passes; the
     per-entry loops run only to name the first bad entry.
 
-    The constructor is the only gate for every field, so every workload
+    The constructor proves every field, and one check (`_check_fields`)
+    proves the three that are not lists, for the constructor and for the
+    `with_cores`/`with_attestor` copies, which skip it. So every workload
     the library builds, `dataclasses.replace` copies included, saves a file
-    that `load_workload` reads back. ``attestor`` must be a bool (``"no"``
-    or ``1`` is refused, not read as a flag) and ``meta`` a dict; these two
-    are checked first, with the messages a file's reader gives, and
-    ``cores`` is a `CoreProfile`, which proves its own fields.
+    that `load_workload` reads back. ``cores`` must be a `CoreProfile`,
+    which proves its own fields, ``attestor`` a bool (``"no"`` or ``1`` is
+    refused, not read as a flag) and ``meta`` a dict; these three are
+    checked first, with the messages a file's reader gives.
 
-    A workload and its `with_cores`/`with_attestor` copies share their
-    columns and one dict of derived data, so `process_ids` and `exec_times`
-    (two of the process columns) are the same objects for all of them, and
+    A workload and its `with_cores`/`with_attestor` copies are one family:
+    they share their columns and one memo of derived data, which only
+    `_derived` reads and writes. So `process_ids` and `exec_times` (two of
+    the process columns) are the same objects for all of them, and
     `conflict_index`, `attestor_order`, `attestor_chain`,
     `predecessor_counts` and `successor_rows` are built once for all of
-    them. The last four are read off the two sorted pair columns, not off
+    them, as is each proposer placement order the scheduler sorts. The
+    four attestor data are read off the two sorted pair columns, not off
     `conflict_index`, the symmetric adjacency, so an attestor `schedule()`
-    never builds that.
+    never builds that. A `dataclasses.replace` copy is built by the
+    constructor, so it starts a family of its own.
     """
 
     processes: ProcessColumns
@@ -482,12 +493,9 @@ class Workload:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # the flags come first, so a file's first named error is the one its
-        # reader named before the ids and the pairs
-        if not isinstance(self.attestor, bool):
-            raise WorkloadValidationError("attestor must be a boolean")
-        if not isinstance(self.meta, dict):
-            raise WorkloadValidationError("meta must be an object")
+        # these fields come first, so a file's first named error is the one
+        # its reader named before the ids and the pairs
+        self._check_fields()
         processes = self.processes
         if not isinstance(processes, ProcessColumns):
             processes = ProcessColumns.of(processes)
@@ -526,12 +534,10 @@ class Workload:
         return len(self.processes)
 
     @property
+    @_built_once
     def conflict_index(self) -> ConflictIndex:
         """The adjacency index of the conflict pairs, built on first use."""
-        idx = self._family.get("conflict_index")
-        if idx is None:
-            idx = self._family["conflict_index"] = build_conflict_index(self)
-        return idx
+        return build_conflict_index(self)
 
     def process_ids(self) -> tuple[int, ...]:
         """The ids ``0..n-1`` as a tuple: the id column of ``processes``."""
@@ -541,6 +547,7 @@ class Workload:
         """Each process's execution time, in id order: a column of ``processes``."""
         return self.processes.exec_times
 
+    @_built_once
     def attestor_order(self) -> tuple[int, ...]:
         """Conflict participants in id order, then the rest, built on first use.
 
@@ -548,15 +555,11 @@ class Workload:
         partner (`predecessor_counts`) or a higher-id one (`successor_rows`),
         so the order is read off those two, and the whole family shares it.
         """
-        order = self._family.get("attestor_order")
-        if order is None:
-            ids = range(self.n)
-            partnered = list(map(or_, self.predecessor_counts(), map(len, self.successor_rows())))
-            order = self._family["attestor_order"] = tuple(
-                chain(compress(ids, partnered), compress(ids, map(not_, partnered)))
-            )
-        return order
+        ids = range(self.n)
+        partnered = list(map(or_, self.predecessor_counts(), map(len, self.successor_rows())))
+        return tuple(chain(compress(ids, partnered), compress(ids, map(not_, partnered))))
 
+    @_built_once
     def attestor_chain(self) -> tuple[int, ...]:
         """Each process's bottom level, built on first use.
 
@@ -566,20 +569,18 @@ class Workload:
         chain bound. It depends only on the times and the conflict pairs, so
         the whole family shares it.
         """
-        chain = self._family.get("attestor_chain")
-        if chain is None:
-            times = self.exec_times()
-            levels = list(times)
-            # the pairs are sorted, so reversed they visit `a` in descending
-            # order, and levels[b] is final before any (a, b) reads it
-            pairs = self.conflicts
-            for a, b in zip(reversed(pairs.firsts), reversed(pairs.seconds)):
-                level = times[a] + levels[b]
-                if level > levels[a]:
-                    levels[a] = level
-            chain = self._family["attestor_chain"] = tuple(levels)
-        return chain
+        times = self.exec_times()
+        levels = list(times)
+        # the pairs are sorted, so reversed they visit `a` in descending
+        # order, and levels[b] is final before any (a, b) reads it
+        pairs = self.conflicts
+        for a, b in zip(reversed(pairs.firsts), reversed(pairs.seconds)):
+            level = times[a] + levels[b]
+            if level > levels[a]:
+                levels[a] = level
+        return tuple(levels)
 
+    @_built_once
     def predecessor_counts(self) -> tuple[int, ...]:
         """Each process's number of lower-id partners, built on first use.
 
@@ -590,14 +591,12 @@ class Workload:
         pairs whose ``b`` is the process. It depends only on the pairs, so
         the whole family shares it.
         """
-        counts = self._family.get("predecessor_counts")
-        if counts is None:
-            tally = [0] * self.n
-            for b in self.conflicts.seconds:
-                tally[b] += 1
-            counts = self._family["predecessor_counts"] = tuple(tally)
-        return counts
+        tally = [0] * self.n
+        for b in self.conflicts.seconds:
+            tally[b] += 1
+        return tuple(tally)
 
+    @_built_once
     def successor_rows(self) -> tuple[tuple[int, ...], ...]:
         """Each process's higher-id partners, ascending, built on first use.
 
@@ -608,32 +607,66 @@ class Workload:
         ``firsts`` reads ``a``; it is sliced off the columns, without the
         conflict index, and the whole family shares it.
         """
-        rows = self._family.get("successor_rows")
-        if rows is None:
-            firsts, seconds = self.conflicts.columns
-            # bounds[a] is where the run of `a` starts, and the last is len(firsts)
-            bounds = list(map(bisect_left, repeat(firsts), range(self.n + 1)))
-            rows = self._family["successor_rows"] = tuple(
-                map(seconds.__getitem__, map(slice, bounds, bounds[1:]))
-            )
-        return rows
+        firsts, seconds = self.conflicts.columns
+        # bounds[a] is where the run of `a` starts, and the last is len(firsts)
+        bounds = list(map(bisect_left, repeat(firsts), range(self.n + 1)))
+        return tuple(map(seconds.__getitem__, map(slice, bounds, bounds[1:])))
 
     def with_cores(self, cores: CoreProfile) -> Workload:
+        """A copy on the core profile ``cores``, sharing columns and derived data.
+
+        Like every copy `_derive` makes, it is refused unless its fields
+        pass the constructor's checks, so ``cores`` must be a `CoreProfile`.
+        """
         return self._derive("cores", cores)
 
     def with_attestor(self, attestor: bool) -> Workload:
         """A copy in attestor mode if ``attestor`` (a bool), sharing columns and derived data."""
-        # `_derive` skips the constructor, so the flag is checked here
-        if not isinstance(attestor, bool):
-            raise WorkloadValidationError("attestor must be a boolean")
         return self._derive("attestor", attestor)
 
+    def _check_fields(self) -> None:
+        """Prove ``cores`` a `CoreProfile`, ``attestor`` a bool and ``meta`` a dict.
+
+        The one check of these three fields, which the constructor and
+        `_derive` run. They are checked in the order a file's reader
+        reaches them, with the messages it gives for ``attestor`` and
+        ``meta``; a file's reader always builds a `CoreProfile`, which
+        proves its own fields.
+        """
+        if not isinstance(self.cores, CoreProfile):
+            raise WorkloadValidationError("cores must be a CoreProfile")
+        if not isinstance(self.attestor, bool):
+            raise WorkloadValidationError("attestor must be a boolean")
+        if not isinstance(self.meta, dict):
+            raise WorkloadValidationError("meta must be an object")
+
     def _derive(self, name: str, value: object) -> Workload:
-        # a shallow copy keeps the checked, sorted pairs and the derived data:
-        # `replace` would re-check and re-sort every pair and drop the index
+        """A copy with field ``name`` set to ``value``, in the same family.
+
+        A shallow copy keeps the checked, sorted pairs and the family's
+        derived data, where `dataclasses.replace` would check and sort every
+        pair again and start an empty family. It skips the constructor, so
+        it runs the constructor's field checks (`_check_fields`) itself.
+        """
         derived = copy.copy(self)
         object.__setattr__(derived, name, value)
+        derived._check_fields()
         return derived
+
+    def _derived(self, key, build):
+        """The family's value under ``key``, built by ``build(self)`` on first use.
+
+        The one memo of the data a workload family derives: the
+        constructor starts a family with an empty dict, which its
+        `with_cores`/`with_attestor` copies share, and only this method
+        reads or writes it. The value must depend only on what the whole
+        family shares (the columns, not ``cores`` or ``attestor``). Keys
+        are strings for the workload's own data (the name of the method
+        that builds it) and tuples for a caller's, so the two never meet.
+        """
+        if key not in self._family:
+            self._family[key] = build(self)
+        return self._family[key]
 
 
 def _pair_order(firsts, seconds) -> bool | None:
@@ -725,17 +758,23 @@ class Schedule:
             object.__setattr__(self, "assignments", AssignmentColumns.of(self.assignments))
         _require_int(self.horizon_ms, "horizonMs")
         _require_int(self.schedule_makespan_ms, "scheduleMakespanMs")
-        _require_measure(self.wall_time_ms, "wallTimeMs")
+        _require_number(self.wall_time_ms, "wallTimeMs", 0)
 
 
 @dataclass(frozen=True, slots=True)
 class GasTimeModel:
-    """Linear gas-to-time estimator coefficients."""
+    """Linear gas-to-time estimator coefficients.
+
+    Both are finite ints or floats that fit a float (a bool is not one),
+    and the slope is ``> 0``; the intercept may be negative.
+    """
 
     slope: float
     intercept: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_number(self.slope, "slope")
+        _require_number(self.intercept, "intercept")
         if self.slope <= 0:
             raise WorkloadValidationError(f"slope must be > 0, got {self.slope}")
 
@@ -746,10 +785,16 @@ def _round_half_up(x: float) -> int:
 
 
 def estimate_exec_time(gas_estimate: int, model: GasTimeModel) -> int:
-    """Map a gas estimate to whole milliseconds, clamped to at least 1."""
-    if gas_estimate < 0:
-        raise WorkloadValidationError(f"gasEstimate must be >= 0, got {gas_estimate}")
-    return max(1, _round_half_up(model.slope * gas_estimate + model.intercept))
+    """Map a gas estimate to whole milliseconds, clamped to at least 1.
+
+    The estimate is an int ``>= 0`` (a bool is not one) that fits a float,
+    and its time under the model must be finite.
+    """
+    _require_int(gas_estimate, "gasEstimate")
+    _require_number(gas_estimate, "gasEstimate", 0)
+    time_ms = model.slope * gas_estimate + model.intercept
+    _require_number(time_ms, "gasEstimate's time")
+    return max(1, _round_half_up(time_ms))
 
 
 def _random_pairs(ids, rate: float, rng: random.Random) -> list[tuple[int, int]]:
@@ -892,10 +937,12 @@ def _require_object(value, keys, where: str, subject: str | None = None) -> None
         raise WorkloadValidationError(f"{where} is missing keys: {sorted(missing)}")
 
 
-def _require_measure(value, where: str) -> None:
-    """Check a cost or a time: an int or float that fits a float, ``>= 0`` and finite.
+def _require_number(value, where: str, minimum: int | None = None) -> None:
+    """Check an int or float that fits a float and is finite, and at least ``minimum`` if given.
 
-    The caller keeps the value as given, so an int is saved as one.
+    A cost or a time is checked with ``minimum`` 0; a value below it, -inf
+    included, is named as below it. The caller keeps the value as given,
+    so an int is saved as one.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise WorkloadValidationError(f"{where} must be a number, got {value!r}")
@@ -906,9 +953,9 @@ def _require_measure(value, where: str) -> None:
         raise WorkloadValidationError(
             f"{where} must fit a float, got an integer of {value.bit_length()} bits"
         ) from None
-    # NaN passes a "< 0" test, so finiteness is checked on its own
-    if value < 0:
-        raise WorkloadValidationError(f"{where} must be >= 0")
+    # NaN passes a "< minimum" test, so finiteness is checked on its own
+    if minimum is not None and value < minimum:
+        raise WorkloadValidationError(f"{where} must be >= {minimum}")
     if not finite:
         raise WorkloadValidationError(f"{where} must be finite, got {value}")
 

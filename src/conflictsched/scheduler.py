@@ -198,15 +198,12 @@ def _placement_order(w: Workload, sort_type: SortType) -> tuple[int, ...]:
     The order depends only on the conflict index, which the workload's
     whole `with_cores`/`with_attestor` family shares. So, like
     `Workload.attestor_order`, a proposer order is kept in the family's
-    cache, under its sort key.
+    memo (`Workload._derived`), under the key ``("order", sort_type)``: a
+    tuple, since a bare `SortType` equals the string of its name.
     """
     if w.attestor:
         return w.attestor_order()
-    family = w._family
-    order = family.get(sort_type)
-    if order is None:
-        order = family[sort_type] = tuple(sort_processes(w, w.conflict_index, sort_type, False))
-    return order
+    return w._derived(("order", sort_type), lambda v: tuple(sort_processes(v, v.conflict_index, sort_type, False)))
 
 
 def _place(

@@ -3,7 +3,9 @@
 `Workload` and `Schedule` prove every field when they are built, so a value
 refused in a file is refused as well in a call, in a `dataclasses.replace`
 copy and in `with_attestor`, with one message; and a value that builds is
-saved and loaded back equal.
+saved and loaded back equal. A ``cores`` that is not a `CoreProfile`, which
+no file can hold, is refused by the constructor, `dataclasses.replace`,
+`with_cores` and `generate_workload` alike.
 """
 
 import dataclasses
@@ -33,8 +35,9 @@ from conflictsched.scheduler import schedule
 WORKLOAD = generate_workload(12, 0.4, seed=4, cores=CoreProfile(2, 0.5, 0.25))
 SCHEDULE = schedule(WORKLOAD)
 
-# (class, field, file key, bad value, message)
+# (class, field, file key, bad value, message); no file key for a value no file holds
 BAD_VALUES = [
+    (Workload, "cores", None, 3, "cores must be a CoreProfile"),
     (Workload, "attestor", "attestor", 1, "attestor must be a boolean"),
     (Workload, "attestor", "attestor", "no", "attestor must be a boolean"),
     (Workload, "meta", "meta", [], "meta must be an object"),
@@ -55,7 +58,7 @@ def refusal(build) -> str:
 @pytest.mark.parametrize(
     "cls,name,key,value,message",
     BAD_VALUES,
-    ids=["int-attestor", "string-attestor", "list-meta", "float-horizon", "bool-makespan",
+    ids=["int-cores", "int-attestor", "string-attestor", "list-meta", "float-horizon", "bool-makespan",
          "negative-wall", "nan-wall"],
 )
 def test_a_bad_field_is_refused_by_the_constructor_and_the_reader_alike(tmp_path, cls, name, key, value, message):
@@ -68,7 +71,11 @@ def test_a_bad_field_is_refused_by_the_constructor_and_the_reader_alike(tmp_path
     if name == "attestor":
         builds["with_attestor"] = lambda: WORKLOAD.with_attestor(value)
     path = tmp_path / "file.json"
-    if cls is Workload:
+    if key is None:
+        # a workload file's reader always builds a `CoreProfile`
+        builds["with_cores"] = lambda: WORKLOAD.with_cores(value)
+        builds["generate_workload"] = lambda: generate_workload(5, 0.5, cores=value)
+    elif cls is Workload:
         path.write_text(json.dumps(_workload_to_dict(WORKLOAD) | {key: value}), encoding="utf-8")
         builds["reader"] = lambda: load_workload(path)
     else:
@@ -87,6 +94,9 @@ INTS = st.integers(-(10**12), 10**12)
 # a cost or a wall time: an int or a float, finite and >= 0
 MEASURES = st.integers(0, 10**6) | st.floats(0, 1e300)
 NOT_MEASURES = st.sampled_from([-5.0, -1, -math.inf, math.inf, math.nan, 10**400, True, None, "1", [0]])
+NOT_A_PROFILE = "cores must be a CoreProfile"
+# what a file's reader says of the same value, where the constructor's message is not one it gives
+FILE_MESSAGES = {NOT_A_PROFILE: "cores must be an object"}
 
 
 def mostly(valid, bad):
@@ -102,8 +112,11 @@ def workload_fields(draw):
         "processes": [(i, draw(st.integers(1, 40)), draw(st.integers(1, 10**6))) for i in range(n)],
         # canonical pairs in any order, repeats included: the constructor sorts and dedupes
         "conflicts": [(min(a, b), max(a, b)) for a, b in pairs if a != b and max(a, b) < n],
-        "cores": (draw(st.integers(1, 64)), draw(mostly(MEASURES, NOT_MEASURES)),
-                  draw(mostly(MEASURES, NOT_MEASURES))),
+        # a profile's fields, or a value that is not one, which a file writes as a non-object
+        "cores": draw(mostly(
+            st.tuples(st.integers(1, 64), mostly(MEASURES, NOT_MEASURES), mostly(MEASURES, NOT_MEASURES)),
+            JSON_VALUES.filter(lambda v: not isinstance(v, dict)),
+        )),
         "attestor": draw(mostly(st.booleans(), JSON_VALUES.filter(lambda v: not isinstance(v, bool)))),
         "meta": draw(mostly(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=4),
                             JSON_VALUES.filter(lambda v: not isinstance(v, dict)))),
@@ -124,16 +137,18 @@ def schedule_fields(draw):
 
 
 def build_workload(fields):
-    return Workload(
-        fields["processes"], fields["conflicts"], CoreProfile(*fields["cores"]), fields["attestor"], fields["meta"]
-    )
+    cores = fields["cores"]
+    if isinstance(cores, tuple):
+        cores = CoreProfile(*cores)
+    return Workload(fields["processes"], fields["conflicts"], cores, fields["attestor"], fields["meta"])
 
 
 def workload_text(fields):
     return json.dumps({
         "processes": [dict(zip(("id", "execTimeMs", "opCount"), p)) for p in fields["processes"]],
         "conflicts": fields["conflicts"],
-        "cores": dict(zip(("count", "costPerOp", "costPerIdleMs"), fields["cores"])),
+        "cores": (dict(zip(("count", "costPerOp", "costPerIdleMs"), fields["cores"]))
+                  if isinstance(fields["cores"], tuple) else fields["cores"]),
         "attestor": fields["attestor"],
         "meta": fields["meta"],
     })
@@ -166,7 +181,7 @@ def test_every_built_value_saves_a_file_that_loads_back_equal(tmp_path_factory, 
     except WorkloadValidationError as exc:
         # the file of the same fields is refused with the same message
         path.write_text(text(fields), encoding="utf-8")
-        assert refusal(lambda: load(path)) == str(exc)
+        assert refusal(lambda: load(path)) == FILE_MESSAGES.get(str(exc), str(exc))
         return
     save(value, path)
     loaded = load(path)

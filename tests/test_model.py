@@ -1,5 +1,6 @@
 """Workload types, file I/O, generator, and the gas-to-time estimator."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conflictsched.model
+from conflictsched import scheduler
 from conflictsched.model import (
     DEFAULT_TIME_DIST,
     OPS_PER_MS,
@@ -37,6 +39,7 @@ from conflictsched.model import (
     load_workload,
     save_workload,
 )
+from conflictsched.scheduler import AssignType, SortType, Strategy, schedule
 
 
 def write_workload_file(tmp_path, payload, name="w.json"):
@@ -646,6 +649,31 @@ class TestEstimateExecTime:
         with pytest.raises(WorkloadValidationError, match="gasEstimate"):
             estimate_exec_time(-1, GasTimeModel(slope=1.0))
 
+    @pytest.mark.parametrize(
+        "estimate,message",
+        [
+            (lambda: GasTimeModel(math.nan), "slope must be finite, got nan"),
+            (lambda: GasTimeModel(math.inf), "slope must be finite, got inf"),
+            (lambda: GasTimeModel(1.0, math.nan), "intercept must be finite, got nan"),
+            (lambda: GasTimeModel(1.0, -math.inf), "intercept must be finite, got -inf"),
+            (lambda: GasTimeModel("a"), "slope must be a number, got 'a'"),
+            (lambda: GasTimeModel(True), "slope must be a number, got True"),
+            (lambda: GasTimeModel(1.0, None), "intercept must be a number, got None"),
+            (lambda: GasTimeModel(10**400), "slope must fit a float, got an integer of 1329 bits"),
+            (lambda: estimate_exec_time(True, GasTimeModel(1.0)), "gasEstimate must be an integer, got True"),
+            (lambda: estimate_exec_time(2.5, GasTimeModel(1.0)), "gasEstimate must be an integer, got 2.5"),
+            (lambda: estimate_exec_time(10, GasTimeModel(1e308)), "gasEstimate's time must be finite, got inf"),
+            (lambda: estimate_exec_time(10**400, GasTimeModel(1.0)),
+             "gasEstimate must fit a float, got an integer of 1329 bits"),
+        ],
+        ids=["nan-slope", "inf-slope", "nan-intercept", "minus-inf-intercept", "string-slope", "bool-slope",
+             "null-intercept", "huge-int-slope", "bool-gas", "float-gas", "inf-time", "huge-int-gas"],
+    )
+    def test_a_bad_input_is_named(self, estimate, message):
+        with pytest.raises(WorkloadValidationError) as exc_info:
+            estimate()
+        assert str(exc_info.value) == message
+
 
 class TestWeights:
     def test_cost_weight_is_derived(self):
@@ -951,12 +979,31 @@ class TestWorkloadInvariants:
         object.__setattr__(base, "_family", CountedCache())
         family = [base, base.with_cores(CoreProfile(5)), base.with_attestor(True)]
         family.append(family[1].with_attestor(True))
-        rows = base.successor_rows()
-        assert all(w.successor_rows() is rows for w in family)
-        assert stored.count("successor_rows") == 1
+        strategies = [Strategy(s, a) for s in SortType for a in (AssignType.LOOSE, AssignType.STRICT)]
+        for strategy in [*strategies, Strategy(assign_type=AssignType.EVENT)]:
+            for w in family:
+                schedule(w, strategy)
+        # every derived fact, each stored once for the whole family
+        reads = {
+            "conflict_index": operator.attrgetter("conflict_index"),
+            **{name: operator.methodcaller(name)
+               for name in ("attestor_order", "attestor_chain", "predecessor_counts", "successor_rows")},
+            # a proposer placement order, which an attestor copy does not read
+            **{("order", s): lambda w, s=s: scheduler._placement_order(w.with_attestor(False), s) for s in SortType},
+        }
+        assert collections.Counter(stored) == collections.Counter(list(reads))
+
+        def refuse(w):
+            raise AssertionError("a family member built its own")
+
         rebuilt = dataclasses.replace(base)
-        assert rebuilt.successor_rows() == rows and rebuilt.successor_rows() is not rows
-        assert stored.count("successor_rows") == 1
+        for key, read in reads.items():
+            value = base._derived(key, refuse)
+            assert all(read(w) is value and w._derived(key, refuse) is value for w in family), key
+            # a `dataclasses.replace` copy starts a family of its own
+            assert read(rebuilt) == value and read(rebuilt) is not value, key
+        assert len(stored) == len(reads)
+        rows = base.successor_rows()
         adjacency, splits = base.conflict_index.adjacency, base.predecessor_counts()
         assert rows == tuple(row[split:] for row, split in zip(adjacency, splits))
         assert rows == tuple(tuple(b for a, b in base.conflicts if a == i) for i in range(40))
