@@ -272,6 +272,54 @@ def test_every_form_of_the_same_pairs_gives_the_same_workload(tmp_path_factory, 
             assert str(exc_info.value) == f"conflict pair ({a}, {b}) references unknown process id {b}"
 
 
+def first_fault(pairs, n: int):
+    """The constructor's message for the first bad pair, in column order, checked pair by pair; None if none is."""
+    for a, b in pairs:
+        if a >= b:
+            return f"conflict pair ({a}, {b}) is not canonical (need a < b)"
+        if a < 0 or b >= n:
+            return f"conflict pair ({a}, {b}) references unknown process id {a if a < 0 else b}"
+    return None
+
+
+@st.composite
+def bad_pair(draw, kind: str, n: int):
+    """A pair of ``kind`` that no workload of ``n`` processes holds."""
+    if kind == "reversed":
+        a = draw(st.integers(0, n - 1))
+        return draw(st.integers(a + 1, n)), a
+    if kind == "self":
+        a = draw(st.integers(-2, n + 1))
+        return a, a
+    if kind == "negative":
+        return draw(st.integers(-5, -1)), draw(st.integers(0, n - 1))
+    return draw(st.integers(0, n - 1)), draw(st.integers(n, n + 3))
+
+
+@given(
+    n=st.integers(1, 12),
+    pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=25),
+    kinds=st.lists(st.sampled_from(["reversed", "self", "negative", "past-n"]), max_size=2, unique=True),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_constructor_names_the_first_of_two_bad_pairs_in_column_order(n, pairs, kinds, data):
+    # canonical pairs in any order, repeats included, and up to two bad
+    # pairs of different kinds at random places
+    pairs = [(min(a, b), max(a, b)) for a, b in pairs if a != b and max(a, b) < n]
+    for kind in kinds:
+        pairs.insert(data.draw(st.integers(0, len(pairs))), data.draw(bad_pair(kind, n)))
+    columns = ConflictColumns(*zip(*pairs))
+    got = built_or_error(lambda: Workload(processes(n), columns, CoreProfile(2)))
+    message = first_fault(pairs, n)
+    if message is not None:
+        assert got == message
+        return
+    assert got.conflicts.columns == ConflictColumns.of(sorted(set(pairs))).columns
+    # strictly ascending columns are kept, any others sorted
+    assert (got.conflicts is columns) == (pairs == sorted(set(pairs)))
+
+
 def generated(model: ConflictModel, attestor: bool) -> Workload:
     rate = 0.45 if model is ConflictModel.PARTICIPATION else 0.2
     return generate_workload(60, rate, model=model, seed=4, cores=CoreProfile(4), attestor=attestor)

@@ -5,17 +5,21 @@ refused in a file is refused as well in a call, in a `dataclasses.replace`
 copy and in `with_attestor`, with one message; and a value that builds is
 saved and loaded back equal. A ``cores`` that is not a `CoreProfile`, which
 no file can hold, is refused by the constructor, `dataclasses.replace`,
-`with_cores` and `generate_workload` alike.
+`with_cores` and `generate_workload` alike. A ``meta`` must hold only
+what `json.loads` yields; only the constructor proves that, since the
+`with_cores`/`with_attestor` copies keep their workload's ``meta``.
 """
 
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conflictsched.model
 from conflictsched.model import (
     CoreProfile,
     Process,
@@ -83,6 +87,55 @@ def test_a_bad_field_is_refused_by_the_constructor_and_the_reader_alike(tmp_path
         builds["reader"] = lambda: load_schedule(path)
     for how, build in builds.items():
         assert refusal(build) == message, how
+
+
+@pytest.mark.parametrize(
+    "meta,message",
+    [
+        ({"s": {1}}, "meta must hold only JSON values, got {1}"),
+        ({1: 2}, "meta keys must be strings, got 1"),
+        ({"t": (1, 2)}, "meta must hold only JSON values, got (1, 2)"),
+        ({"a": [1, {"b": [None, b"x"]}]}, "meta must hold only JSON values, got b'x'"),
+        ({"a": [{"ok": 1, True: 2}]}, "meta keys must be strings, got True"),
+    ],
+    ids=["set-value", "int-key", "tuple-value", "nested-bytes", "nested-bool-key"],
+)
+def test_a_meta_that_is_not_json_data_is_refused(tmp_path, meta, message):
+    # a set does not save, and an int key or a tuple loads back as a string or a list
+    fields = {f.name: getattr(WORKLOAD, f.name) for f in dataclasses.fields(Workload)}
+    assert refusal(lambda: Workload(**{**fields, "meta": meta})) == message
+    assert refusal(lambda: dataclasses.replace(WORKLOAD, meta=meta)) == message
+
+
+def test_a_meta_that_holds_itself_is_named():
+    meta = {"a": []}
+    meta["a"].append(meta)
+    assert refusal(lambda: dataclasses.replace(WORKLOAD, meta=meta)) == "meta nests arrays or objects too deeply"
+
+
+def test_generated_and_loaded_meta_pass_and_copies_do_not_prove_it_again(tmp_path):
+    nested = {
+        "run": {"tags": ["a", 1, 2.5, None, True, -3], "grid": [[1, 2], {"k": [], "v": {}}]},
+        "note": "",
+        "inf": math.inf,
+    }
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(_workload_to_dict(WORKLOAD) | {"meta": nested}), encoding="utf-8")
+    with mock.patch.object(
+        conflictsched.model, "_require_json_data", wraps=conflictsched.model._require_json_data
+    ) as proof:
+        generated = generate_workload(30, 0.4, seed=2)
+        loaded = load_workload(path)
+        assert proof.call_count > 0
+        proof.reset_mock()
+        # the copies keep their workload's meta, so they do not walk it
+        loaded.with_cores(CoreProfile(5)).with_attestor(True)
+        generated.with_attestor(True).with_cores(CoreProfile(3))
+        assert proof.call_count == 0
+    assert loaded.meta == nested
+    save_workload(loaded, tmp_path / "again.json")
+    assert load_workload(tmp_path / "again.json") == loaded
+    assert generated.meta["conflictModel"] == "PARTICIPATION"
 
 
 JSON_VALUES = st.recursive(
