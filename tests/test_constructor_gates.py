@@ -100,7 +100,7 @@ def test_a_bad_field_is_refused_by_the_constructor_and_the_reader_alike(tmp_path
     ],
     ids=["set-value", "int-key", "tuple-value", "nested-bytes", "nested-bool-key"],
 )
-def test_a_meta_that_is_not_json_data_is_refused(tmp_path, meta, message):
+def test_a_meta_that_is_not_json_data_is_refused(meta, message):
     # a set does not save, and an int key or a tuple loads back as a string or a list
     fields = {f.name: getattr(WORKLOAD, f.name) for f in dataclasses.fields(Workload)}
     assert refusal(lambda: Workload(**{**fields, "meta": meta})) == message
