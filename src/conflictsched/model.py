@@ -10,7 +10,10 @@ All three record lists are int columns of one type: a workload keeps its
 processes (`ProcessColumns`) and its conflict pairs (`ConflictColumns`),
 and a schedule, its output, its placements (`AssignmentColumns`). Each
 proves its columns once, when it is built, and builds a record
-(`Process`, `ConflictPair`, `Assignment`) only when one is read.
+(`Process`, `ConflictPair`, `Assignment`) only when one is read. Each
+column class has one per-record rule, and every way in (its constructor,
+`of` and the file reader) runs that rule in one loop that names the first
+bad record; `Workload` proves its conflict pairs in one more loop.
 
 Workload files are JSON (UTF-8) with the top-level keys ``processes``,
 ``conflicts``, ``cores``, ``attestor``, and ``meta``; schedule files are
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import wraps
 from itertools import chain, compress, islice, repeat
-from operator import eq, itemgetter, ne, not_, or_
+from operator import itemgetter, ne, not_, or_
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,8 +85,13 @@ class WorkloadValidationError(ValueError):
     """A workload value or file violates an invariant; names the field."""
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise WorkloadValidationError(f"{where} must be an integer, got {value!r}")
     return value
 
@@ -162,15 +170,22 @@ class _ColumnSequence(Sequence):
     columns is one record.
 
     Every column sequence holds int columns (a bool is not one) that pass
-    its class's check. The constructor, which takes the columns as any
-    iterables, and `of`, which takes the records, prove that in whole-list
-    passes (`_all_proved`); only when those fail does a loop name the
-    first bad record (`_check`), as it was given. `_of_proved` is the
-    private constructor for columns already proved. Indexing and
-    iteration build records in C, one per entry read, and a slice is the
-    column sequence of the sliced columns. A column sequence equals the tuple of its records, in
-    either direction, and has that tuple's hash and repr; two column
-    sequences compare by their columns.
+    its class's one per-record rule, `_check(position, record)`, which
+    proves a record's fields or names the record. Every way in runs that
+    rule in one loop, which stops at the first bad record: the
+    constructor, which takes the columns as any iterables, on each row (a
+    bad row is named as the record it stands for, and no record is built
+    for a good one); `of`, which takes the records, on each record as it
+    was given, after proving it a tuple of the record's width; and the
+    file reader `_load_columns` on each entry's values. So a check is
+    changed in one place, and on CPython 3.11 the loop, which tests each
+    field inline and makes a Python call only to name a bad one, takes no
+    longer than whole-list passes over the columns (`BENCH_35.json`).
+    `_of_proved` is the private constructor for columns already proved.
+    Indexing and iteration build records in C, one per entry read, and a
+    slice is the column sequence of the sliced columns. A column sequence
+    equals the tuple of its records, in either direction, and has that
+    tuple's hash and repr; two column sequences compare by their columns.
     """
 
     __slots__ = ("columns",)
@@ -195,26 +210,32 @@ class _ColumnSequence(Sequence):
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"{self._noun} columns differ in length: {list(map(len, columns))}")
         object.__setattr__(self, "columns", columns)
-        self._prove(columns, self)
+        try:
+            for position, row in enumerate(zip(*columns)):
+                self._check(position, row)
+        except WorkloadValidationError:
+            # the rule names a record as it is given, and a row is a plain
+            # tuple: a bad one is named as the record it stands for
+            self._check(position, self[position])
+            raise
 
     @classmethod
     def of(cls, records):
         """The column sequence of the records, tuples given in order.
 
-        Names the first record that is not a tuple, does not have the
-        record's fields, or fails the class's check, as it was given.
+        Names the first record, in order, that is not a tuple, does not
+        have the record's fields, or fails the class's rule, as it was
+        given.
         """
         records = tuple(records)
-        if not _all_instances(records, tuple):
-            bad = next(record for record in records if not isinstance(record, tuple))
-            raise WorkloadValidationError(f"{cls._noun} {bad!r} is not a tuple")
         width = len(cls._fields)
-        if set(map(len, records)) - {width}:
-            bad = next(record for record in records if len(record) != width)
-            raise WorkloadValidationError(f"{cls._noun} {bad!r} does not have {cls._width}")
-        columns = tuple(zip(*records)) or ((),) * width
-        cls._prove(columns, records)
-        return cls._of_proved(*columns)
+        for position, record in enumerate(records):
+            if not isinstance(record, tuple):
+                raise WorkloadValidationError(f"{cls._noun} {record!r} is not a tuple")
+            if len(record) != width:
+                raise WorkloadValidationError(f"{cls._noun} {record!r} does not have {cls._width}")
+            cls._check(position, record)
+        return cls._of_proved(*(tuple(zip(*records)) or ((),) * width))
 
     @classmethod
     def _of_proved(cls, *columns):
@@ -224,21 +245,8 @@ class _ColumnSequence(Sequence):
         return sequence
 
     @classmethod
-    def _prove(cls, columns, records) -> None:
-        """Prove the columns, or name the first bad one of their records."""
-        if not cls._all_proved(columns):
-            for position, record in enumerate(records):
-                cls._check(position, record)
-            raise AssertionError(f"whole-list {cls._name} check rejected valid columns")
-
-    @classmethod
-    def _all_proved(cls, columns) -> bool:
-        """Whether the columns pass `_check`, in whole-list passes."""
-        return _all_ints(chain.from_iterable(columns))
-
-    @classmethod
-    def _check(cls, position: int, record) -> None:
-        """Name a field of the record at ``position`` that is not an integer."""
+    def _require_ints(cls, position: int, record) -> None:
+        """Name the first field of the record at ``position`` that is not an integer, by its key."""
         for key, value in zip(cls._keys, record):
             _require_int(value, f"{cls._name}[{position}].{key}")
 
@@ -287,10 +295,10 @@ class ProcessColumns(_ColumnSequence):
     """A workload's processes as three columns; records are built when read.
 
     ``ids``, ``exec_times`` and ``op_counts`` are int tuples of one length,
-    and entry i of the three is one `Process`. Building proves every field
-    an integer, every id ``>= 0`` and every time and op count ``>= 1``, and
-    names the first bad process; whether the ids are ``0..n-1`` in order
-    is `Workload`'s check.
+    and entry i of the three is one `Process`. Its one rule, `_check`,
+    proves every field an integer, every id ``>= 0`` and every time and op
+    count ``>= 1``, and names the first bad process; whether the ids are
+    ``0..n-1`` in order is `Workload`'s check.
     """
 
     __slots__ = ()
@@ -302,20 +310,11 @@ class ProcessColumns(_ColumnSequence):
     _width = "three fields"
 
     @classmethod
-    def _all_proved(cls, columns) -> bool:
-        ids, times, ops = columns
-        return (
-            _all_ints(chain.from_iterable(columns))
-            and min(ids, default=0) >= 0
-            and min(times, default=1) >= 1
-            and min(ops, default=1) >= 1
-        )
-
-    @classmethod
     def _check(cls, position: int, record) -> None:
         """Name a field of the process that is not an integer, or is out of range."""
-        super()._check(position, record)
         pid, time_ms, ops = record
+        if type(pid) is not int or type(time_ms) is not int or type(ops) is not int:
+            cls._require_ints(position, record)
         if pid < 0:
             raise WorkloadValidationError(f"process id must be >= 0, got {pid}")
         if time_ms < 1:
@@ -329,9 +328,10 @@ class ConflictColumns(_ColumnSequence):
 
     ``firsts`` and ``seconds`` are int tuples of one length, and entry i of
     the two is one `ConflictPair`; the file writes each pair as an array.
-    Building refuses an id that is not an integer, naming its pair; whether
-    the pairs are canonical, known and in order is `Workload`'s check, and
-    only its.
+    Its one rule, `_check`, refuses an id that is not an integer, naming
+    its pair; whether the pairs are canonical, known and in order is
+    `Workload`'s check, and only its. A file's ``conflicts`` list is read
+    by `_load_conflicts`, which proves its shape in a loop of its own.
     """
 
     __slots__ = ()
@@ -343,7 +343,9 @@ class ConflictColumns(_ColumnSequence):
 
     @classmethod
     def _check(cls, position: int, record) -> None:
-        if not _all_ints(record):
+        """Name the pair if its ids are not both integers."""
+        a, b = record
+        if (type(a) is not int or type(b) is not int) and not (_is_int(a) and _is_int(b)):
             raise WorkloadValidationError(f"conflict pair {record!r} must hold two integer ids")
 
 
@@ -352,8 +354,9 @@ class AssignmentColumns(_ColumnSequence):
 
     ``process_ids``, ``core_ids``, ``starts`` and ``finishes`` are int
     tuples of one length, and entry i of the four is one `Assignment`.
-    Building names the first field that is not an integer, as a schedule
-    file's reader does (``assignments[i].startMs must be an integer``).
+    Its one rule, `_check`, names the first field that is not an integer,
+    as a schedule file's reader does (``assignments[i].startMs must be an
+    integer``).
     """
 
     __slots__ = ()
@@ -363,6 +366,13 @@ class AssignmentColumns(_ColumnSequence):
     _keys = _ASSIGNMENT_KEYS
     _noun = "assignment"
     _width = "four fields"
+
+    @classmethod
+    def _check(cls, position: int, record) -> None:
+        """Name the first field of the assignment that is not an integer."""
+        pid, core, start, finish = record
+        if type(pid) is not int or type(core) is not int or type(start) is not int or type(finish) is not int:
+            cls._require_ints(position, record)
 
 
 @dataclass(frozen=True, slots=True)
@@ -461,10 +471,9 @@ class Workload:
     construction, and columns already strictly ascending are kept as they
     are. This is the only check of pair order, range and repeats: a loaded
     file's pairs, a generated workload's and a `dataclasses.replace`
-    copy's are all proved here. One loop (`_pair_order`) proves every pair
-    ``0 <= a < b`` and finds whether the columns ascend, and ``max`` proves
-    the ``b`` ids known; a second loop runs only to name the first bad
-    pair.
+    copy's are all proved here, in one loop (`_pair_order`) that proves
+    every pair ``0 <= a < b < n``, names the first that is not, and finds
+    whether the columns ascend.
 
     The constructor proves every field, and one check (`_check_fields`)
     proves the three that are not lists, for the constructor and for the
@@ -521,20 +530,8 @@ class Workload:
         if not isinstance(conflicts, ConflictColumns):
             conflicts = ConflictColumns.of(conflicts)
         firsts, seconds = conflicts.columns
-        ascending = _pair_order(firsts, seconds)
-        if ascending is None or (seconds and max(seconds) >= n):
-            for a, b in zip(firsts, seconds):
-                if a >= b:
-                    raise WorkloadValidationError(
-                        f"conflict pair ({a}, {b}) is not canonical (need a < b)"
-                    )
-                if a < 0 or b >= n:
-                    raise WorkloadValidationError(
-                        f"conflict pair ({a}, {b}) references unknown process id {a if a < 0 else b}"
-                    )
-            raise AssertionError("conflict pair check rejected valid pairs")
         # other pairs are sorted, and deduplicated (hashed) in that order
-        if not ascending:
+        if not _pair_order(firsts, seconds, n):
             conflicts = ConflictColumns._of_proved(*zip(*dict.fromkeys(sorted(zip(firsts, seconds)))))
         object.__setattr__(self, "processes", processes)
         object.__setattr__(self, "conflicts", conflicts)
@@ -680,16 +677,21 @@ class Workload:
         return self._family[key]
 
 
-def _pair_order(firsts, seconds) -> bool | None:
-    """Whether the pairs are strictly ascending; None if one lacks ``0 <= a < b``.
+def _pair_order(firsts, seconds, n: int) -> bool:
+    """Whether the pairs are strictly ascending, once each is proved ``0 <= a < b < n``.
 
-    One loop, which stops at the first pair that lacks it.
+    One loop, which names the first pair that is not canonical or names an
+    id outside ``0..n-1``, and stops there.
     """
     ascending = True
     last_a = last_b = -1
     for a, b in zip(firsts, seconds):
-        if a >= b or a < 0:
-            return None
+        if a >= b:
+            raise WorkloadValidationError(f"conflict pair ({a}, {b}) is not canonical (need a < b)")
+        if a < 0 or b >= n:
+            raise WorkloadValidationError(
+                f"conflict pair ({a}, {b}) references unknown process id {a if a < 0 else b}"
+            )
         if a < last_a or a == last_a and b <= last_b:
             ascending = False
         last_a = a
@@ -995,33 +997,6 @@ def _require_json_data(value, where: str) -> None:
         raise WorkloadValidationError(f"{where} must hold only JSON values, got {value!r}")
 
 
-# Whole-list forms of the `_require_*` checks, each one C pass over a list,
-# for the column sequences and the lists of objects a file holds
-# (`processes`, `assignments`): those would cost a Python call per field.
-# Each accepts exactly what its per-entry form accepts. A file's `conflicts`
-# list is not checked so: `_load_conflicts` proves and turns each two-id
-# entry in one plain loop, which CPython 3.11 runs in about half the time
-# of whole-list passes making the same checks.
-
-
-def _all_instances(values, cls: type) -> bool:
-    """Whether every value passes ``isinstance(value, cls)``."""
-    return all(issubclass(t, cls) for t in set(map(type, values)))
-
-
-def _all_ints(values) -> bool:
-    """Whether every value passes `_require_int` (a bool is not an integer)."""
-    types = set(map(type, values))
-    return bool not in types and all(issubclass(t, int) for t in types)
-
-
-def _all_keys(entries: list[dict], keys: frozenset[str]) -> bool:
-    """Whether every entry passes `_require_object` with ``keys``."""
-    # operator.eq, not frozenset.__eq__: called directly, the latter returns
-    # NotImplemented (which is truthy) for a key view
-    return all(map(eq, map(dict.keys, entries), repeat(keys)))
-
-
 def _read_json(path: str | Path, what: str):
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -1089,24 +1064,34 @@ def _write_json(path: str | Path, value) -> None:
 def _load_columns(raw: dict, cls: type[_ColumnSequence]) -> _ColumnSequence:
     """The column sequence ``cls`` of the file's array ``raw[cls._name]``.
 
-    Each entry is an object with exactly the keys ``cls._keys``. When every
-    entry has them, the columns go to ``cls``'s constructor, whose
-    whole-list passes prove them once and name the first bad entry on
-    failure. Otherwise entries are read one by one, in file order, each
-    checked for its keys and then by the class's per-record check, so the
-    first bad entry is named whatever is wrong with a later one.
+    One loop reads the entries in file order and stops at the first bad
+    one. Each must be an object with exactly the keys ``cls._keys``: a
+    plain dict with as many keys, each of which reads, is one, and any
+    other entry goes to `_require_object`, which names what is wrong with
+    it. Its values, in key order, then go to the class's rule (`_check`),
+    the one check of them, so a file's messages are those of the
+    constructor, such as ``processes[1200].execTimeMs must be >= 1, got 0``.
     """
     name, keys = cls._name, cls._keys
     entries = raw[name]
     if not isinstance(entries, list):
         raise WorkloadValidationError(f"{name} must be an array")
-    key_set = frozenset(keys)
-    if _all_instances(entries, dict) and _all_keys(entries, key_set):
-        return cls(*(map(itemgetter(key), entries) for key in keys))
+    width = len(keys)
+    values = itemgetter(*keys)
+    check = cls._check
+    records = []
     for position, entry in enumerate(entries):
-        _require_object(entry, key_set, f"{name}[{position}]")
-        cls._check(position, tuple(map(entry.__getitem__, keys)))
-    raise AssertionError(f"whole-list {name} check rejected a valid list")
+        try:
+            # a plain dict with as many keys as a record, each of which reads, has exactly its keys
+            if type(entry) is not dict or len(entry) != width:
+                raise KeyError
+            record = values(entry)
+        except KeyError:
+            _require_object(entry, frozenset(keys), f"{name}[{position}]")
+            record = values(entry)
+        check(position, record)
+        records.append(record)
+    return cls._of_proved(*(tuple(zip(*records)) or ((),) * width))
 
 
 def _load_conflicts(entries: list) -> ConflictColumns:
@@ -1150,13 +1135,15 @@ def load_workload(path: str | Path) -> Workload:
     too deeply to parse, on an integer with more digits than CPython's
     limit for reading one, and on schema or invariant violations. The process
     list is read into `ProcessColumns` as `load_schedule` reads the
-    assignments (`_load_columns`), and no `Process` is built.
+    assignments, in one loop that runs the class's rule on each entry and
+    names the first bad one (`_load_columns`), and no `Process` is built.
     Conflict pairs are canonicalized on load, so the file may list them in
     either order, and no `ConflictPair` is built: one loop proves each
     entry a pair of distinct non-negative integers, orients it and names
     the first bad one (`_load_conflicts`), and `Workload` proves their
-    range, order and uniqueness once, in one more loop, sorting and
-    deduplicating any list that is not strictly ascending. The loader
+    range, order and uniqueness once, in one more loop that names the
+    first bad pair, sorting and deduplicating any list that is not
+    strictly ascending. The loader
     reads only the file's JSON shape and keys: ``attestor`` and ``meta``
     are passed as read, and `Workload` proves them (a bool, and an object
     of JSON data), before the ids and the pairs.

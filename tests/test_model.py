@@ -236,7 +236,7 @@ class TestLoadLongLists:
         )
     )
     @settings(max_examples=200, deadline=None)
-    def test_whole_list_checks_agree_with_the_per_entry_rule(self, tmp_path_factory, entries):
+    def test_the_loader_names_the_first_bad_entry_as_the_per_entry_rule_does(self, tmp_path_factory, entries):
         expected = per_entry_conflicts(entries)
         payload = {
             **MINIMAL,
@@ -253,9 +253,9 @@ class TestLoadLongLists:
 
     @given(entries=mixed_conflict_lists())
     @settings(max_examples=150, deadline=None)
-    def test_the_whole_list_passes_and_the_naming_loop_agree(self, tmp_path_factory, entries):
-        # the loader's loop only names a bad entry, so any list the passes
-        # refuse must hold one, and its first is named; any other loads
+    def test_a_mixed_list_loads_or_names_its_first_bad_entry_as_the_per_entry_rule_does(self, tmp_path_factory, entries):
+        # a list that holds a bad entry is refused naming its first, as the
+        # per-entry rule does; any other loads as the reference workload
         expected = per_entry_conflicts(entries)
         processes = [{"id": i, "execTimeMs": 1 + i % 5, "opCount": 1} for i in range(MIXED_N)]
         payload = {**MINIMAL, "processes": processes, "conflicts": entries}
@@ -571,8 +571,8 @@ class TestGenerator:
             proved = []
             pair_order = conflictsched.model._pair_order
 
-            def recorded_pair_order(firsts, seconds):
-                proved.append(pair_order(firsts, seconds))
+            def recorded_pair_order(firsts, seconds, n):
+                proved.append(pair_order(firsts, seconds, n))
                 return proved[-1]
 
             with mock.patch.object(conflictsched.model, "_pair_order", recorded_pair_order):

@@ -729,7 +729,7 @@ class TestScheduleFromDict:
         )
     )
     @settings(max_examples=200, deadline=None)
-    def test_whole_list_checks_agree_with_the_per_entry_rule(self, entries):
+    def test_the_reader_names_the_first_bad_entry_as_the_per_entry_rule_does(self, entries):
         raw = {"assignments": entries, "horizonMs": 1, "scheduleMakespanMs": 1, "wallTimeMs": 0.5}
         bad = [pos for pos, entry in enumerate(entries) if not assignment_entry_ok(entry)]
         if bad:
